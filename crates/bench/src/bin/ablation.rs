@@ -5,8 +5,8 @@
 //! The section definitions — sweep parameters, values, table headers —
 //! live in `results/manifests/ablation.json` (embedded at compile
 //! time, `--manifest` overrides). Every (benchmark × configuration)
-//! cell is independent, so each section fans its runs out over the
-//! experiment worker pool (`VISIM_JOBS` workers) and prints from a
+//! cell is independent, so the whole grid fans out over the experiment
+//! worker pool (`VISIM_JOBS` workers) as one batch and prints from a
 //! single thread; the output is byte-identical for any worker count.
 
 fn main() {

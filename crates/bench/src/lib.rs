@@ -268,14 +268,6 @@ impl Report {
     /// the manifest name) at workload size `size_label`.
     pub fn new(name: &str, size_label: &str) -> Self {
         install_heartbeat(name.to_string());
-        if let Some(prior) = visim::journal::begin(name, size_label) {
-            if visim::store::resume() {
-                visim_obs::log::info(
-                    name,
-                    &format!("resuming; journal records {prior} previously completed cell(s)"),
-                );
-            }
-        }
         Report {
             name: name.to_string(),
             buf: String::new(),
@@ -387,7 +379,6 @@ impl Report {
                 eprintln!("could not write JSON artifact to {json_path}: {e}");
             }
         }
-        visim::journal::finish(self.failures.len() as u64);
         if self.failures.is_empty() {
             std::process::exit(0);
         }

@@ -9,9 +9,10 @@
 //! coverage, in `tests/parallel.rs`.)
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::Output;
 
 use visim::manifest::Manifest;
+use visim_util::hermetic_command;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("visim-manifest-{tag}-{}", std::process::id()));
@@ -21,7 +22,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 fn run_bin(exe: &str, dir: &Path, jobs: &str, extra: &[&str]) -> Output {
-    Command::new(exe)
+    hermetic_command(exe)
         .arg("tiny")
         .args(extra)
         .env("VISIM_JOBS", jobs)

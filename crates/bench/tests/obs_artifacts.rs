@@ -6,10 +6,10 @@
 //! artifact under `results/partial/`.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
 use visim_obs::schema::{RESULTS_SCHEMA, STATUS_FAILED, STATUS_OK};
 use visim_obs::Json;
+use visim_util::hermetic_command;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("visim-obs-{tag}-{}", std::process::id()));
@@ -27,9 +27,8 @@ fn load_doc(dir: &Path, name: &str) -> Json {
 #[test]
 fn fig1_writes_a_full_results_document() {
     let dir = temp_dir("fig1");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig1"))
+    let out = hermetic_command(env!("CARGO_BIN_EXE_fig1"))
         .arg("tiny")
-        .env_remove("VISIM_FAIL_BENCH")
         .current_dir(&dir)
         .output()
         .expect("fig1 runs");
@@ -93,9 +92,9 @@ fn fig1_writes_a_full_results_document() {
 #[test]
 fn an_injected_failure_becomes_a_failed_cell_and_partial_artifact() {
     let dir = temp_dir("fig1-fail");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig1"))
+    let out = hermetic_command(env!("CARGO_BIN_EXE_fig1"))
         .arg("tiny")
-        .env("VISIM_FAIL_BENCH", "blend")
+        .env("VISIM_FAULT", "cell.panic:blend")
         .current_dir(&dir)
         .output()
         .expect("fig1 runs");
@@ -122,7 +121,7 @@ fn an_injected_failure_becomes_a_failed_cell_and_partial_artifact() {
             .get("error")
             .and_then(Json::as_str)
             .unwrap()
-            .contains("VISIM_FAIL_BENCH"),
+            .contains("cell.panic"),
         "full error message recorded"
     );
     // The other eleven benchmarks still produced their six bars each.

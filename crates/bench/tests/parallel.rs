@@ -5,7 +5,9 @@
 //! artifacts land under `results/partial/`.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::Output;
+
+use visim_util::hermetic_command;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("visim-parallel-{tag}-{}", std::process::id()));
@@ -14,15 +16,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 fn run_fig1(dir: &Path, jobs: &str, fail_bench: Option<&str>) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig1"));
+    let mut cmd = hermetic_command(env!("CARGO_BIN_EXE_fig1"));
     cmd.arg("tiny").env("VISIM_JOBS", jobs).current_dir(dir);
-    match fail_bench {
-        Some(bench) => {
-            cmd.env("VISIM_FAIL_BENCH", bench);
-        }
-        None => {
-            cmd.env_remove("VISIM_FAIL_BENCH");
-        }
+    if let Some(bench) = fail_bench {
+        cmd.env("VISIM_FAULT", format!("cell.panic:{bench}"));
     }
     cmd.output().expect("fig1 runs")
 }
@@ -65,7 +62,7 @@ fn fig1_fault_injection_is_deterministic_across_worker_counts() {
         let stream = std::fs::read_to_string(&stream).expect("partial stream written");
         assert!(stream.contains("blend: ERROR:"));
         let artifact = std::fs::read_to_string(&per_bench).expect("per-benchmark artifact written");
-        assert!(artifact.contains("VISIM_FAIL_BENCH"), "{artifact}");
+        assert!(artifact.contains("cell.panic"), "{artifact}");
     }
     let serial_stream =
         std::fs::read_to_string(serial_dir.join("results/partial/fig1.txt")).unwrap();

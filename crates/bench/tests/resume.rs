@@ -11,6 +11,7 @@ use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use visim_obs::Json;
+use visim_util::hermetic_command;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("visim-resume-{tag}-{}", std::process::id()));
@@ -19,22 +20,14 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Build a fig1-tiny command running in `dir` with a hermetic store /
-/// cache / fault environment plus the given overrides. The store uses
-/// the binaries' default `results/store` under `dir`.
+/// Build a fig1-tiny command running in `dir` with a hermetic
+/// environment plus the given overrides. The store uses the binaries'
+/// default `results/store` under `dir`.
 fn fig1_cmd(dir: &Path, args: &[&str], envs: &[(&str, &str)]) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig1"));
+    let mut cmd = hermetic_command(env!("CARGO_BIN_EXE_fig1"));
     cmd.arg("tiny")
         .args(args)
         .current_dir(dir)
-        .env_remove("VISIM_NO_TRACE_CACHE")
-        .env_remove("VISIM_TRACE_MB")
-        .env_remove("VISIM_TRACE_DIR")
-        .env_remove("VISIM_FAIL_BENCH")
-        .env_remove("VISIM_STORE_DIR")
-        .env_remove("VISIM_RESUME")
-        .env_remove("VISIM_NO_STORE")
-        .env_remove("VISIM_FAULT")
         .env("VISIM_JOBS", "1");
     for (k, v) in envs {
         cmd.env(k, v);
@@ -258,7 +251,7 @@ fn store_on_off_and_resume_agree() {
 #[test]
 fn resume_serves_stored_deterministic_failures() {
     let dir = scratch_dir("fail");
-    let failed = run_fig1(&dir, &[], &[("VISIM_FAIL_BENCH", "blend")]);
+    let failed = run_fig1(&dir, &[], &[("VISIM_FAULT", "cell.panic:blend")]);
     assert_eq!(failed.status.code(), Some(1), "injected failure exits 1");
 
     // Resume WITHOUT the injection: the stored failed cells are served

@@ -7,9 +7,10 @@
 //! estimates into exact runs through the store — in either direction.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::Output;
 
 use visim_obs::Json;
+use visim_util::hermetic_command;
 
 /// Small enough that every tiny-size stream yields several windows.
 const GEOMETRY: &str = "200:1000";
@@ -22,19 +23,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 fn run_fig1(dir: &Path, args: &[&str], envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig1"));
+    let mut cmd = hermetic_command(env!("CARGO_BIN_EXE_fig1"));
     cmd.arg("tiny")
         .args(args)
         .current_dir(dir)
-        .env_remove("VISIM_NO_TRACE_CACHE")
-        .env_remove("VISIM_TRACE_MB")
-        .env_remove("VISIM_TRACE_DIR")
-        .env_remove("VISIM_FAIL_BENCH")
-        .env_remove("VISIM_STORE_DIR")
-        .env_remove("VISIM_RESUME")
-        .env_remove("VISIM_NO_STORE")
-        .env_remove("VISIM_FAULT")
-        .env_remove("VISIM_SAMPLE")
         .env("VISIM_JOBS", "1");
     for (k, v) in envs {
         cmd.env(k, v);

@@ -18,7 +18,8 @@ use std::collections::BTreeMap;
 use media_kernels::Variant;
 use visim::bench::{Bench, WorkloadSize};
 use visim::config::Arch;
-use visim::experiment::{try_run_timed, try_run_traced};
+use visim::experiment::{run_spec, try_run_traced};
+use visim::manifest::CellSpec;
 use visim_obs::trace::{Attribution, InstSpan, InstantKind, TraceRing, TraceStall};
 use visim_obs::Json;
 use visim_util::prop::{self, Config};
@@ -220,8 +221,17 @@ fn scrub_cell_counters(doc: Json) -> Json {
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
     let size = tiny();
-    let plain = try_run_timed(Bench::Conv, Arch::InOrder4, None, &size, Variant::SCALAR)
-        .expect("plain run succeeds");
+    let spec = CellSpec::Timed {
+        label: "conv/4-way/base".into(),
+        bench: Bench::Conv,
+        cpu: Arch::InOrder4.cpu(),
+        mem: Default::default(),
+        variant: Variant::SCALAR,
+    };
+    let plain = run_spec(&spec, &size)
+        .expect("plain run succeeds")
+        .0
+        .into_summary();
     let (traced, trace) = try_run_traced(
         Bench::Conv,
         Arch::InOrder4,

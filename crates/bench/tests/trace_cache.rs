@@ -6,9 +6,10 @@
 //! traces are purged and re-recorded, never trusted and never fatal.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::Output;
 
 use visim_obs::Json;
+use visim_util::hermetic_command;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("visim-tcache-{tag}-{}", std::process::id()));
@@ -17,17 +18,12 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// Run one figure binary at tiny size in `dir` with a hermetic
-/// trace-cache environment plus the given overrides.
+/// environment plus the given overrides.
 fn run_bin(exe: &str, dir: &Path, args: &[&str], envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(exe);
+    let mut cmd = hermetic_command(exe);
     cmd.arg("tiny")
         .args(args)
         .current_dir(dir)
-        .env_remove("VISIM_NO_TRACE_CACHE")
-        .env_remove("VISIM_TRACE_MB")
-        .env_remove("VISIM_TRACE_DIR")
-        .env_remove("VISIM_SPILL_EMIT_MBPS")
-        .env_remove("VISIM_FAIL_BENCH")
         .env("VISIM_JOBS", "1");
     for (k, v) in envs {
         cmd.env(k, v);

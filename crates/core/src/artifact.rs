@@ -174,21 +174,29 @@ pub fn counted_cell(name: &str, config: Json, stats: &CpuStats) -> Json {
 mod tests {
     use super::*;
     use crate::bench::WorkloadSize;
-    use crate::experiment;
+    use crate::experiment::{self, CellOutput};
+    use crate::manifest::CellSpec;
     use media_kernels::Variant;
 
-    fn tiny() -> WorkloadSize {
-        let mut s = WorkloadSize::tiny();
-        s.image_w = 32;
-        s.image_h = 32;
-        s.dotprod_n = 512;
-        s
+    /// Run one cell at a miniature size.
+    fn run(spec: CellSpec) -> CellOutput {
+        let mut size = WorkloadSize::tiny();
+        size.image_w = 32;
+        size.image_h = 32;
+        size.dotprod_n = 512;
+        experiment::run_spec(&spec, &size).expect("cell runs").0
     }
 
     #[test]
     fn fig1_cell_round_trips_with_full_payload() {
-        let summary =
-            experiment::run_timed(Bench::Addition, Arch::Ooo4, None, &tiny(), Variant::VIS);
+        let summary = run(CellSpec::Timed {
+            label: "addition/4-way ooo/vis".into(),
+            bench: Bench::Addition,
+            cpu: Arch::Ooo4.cpu(),
+            mem: Default::default(),
+            variant: Variant::VIS,
+        })
+        .into_summary();
         let cycles = summary.cycles();
         let bar = Fig1Bar {
             arch: Arch::Ooo4,
@@ -234,9 +242,15 @@ mod tests {
 
     #[test]
     fn fig2_cells_carry_both_variants() {
-        let size = tiny();
-        let base = experiment::run_counted(Bench::Thresh, &size, Variant::SCALAR);
-        let vis = experiment::run_counted(Bench::Thresh, &size, Variant::VIS);
+        let counted = |variant| {
+            run(CellSpec::Counted {
+                label: "thresh".into(),
+                bench: Bench::Thresh,
+                variant,
+            })
+            .into_counts()
+        };
+        let (base, vis) = (counted(Variant::SCALAR), counted(Variant::VIS));
         let row = Fig2Row {
             bench: Bench::Thresh,
             base,

@@ -1,18 +1,21 @@
-//! Experiment runners for every figure and table of the paper.
+//! The cell executor behind every figure, table and the serve daemon.
 //!
-//! Each runner comes in two flavours: a `try_*` form returning
-//! `Result<_, SimError>` so the figure binaries can degrade gracefully
-//! (one wedged or panicking benchmark becomes an error row, the rest
-//! still produce bars), and the original panicking form for callers
-//! that treat any failure as fatal.
+//! Every number the paper reports is one (benchmark × machine ×
+//! variant) simulation cell. [`Manifest::cells`] expands an experiment
+//! grid into [`CellSpec`]s, and [`run_spec`] is the one way to run a
+//! cell: it consults the content-addressed result store, injects the
+//! `cell.panic`/`cell.transient` faults, retries transient failures,
+//! and persists the outcome. [`run_manifest`] is the figure binaries'
+//! view of the same path: it runs a manifest's cells as one worker-pool
+//! batch and folds them into figure-shaped rows, where a benchmark whose
+//! cell fails becomes an error row while the others keep their bars.
 //!
 //! # Parallel execution
 //!
 //! The full result set is ~100+ independent cycle-level simulations
-//! (Figure 1 alone is 12 benchmarks × 6 configurations). Every
-//! (benchmark, configuration) cell is a pure function of its inputs, so
-//! the figure-level runners fan the cells out over a worker pool
-//! ([`run_parallel`]) and reassemble the results in deterministic input
+//! (Figure 1 alone is 12 benchmarks × 6 configurations). Every cell is
+//! a pure function of its inputs, so cells fan out over a worker pool
+//! ([`run_parallel`]) and the results come back in deterministic input
 //! order: output is bit-identical for any worker count. `VISIM_JOBS`
 //! selects the worker count (`1` = the serial reference path, no
 //! threads at all; unset/`0` = one worker per available core).
@@ -39,16 +42,11 @@ use media_kernels::KernelId;
 
 use crate::bench::{Bench, WorkloadSize};
 use crate::config::Arch;
-use crate::journal;
 use crate::kernels14::{self, KernelCell};
-use crate::manifest::{AblationSection, Grid, HistogramSection, Manifest, SweepCache};
+use crate::manifest::{CellSpec, Grid, Manifest, SweepCache};
 use crate::sampling::{self, SampleConfig};
 use crate::store;
 use crate::trace_cache;
-
-/// Environment variable naming a benchmark that must fail: fault
-/// injection for exercising the degraded paths end to end.
-pub const FAIL_BENCH_ENV: &str = "VISIM_FAIL_BENCH";
 
 /// Environment variable selecting the experiment-executor worker count.
 /// `1` forces the serial reference path; `0` or unset auto-detects one
@@ -146,6 +144,11 @@ where
     T: Send,
     F: FnOnce() -> T + Send,
 {
+    // An empty batch is not a pool run: it leaves no trace in the
+    // metrics (the `tables` manifest has no cells).
+    if work.is_empty() {
+        return Vec::new();
+    }
     let observer = |done: usize, total: usize, run_ns: u64| {
         if let Some(obs) = PROGRESS.lock().expect("progress observer lock").as_ref() {
             obs(done, total, run_ns);
@@ -216,7 +219,7 @@ fn with_retry<T>(mut attempt_fn: impl FnMut(u32) -> Result<T, SimError>) -> Resu
 /// cell computes under the retry policy (with the `cell.transient`
 /// fault point armed per attempt) and the outcome — success or
 /// deterministic failure, never a transient one — is persisted
-/// atomically and journaled.
+/// atomically. The flag is `true` when the result came from the store.
 fn run_cell<T: Clone>(
     key: Option<store::CellKey>,
     tag: &str,
@@ -235,13 +238,9 @@ fn run_cell<T: Clone>(
             );
         }
         match loaded {
-            Some(store::Entry::Failed(e)) => {
-                journal::record(key, "stored-failed");
-                return Err(e);
-            }
+            Some(store::Entry::Failed(e)) => return Err(e),
             Some(entry) => {
                 if let Some(v) = from_entry(entry) {
-                    journal::record(key, "stored");
                     return Ok((v, true));
                 }
             }
@@ -258,14 +257,8 @@ fn run_cell<T: Clone>(
     }
     if let Some(key) = &key {
         match &result {
-            Ok(v) => {
-                store::save(key, &to_entry(v));
-                journal::record(key, "ok");
-            }
-            Err(e) if !e.is_transient() => {
-                store::save(key, &store::Entry::Failed(e.clone()));
-                journal::record(key, "failed");
-            }
+            Ok(v) => store::save(key, &to_entry(v)),
+            Err(e) if !e.is_transient() => store::save(key, &store::Entry::Failed(e.clone())),
             Err(_) => {}
         }
     }
@@ -281,24 +274,9 @@ fn injected_panic(tag: &str) {
     }
 }
 
-fn injected_fault(bench: Bench) -> Result<(), SimError> {
-    if std::env::var(FAIL_BENCH_ENV).as_deref() == Ok(bench.name()) {
-        return Err(SimError::Workload {
-            bench: bench.name().to_string(),
-            detail: format!("fault injected via {FAIL_BENCH_ENV}"),
-        });
-    }
-    Ok(())
-}
-
-/// Run `f`, converting a workload panic into `SimError::Workload`.
-fn catch_workload<R>(bench: Bench, f: impl FnOnce() -> R) -> Result<R, SimError> {
-    catch_workload_named(bench.name(), f)
-}
-
-/// [`catch_workload`] for drivers outside the benchmark registry
-/// (`tag` stands in for the benchmark name in the error).
-fn catch_workload_named<R>(tag: &str, f: impl FnOnce() -> R) -> Result<R, SimError> {
+/// Run `f`, converting a workload panic into `SimError::Workload`
+/// (`tag` names the benchmark, or a driver outside the registry).
+fn catch_workload<R>(tag: &str, f: impl FnOnce() -> R) -> Result<R, SimError> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         let detail = if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
@@ -343,7 +321,7 @@ fn obtain_stream(bench: Bench, size: &WorkloadSize, variant: Variant) -> Result<
     }
     let mut recorder = Recorder::new(trace_cache::budget_bytes());
     let t0 = Instant::now();
-    catch_workload(bench, || bench.run(&mut recorder, size, variant))?;
+    catch_workload(bench.name(), || bench.run(&mut recorder, size, variant))?;
     let emit = t0.elapsed();
     match recorder.finish() {
         Some(rec) => {
@@ -371,8 +349,8 @@ fn feed<S: SimSink>(
     sink: &mut S,
 ) -> Result<(), SimError> {
     match stream {
-        Stream::Replay { rec, .. } => catch_workload(bench, || rec.replay(sink)),
-        Stream::Direct => catch_workload(bench, || bench.run(sink, size, variant)),
+        Stream::Replay { rec, .. } => catch_workload(bench.name(), || rec.replay(sink)),
+        Stream::Direct => catch_workload(bench.name(), || bench.run(sink, size, variant)),
     }
 }
 
@@ -574,42 +552,52 @@ fn run_sampled(
     }
 }
 
-/// Run one benchmark through the detailed timing model, surfacing
-/// workload panics, invariant violations, and watchdog aborts as errors.
-pub fn try_run_timed(
-    bench: Bench,
-    arch: Arch,
-    mem: Option<MemConfig>,
-    size: &WorkloadSize,
-    variant: Variant,
-) -> Result<Summary, SimError> {
-    try_run_timed_cfg(bench, arch.cpu(), mem.unwrap_or_default(), size, variant)
+fn timed_entry(s: &Summary) -> store::Entry {
+    store::Entry::Timed(Box::new(s.clone()))
 }
 
-/// [`try_run_timed`] with explicit machine parameters instead of a
-/// named [`Arch`] — the ablation binary's entry point. Replays the
-/// shared recorded stream when the trace cache has it; the result is
-/// byte-identical to direct emission either way.
-pub fn try_run_timed_cfg(
+fn summary_of(entry: store::Entry) -> Option<Summary> {
+    match entry {
+        store::Entry::Timed(s) => Some(*s),
+        _ => None,
+    }
+}
+
+fn counted_entry(c: &CpuStats) -> store::Entry {
+    store::Entry::Counted(c.clone())
+}
+
+fn counts_of(entry: store::Entry) -> Option<CpuStats> {
+    match entry {
+        store::Entry::Counted(c) => Some(c),
+        _ => None,
+    }
+}
+
+/// One benchmark through the detailed timing model: the body of a
+/// [`CellSpec::Timed`] cell. Replays the shared recorded stream when
+/// the trace cache has it; the result is byte-identical to direct
+/// emission either way. Workload panics, invariant violations, and
+/// watchdog aborts surface as errors.
+fn timed_cell(
     bench: Bench,
-    cpu: CpuConfig,
-    mem: MemConfig,
+    cpu: &CpuConfig,
+    mem: &MemConfig,
     size: &WorkloadSize,
     variant: Variant,
-) -> Result<Summary, SimError> {
-    let key = store::timed_key(bench.name(), &cpu, &mem, size, variant);
+) -> Result<(Summary, bool), SimError> {
+    let key = store::timed_key(bench.name(), cpu, mem, size, variant);
     let (mut summary, from_store) = run_cell(
         key,
         bench.name(),
         || {
-            injected_fault(bench)?;
-            catch_workload(bench, || injected_panic(bench.name()))?;
+            catch_workload(bench.name(), || injected_panic(bench.name()))?;
             let t0 = Instant::now();
             let stream = obtain_stream(bench, size, variant)?;
             let emit = t0.elapsed();
             let t1 = Instant::now();
             let mut summary = match sampling::config() {
-                Some(scfg) => run_sampled(bench, &cpu, &mem, size, variant, &stream, scfg)?,
+                Some(scfg) => run_sampled(bench, cpu, mem, size, variant, &stream, scfg)?,
                 None => {
                     let mut pipe = Pipeline::new(cpu.clone(), mem.clone());
                     feed(bench, size, variant, &stream, &mut pipe)?;
@@ -619,65 +607,75 @@ pub fn try_run_timed_cfg(
             stamp_cell_metrics(&mut summary.metrics, emit, t1.elapsed(), &stream);
             Ok(summary)
         },
-        |s| store::Entry::Timed(Box::new(s.clone())),
-        |e| match e {
-            store::Entry::Timed(s) => Some(*s),
-            _ => None,
-        },
+        timed_entry,
+        summary_of,
     )?;
     summary.metrics.set("cell.store_hit", u64::from(from_store));
-    Ok(summary)
+    Ok((summary, from_store))
 }
 
-/// A store-aware detailed-timing cell for drivers outside the
-/// [`Bench`] registry (the appendix `kernels14` binary). `tag` must
-/// identify the workload and code variant; the machine configuration
-/// and workload geometry are folded into the content address here.
-/// `compute` gets the full crash-safety treatment: resume lookup, the
+/// One benchmark through the functional counter: the body of a
+/// [`CellSpec::Counted`] cell (fast; the instruction-mix experiments).
+fn counted_cell(
+    bench: Bench,
+    size: &WorkloadSize,
+    variant: Variant,
+) -> Result<(CpuStats, bool), SimError> {
+    let key = store::counted_key(bench.name(), size, variant);
+    run_cell(
+        key,
+        bench.name(),
+        || {
+            let mut sink = CountingSink::new();
+            catch_workload(bench.name(), || {
+                injected_panic(bench.name());
+                bench.run(&mut sink, size, variant)
+            })?;
+            Ok(sink.finish())
+        },
+        counted_entry,
+        counts_of,
+    )
+}
+
+/// Run a driver outside the [`Bench`] registry under the `cell.panic`
+/// fault point, converting its panics into `SimError::Workload`.
+fn catch_custom<T>(tag: &str, compute: &impl Fn() -> Result<T, SimError>) -> Result<T, SimError> {
+    catch_workload(tag, || {
+        injected_panic(tag);
+        compute()
+    })
+    .and_then(|r| r)
+}
+
+/// A store-aware detailed-timing run for drivers outside the [`Bench`]
+/// registry (the appendix kernel sweep). `tag` must identify the
+/// workload and code variant; the machine configuration and workload
+/// geometry are folded into the content address here. `compute` gets
+/// the full crash-safety treatment: resume lookup, the
 /// `cell.panic`/`cell.transient` fault points, bounded retry, and an
 /// atomic store write of the outcome.
-pub fn try_custom_timed(
+pub(crate) fn custom_timed(
     tag: &str,
     cpu: &CpuConfig,
     mem: &MemConfig,
     size: &WorkloadSize,
     compute: impl Fn() -> Result<Summary, SimError>,
-) -> Result<Summary, SimError> {
+) -> Result<(Summary, bool), SimError> {
     let key = store::custom_timed_key(tag, cpu, mem, size);
     let (mut summary, from_store) = run_cell(
         key,
         tag,
-        || {
-            catch_workload_named(tag, || {
-                injected_panic(tag);
-                compute()
-            })
-            .and_then(|r| r)
-        },
-        |s| store::Entry::Timed(Box::new(s.clone())),
-        |e| match e {
-            store::Entry::Timed(s) => Some(*s),
-            _ => None,
-        },
+        || catch_custom(tag, &compute),
+        timed_entry,
+        summary_of,
     )?;
     summary.metrics.set("cell.store_hit", u64::from(from_store));
-    Ok(summary)
+    Ok((summary, from_store))
 }
 
-/// The counting-cell counterpart of [`try_custom_timed`].
-pub fn try_custom_counted(
-    tag: &str,
-    size: &WorkloadSize,
-    compute: impl Fn() -> Result<CpuStats, SimError>,
-) -> Result<CpuStats, SimError> {
-    try_custom_counted_with_origin(tag, size, compute).map(|(c, _)| c)
-}
-
-/// [`try_custom_counted`] reporting where the result came from: the
-/// flag is `true` when the counts were served from the result store
-/// (the serve daemon's hit accounting; timed cells carry the same fact
-/// as their `cell.store_hit` metric instead).
-pub fn try_custom_counted_with_origin(
+/// The counting counterpart of [`custom_timed`].
+pub(crate) fn custom_counted(
     tag: &str,
     size: &WorkloadSize,
     compute: impl Fn() -> Result<CpuStats, SimError>,
@@ -686,18 +684,9 @@ pub fn try_custom_counted_with_origin(
     run_cell(
         key,
         tag,
-        || {
-            catch_workload_named(tag, || {
-                injected_panic(tag);
-                compute()
-            })
-            .and_then(|r| r)
-        },
-        |c| store::Entry::Counted(c.clone()),
-        |e| match e {
-            store::Entry::Counted(c) => Some(c),
-            _ => None,
-        },
+        || catch_custom(tag, &compute),
+        counted_entry,
+        counts_of,
     )
 }
 
@@ -705,7 +694,9 @@ pub fn try_custom_counted_with_origin(
 /// cycle-level tracing attached, returning both the summary and the
 /// recorded [`Trace`]. The caller configures the ring (capacity, cycle
 /// window) before passing it in; the simulation result is identical to
-/// [`try_run_timed`] — tracing only observes.
+/// the same [`CellSpec::Timed`] cell under [`run_spec`] — tracing only
+/// observes. The `cell.panic` fault point is armed; the result store is
+/// not consulted.
 pub fn try_run_traced(
     bench: Bench,
     arch: Arch,
@@ -714,7 +705,7 @@ pub fn try_run_traced(
     variant: Variant,
     ring: TraceRing,
 ) -> Result<(Summary, Trace), SimError> {
-    injected_fault(bench)?;
+    catch_workload(bench.name(), || injected_panic(bench.name()))?;
     let t0 = Instant::now();
     let stream = obtain_stream(bench, size, variant)?;
     let emit = t0.elapsed();
@@ -735,74 +726,69 @@ pub fn try_run_traced(
     Ok((summary, ring.into_trace()))
 }
 
-/// Run one benchmark through the detailed timing model.
-pub fn run_timed(
-    bench: Bench,
-    arch: Arch,
-    mem: Option<MemConfig>,
-    size: &WorkloadSize,
-    variant: Variant,
-) -> Summary {
-    try_run_timed(bench, arch, mem, size, variant)
-        .unwrap_or_else(|e| panic!("{bench}: simulation failed: {e}"))
+/// What one cell produced, by [`CellSpec`] kind. The large payloads are
+/// boxed so a batch of results stays compact.
+#[derive(Debug, Clone)]
+pub enum CellOutput {
+    /// A [`CellSpec::Timed`] cell's timing summary.
+    Timed(Box<Summary>),
+    /// A [`CellSpec::Counted`] cell's instruction counts.
+    Counted(Box<CpuStats>),
+    /// A [`CellSpec::Kernel`] cell's four runs.
+    Kernel(Box<KernelCell>),
 }
 
-/// Panicking form of [`try_run_timed_cfg`], for callers that treat any
-/// failure as fatal.
-pub fn run_timed_cfg(
-    bench: Bench,
-    cpu: CpuConfig,
-    mem: MemConfig,
-    size: &WorkloadSize,
-    variant: Variant,
-) -> Summary {
-    try_run_timed_cfg(bench, cpu, mem, size, variant)
-        .unwrap_or_else(|e| panic!("{bench}: simulation failed: {e}"))
+impl CellOutput {
+    /// The summary of a timed cell.
+    ///
+    /// # Panics
+    ///
+    /// On any other kind: a spec fixes its output's kind, so a mismatch
+    /// is a bug in the caller.
+    pub fn into_summary(self) -> Summary {
+        match self {
+            CellOutput::Timed(s) => *s,
+            _ => panic!("not a timed cell"),
+        }
+    }
+
+    /// The counts of a counted cell. Panics like [`Self::into_summary`].
+    pub fn into_counts(self) -> CpuStats {
+        match self {
+            CellOutput::Counted(c) => *c,
+            _ => panic!("not a counted cell"),
+        }
+    }
+
+    /// The runs of a kernel cell. Panics like [`Self::into_summary`].
+    pub fn into_kernel(self) -> KernelCell {
+        match self {
+            CellOutput::Kernel(k) => *k,
+            _ => panic!("not a kernel cell"),
+        }
+    }
 }
 
-/// Run one benchmark through the functional counter (fast; used for the
-/// instruction-mix experiments), surfacing failures as errors.
-pub fn try_run_counted(
-    bench: Bench,
-    size: &WorkloadSize,
-    variant: Variant,
-) -> Result<CpuStats, SimError> {
-    try_run_counted_with_origin(bench, size, variant).map(|(c, _)| c)
-}
-
-/// [`try_run_counted`] reporting whether the counts were served from
-/// the result store (see [`try_custom_counted_with_origin`]).
-pub fn try_run_counted_with_origin(
-    bench: Bench,
-    size: &WorkloadSize,
-    variant: Variant,
-) -> Result<(CpuStats, bool), SimError> {
-    let key = store::counted_key(bench.name(), size, variant);
-    run_cell(
-        key,
-        bench.name(),
-        || {
-            injected_fault(bench)?;
-            let mut sink = CountingSink::new();
-            catch_workload(bench, || {
-                injected_panic(bench.name());
-                bench.run(&mut sink, size, variant)
-            })?;
-            Ok(sink.finish())
-        },
-        |c| store::Entry::Counted(c.clone()),
-        |e| match e {
-            store::Entry::Counted(c) => Some(c),
-            _ => None,
-        },
-    )
-}
-
-/// Run one benchmark through the functional counter (fast; used for the
-/// instruction-mix experiments).
-pub fn run_counted(bench: Bench, size: &WorkloadSize, variant: Variant) -> CpuStats {
-    try_run_counted(bench, size, variant)
-        .unwrap_or_else(|e| panic!("{bench}: simulation failed: {e}"))
+/// Run one cell — the single executor behind the figure binaries
+/// ([`run_manifest`]) and the serve daemon. A valid result-store entry
+/// is served without simulating (on resume runs); otherwise the cell
+/// simulates under the fault points and retry policy, and its outcome
+/// is persisted. Returns the output and whether it came from the store.
+pub fn run_spec(spec: &CellSpec, size: &WorkloadSize) -> Result<(CellOutput, bool), SimError> {
+    match spec {
+        CellSpec::Timed {
+            bench,
+            cpu,
+            mem,
+            variant,
+            ..
+        } => timed_cell(*bench, cpu, mem, size, *variant)
+            .map(|(s, hit)| (CellOutput::Timed(Box::new(s)), hit)),
+        CellSpec::Counted { bench, variant, .. } => counted_cell(*bench, size, *variant)
+            .map(|(c, hit)| (CellOutput::Counted(Box::new(c)), hit)),
+        CellSpec::Kernel { kernel, .. } => kernels14::kernel_cell(*kernel, size)
+            .map(|(k, hit)| (CellOutput::Kernel(Box::new(k)), hit)),
+    }
 }
 
 /// One bar of Figure 1.
@@ -816,86 +802,6 @@ pub struct Fig1Bar {
     pub summary: Summary,
 }
 
-/// Figure 1 for one benchmark: six bars (3 architectures × {base, VIS}).
-/// Fails on the first bar whose simulation fails.
-pub fn try_fig1_bench(bench: Bench, size: &WorkloadSize) -> Result<Vec<Fig1Bar>, SimError> {
-    let mut bars = Vec::with_capacity(6);
-    for vis in [false, true] {
-        let variant = if vis { Variant::VIS } else { Variant::SCALAR };
-        for arch in Arch::all() {
-            let summary = try_run_timed(bench, arch, None, size, variant)?;
-            bars.push(Fig1Bar { arch, vis, summary });
-        }
-    }
-    Ok(bars)
-}
-
-/// Figure 1 for one benchmark: six bars (3 architectures × {base, VIS}).
-pub fn fig1_bench(bench: Bench, size: &WorkloadSize) -> Vec<Fig1Bar> {
-    try_fig1_bench(bench, size).unwrap_or_else(|e| panic!("{bench}: simulation failed: {e}"))
-}
-
-/// Figure 1 for the whole suite: all 12 benchmarks × 6 bars fanned out
-/// over the worker pool as 72 independent cells and reassembled in
-/// figure order. A benchmark whose first failing bar (in bar order) is
-/// `Err` reports that error, matching [`try_fig1_bench`]'s serial
-/// first-failure semantics, while the other benchmarks keep their bars.
-pub fn try_fig1_all(size: &WorkloadSize) -> Vec<(Bench, Result<Vec<Fig1Bar>, SimError>)> {
-    try_fig1_grid(
-        size,
-        &Bench::all(),
-        &Arch::all(),
-        &[Variant::SCALAR, Variant::VIS],
-    )
-}
-
-/// [`try_fig1_all`] over an explicit manifest grid: `benchmarks` ×
-/// `variants` × `archs` cells in that nesting order (matching the
-/// figure's bar order), fanned out over the worker pool in one batch.
-pub fn try_fig1_grid(
-    size: &WorkloadSize,
-    benchmarks: &[Bench],
-    archs: &[Arch],
-    variants: &[Variant],
-) -> Vec<(Bench, Result<Vec<Fig1Bar>, SimError>)> {
-    let mut cells = Vec::new();
-    for &bench in benchmarks {
-        for &variant in variants {
-            for &arch in archs {
-                cells.push((bench, variant, arch));
-            }
-        }
-    }
-    let results = run_parallel(
-        cells
-            .iter()
-            .map(|&(bench, variant, arch)| move || try_run_timed(bench, arch, None, size, variant))
-            .collect(),
-    );
-    let mut results = results.into_iter();
-    benchmarks
-        .iter()
-        .map(|&bench| {
-            let mut bars = Vec::with_capacity(archs.len() * variants.len());
-            let mut first_err = None;
-            for &variant in variants {
-                for &arch in archs {
-                    match results.next().expect("one result per Figure 1 cell") {
-                        Ok(summary) if first_err.is_none() => bars.push(Fig1Bar {
-                            arch,
-                            vis: variant.vis,
-                            summary,
-                        }),
-                        Err(e) if first_err.is_none() => first_err = Some(e),
-                        _ => {}
-                    }
-                }
-            }
-            (bench, first_err.map_or(Ok(bars), Err))
-        })
-        .collect()
-}
-
 /// One pair of Figure 2 bars: base and VIS instruction mixes.
 #[derive(Debug, Clone)]
 pub struct Fig2Row {
@@ -905,58 +811,6 @@ pub struct Fig2Row {
     pub base: CpuStats,
     /// VIS-variant counts.
     pub vis: CpuStats,
-}
-
-/// Figure 2: dynamic (retired) instruction counts, base vs. VIS, with
-/// per-benchmark failures reported instead of aborting the figure. The
-/// 12 × 2 counted runs fan out over the worker pool; a failing base
-/// variant masks the VIS result for that benchmark, matching the serial
-/// evaluation order.
-pub fn try_fig2(size: &WorkloadSize) -> Vec<(Bench, Result<Fig2Row, SimError>)> {
-    try_fig2_grid(size, &Bench::all())
-}
-
-/// [`try_fig2`] over an explicit benchmark list (the manifest grid).
-pub fn try_fig2_grid(
-    size: &WorkloadSize,
-    benchmarks: &[Bench],
-) -> Vec<(Bench, Result<Fig2Row, SimError>)> {
-    let mut cells = Vec::new();
-    for &bench in benchmarks {
-        for variant in [Variant::SCALAR, Variant::VIS] {
-            cells.push((bench, variant));
-        }
-    }
-    let mut results = run_parallel(
-        cells
-            .into_iter()
-            .map(|(bench, variant)| move || try_run_counted(bench, size, variant))
-            .collect(),
-    )
-    .into_iter();
-    benchmarks
-        .iter()
-        .map(|&bench| {
-            let base = results.next().expect("base result per benchmark");
-            let vis = results.next().expect("VIS result per benchmark");
-            let row = base.and_then(|base| {
-                Ok(Fig2Row {
-                    bench,
-                    base,
-                    vis: vis?,
-                })
-            });
-            (bench, row)
-        })
-        .collect()
-}
-
-/// Figure 2: dynamic (retired) instruction counts, base vs. VIS.
-pub fn fig2(size: &WorkloadSize) -> Vec<Fig2Row> {
-    try_fig2(size)
-        .into_iter()
-        .map(|(bench, row)| row.unwrap_or_else(|e| panic!("{bench}: simulation failed: {e}")))
-        .collect()
 }
 
 /// One pair of Figure 3 bars: VIS and VIS+prefetch timings.
@@ -970,58 +824,6 @@ pub struct Fig3Row {
     pub pf: Summary,
 }
 
-/// Figure 3: software prefetching on the benchmarks with memory stall,
-/// with per-benchmark failures reported instead of aborting the figure.
-/// The 9 × 2 timed runs fan out over the worker pool; a failing VIS
-/// baseline masks the prefetch result for that benchmark, matching the
-/// serial evaluation order.
-pub fn try_fig3(size: &WorkloadSize) -> Vec<(Bench, Result<Fig3Row, SimError>)> {
-    try_fig3_grid(size, &Bench::prefetch_set())
-}
-
-/// [`try_fig3`] over an explicit benchmark list (the manifest grid).
-pub fn try_fig3_grid(
-    size: &WorkloadSize,
-    benchmarks: &[Bench],
-) -> Vec<(Bench, Result<Fig3Row, SimError>)> {
-    let mut cells = Vec::new();
-    for &bench in benchmarks {
-        for variant in [Variant::VIS, Variant::VIS_PF] {
-            cells.push((bench, variant));
-        }
-    }
-    let mut results = run_parallel(
-        cells
-            .into_iter()
-            .map(|(bench, variant)| move || try_run_timed(bench, Arch::Ooo4, None, size, variant))
-            .collect(),
-    )
-    .into_iter();
-    benchmarks
-        .iter()
-        .map(|&bench| {
-            let vis = results.next().expect("VIS result per benchmark");
-            let pf = results.next().expect("prefetch result per benchmark");
-            let row = vis.and_then(|vis| {
-                Ok(Fig3Row {
-                    bench,
-                    vis,
-                    pf: pf?,
-                })
-            });
-            (bench, row)
-        })
-        .collect()
-}
-
-/// Figure 3: software prefetching on the benchmarks with memory stall.
-pub fn fig3(size: &WorkloadSize) -> Vec<Fig3Row> {
-    try_fig3(size)
-        .into_iter()
-        .map(|(bench, row)| row.unwrap_or_else(|e| panic!("{bench}: simulation failed: {e}")))
-        .collect()
-}
-
 /// A cache-size sweep point.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
@@ -1029,207 +831,6 @@ pub struct SweepPoint {
     pub bytes: u64,
     /// Timing result.
     pub summary: Summary,
-}
-
-/// §4.1 L2 sweep: vary the L2 size with the L1 fixed. Fails on the
-/// first sweep point whose simulation fails.
-pub fn try_l2_sweep(
-    bench: Bench,
-    size: &WorkloadSize,
-    l2_sizes: &[u64],
-) -> Result<Vec<SweepPoint>, SimError> {
-    l2_sizes
-        .iter()
-        .map(|&bytes| {
-            Ok(SweepPoint {
-                bytes,
-                summary: try_run_timed(
-                    bench,
-                    Arch::Ooo4,
-                    Some(MemConfig::default().with_l2_size(bytes)),
-                    size,
-                    Variant::VIS,
-                )?,
-            })
-        })
-        .collect()
-}
-
-/// §4.1 L2 sweep: vary the L2 size with the L1 fixed.
-pub fn l2_sweep(bench: Bench, size: &WorkloadSize, l2_sizes: &[u64]) -> Vec<SweepPoint> {
-    try_l2_sweep(bench, size, l2_sizes)
-        .unwrap_or_else(|e| panic!("{bench}: simulation failed: {e}"))
-}
-
-/// §4.1 L1 sweep: vary the L1 size with the L2 fixed. Fails on the
-/// first sweep point whose simulation fails.
-pub fn try_l1_sweep(
-    bench: Bench,
-    size: &WorkloadSize,
-    l1_sizes: &[u64],
-) -> Result<Vec<SweepPoint>, SimError> {
-    l1_sizes
-        .iter()
-        .map(|&bytes| {
-            Ok(SweepPoint {
-                bytes,
-                summary: try_run_timed(
-                    bench,
-                    Arch::Ooo4,
-                    Some(MemConfig::default().with_l1_size(bytes)),
-                    size,
-                    Variant::VIS,
-                )?,
-            })
-        })
-        .collect()
-}
-
-/// §4.1 L1 sweep: vary the L1 size with the L2 fixed.
-pub fn l1_sweep(bench: Bench, size: &WorkloadSize, l1_sizes: &[u64]) -> Vec<SweepPoint> {
-    try_l1_sweep(bench, size, l1_sizes)
-        .unwrap_or_else(|e| panic!("{bench}: simulation failed: {e}"))
-}
-
-/// A whole §4.1 sweep (all 12 benchmarks × every cache size) fanned out
-/// over the worker pool. Per benchmark, the first failing point (in
-/// sweep order) becomes its error, matching the serial sweep runners.
-fn try_sweep_suite(
-    size: &WorkloadSize,
-    sweep_sizes: &[u64],
-    cfg_for: impl Fn(u64) -> MemConfig,
-) -> Vec<(Bench, Result<Vec<SweepPoint>, SimError>)> {
-    try_sweep_grid_with(size, &Bench::all(), sweep_sizes, cfg_for)
-}
-
-/// [`try_sweep_suite`] over an explicit manifest grid: `benchmarks` ×
-/// `bytes` cells, varying the cache `cache` selects.
-pub fn try_sweep_grid(
-    size: &WorkloadSize,
-    benchmarks: &[Bench],
-    bytes: &[u64],
-    cache: SweepCache,
-) -> Vec<(Bench, Result<Vec<SweepPoint>, SimError>)> {
-    try_sweep_grid_with(size, benchmarks, bytes, |b| cache.mem_config(b))
-}
-
-fn try_sweep_grid_with(
-    size: &WorkloadSize,
-    benchmarks: &[Bench],
-    sweep_sizes: &[u64],
-    cfg_for: impl Fn(u64) -> MemConfig,
-) -> Vec<(Bench, Result<Vec<SweepPoint>, SimError>)> {
-    let mut cells = Vec::new();
-    for &bench in benchmarks {
-        for &bytes in sweep_sizes {
-            cells.push((bench, bytes, cfg_for(bytes)));
-        }
-    }
-    let mut results = run_parallel(
-        cells
-            .into_iter()
-            .map(|(bench, bytes, cfg)| {
-                move || {
-                    try_run_timed(bench, Arch::Ooo4, Some(cfg), size, Variant::VIS)
-                        .map(|summary| SweepPoint { bytes, summary })
-                }
-            })
-            .collect(),
-    )
-    .into_iter();
-    benchmarks
-        .iter()
-        .map(|&bench| {
-            let mut points = Vec::with_capacity(sweep_sizes.len());
-            let mut first_err = None;
-            for _ in sweep_sizes {
-                match results.next().expect("one result per sweep point") {
-                    Ok(pt) if first_err.is_none() => points.push(pt),
-                    Err(e) if first_err.is_none() => first_err = Some(e),
-                    _ => {}
-                }
-            }
-            (bench, first_err.map_or(Ok(points), Err))
-        })
-        .collect()
-}
-
-/// §4.1 L1 sweep over the whole suite, parallel across
-/// (benchmark × L1 size) cells.
-pub fn try_l1_sweep_all(
-    size: &WorkloadSize,
-    l1_sizes: &[u64],
-) -> Vec<(Bench, Result<Vec<SweepPoint>, SimError>)> {
-    try_sweep_suite(size, l1_sizes, |b| MemConfig::default().with_l1_size(b))
-}
-
-/// §4.1 L2 sweep over the whole suite, parallel across
-/// (benchmark × L2 size) cells.
-pub fn try_l2_sweep_all(
-    size: &WorkloadSize,
-    l2_sizes: &[u64],
-) -> Vec<(Bench, Result<Vec<SweepPoint>, SimError>)> {
-    try_sweep_suite(size, l2_sizes, |b| MemConfig::default().with_l2_size(b))
-}
-
-/// One ablation ratio section fanned out over the worker pool: per
-/// benchmark, a baseline run on the out-of-order machine plus one run
-/// per sweep value, in that order (the layout `AblationSection.headers`
-/// describes). Any failure is fatal, matching the ablation binary's
-/// historical behaviour — ablations have no degraded rendering.
-pub fn run_ablation_section(
-    section: &AblationSection,
-    benchmarks: &[Bench],
-    size: &WorkloadSize,
-) -> Vec<Summary> {
-    let mut cells = Vec::new();
-    for &bench in benchmarks {
-        cells.push((bench, CpuConfig::ooo_4way(), MemConfig::default()));
-        for &value in &section.values {
-            let (cpu, mem) = section.param.config(value);
-            cells.push((bench, cpu, mem));
-        }
-    }
-    run_parallel(
-        cells
-            .into_iter()
-            .map(|(bench, cpu, mem)| move || run_timed_cfg(bench, cpu, mem, size, Variant::VIS))
-            .collect(),
-    )
-}
-
-/// The ablation experiment's MSHR-occupancy section: benchmarks ×
-/// variants on the out-of-order baseline, one worker-pool batch.
-pub fn run_histogram_section(section: &HistogramSection, size: &WorkloadSize) -> Vec<Summary> {
-    let mut cells = Vec::new();
-    for &bench in &section.benchmarks {
-        for (_, variant) in &section.variants {
-            cells.push((bench, *variant));
-        }
-    }
-    run_parallel(
-        cells
-            .into_iter()
-            .map(|(bench, variant)| {
-                move || run_timed_cfg(bench, Arch::Ooo4.cpu(), MemConfig::default(), size, variant)
-            })
-            .collect(),
-    )
-}
-
-/// The appendix kernel sweep: one worker-pool job per kernel, each job
-/// the kernel's full four-run cell ([`kernels14::try_kernel_cell`]).
-pub fn try_kernels14(
-    kernels: &[KernelId],
-    size: &WorkloadSize,
-) -> Vec<(KernelId, Result<KernelCell, SimError>)> {
-    let results = run_parallel(
-        kernels
-            .iter()
-            .map(|&k| move || kernels14::try_kernel_cell(k, size))
-            .collect(),
-    );
-    kernels.iter().copied().zip(results).collect()
 }
 
 /// The result of executing one manifest: one variant per grid kind,
@@ -1251,8 +852,8 @@ pub enum ManifestOutcome {
     /// Tables 1-4 (static; nothing was simulated).
     Tables,
     /// Ablation summaries: one vector per ratio section (in manifest
-    /// order, each laid out as [`run_ablation_section`] describes) plus
-    /// the histogram section's summaries.
+    /// order; per benchmark, the out-of-order baseline followed by one
+    /// run per sweep value) plus the histogram section's summaries.
     Ablation {
         /// Ratio-section summaries, one inner vector per section.
         sections: Vec<Vec<Summary>>,
@@ -1263,47 +864,142 @@ pub enum ManifestOutcome {
     Kernels14(Vec<(KernelId, Result<KernelCell, SimError>)>),
 }
 
-/// Execute a manifest: fan its grid through the worker pool, store,
-/// trace cache, and sampling machinery, and return the grid-shaped
-/// outcome for rendering. Each ratio section of an ablation manifest is
-/// its own worker-pool batch (sections are rendered as they complete),
-/// every other grid is a single batch.
+/// Execute a manifest: run its cells ([`Manifest::cells`]) through
+/// [`run_spec`] as one worker-pool batch, then fold the results into
+/// the grid-shaped outcome for rendering.
 pub fn run_manifest(m: &Manifest, size: &WorkloadSize) -> ManifestOutcome {
-    match &m.grid {
+    let cells = m.cells();
+    let results = run_parallel(
+        cells
+            .iter()
+            .map(|spec| move || run_spec(spec, size).map(|(out, _)| out))
+            .collect(),
+    );
+    fold(&m.grid, results)
+}
+
+/// Fold a manifest's cell results, in [`Manifest::cells`] order, into
+/// its grid-shaped outcome. One rule covers every figure: a benchmark
+/// whose cells include a failure reports the first failing cell in grid
+/// order as its error — the first failing bar of Figure 1 or point of a
+/// sweep, and for Figures 2 and 3 a failing base run masks its VIS
+/// partner. Ablations have no degraded rendering: any failure panics.
+fn fold(grid: &Grid, results: Vec<Result<CellOutput, SimError>>) -> ManifestOutcome {
+    let mut results = results.into_iter();
+    match grid {
         Grid::Fig1 {
             benchmarks,
             archs,
             variants,
-        } => ManifestOutcome::Fig1(try_fig1_grid(size, benchmarks, archs, variants)),
-        Grid::Fig2 { benchmarks, .. } => ManifestOutcome::Fig2(try_fig2_grid(size, benchmarks)),
-        Grid::Fig3 { benchmarks } => ManifestOutcome::Fig3(try_fig3_grid(size, benchmarks)),
+        } => ManifestOutcome::Fig1(per_bench(
+            benchmarks,
+            archs.len() * variants.len(),
+            &mut results,
+            |_, outs| {
+                let bars = variants
+                    .iter()
+                    .flat_map(|v| archs.iter().map(move |&arch| (arch, v.vis)));
+                bars.zip(outs)
+                    .map(|((arch, vis), out)| Fig1Bar {
+                        arch,
+                        vis,
+                        summary: out.into_summary(),
+                    })
+                    .collect()
+            },
+        )),
+        Grid::Fig2 { benchmarks, .. } => {
+            ManifestOutcome::Fig2(per_bench(benchmarks, 2, &mut results, |bench, outs| {
+                let [base, vis]: [CellOutput; 2] = outs.try_into().expect("base and VIS cells");
+                Fig2Row {
+                    bench,
+                    base: base.into_counts(),
+                    vis: vis.into_counts(),
+                }
+            }))
+        }
+        Grid::Fig3 { benchmarks } => {
+            ManifestOutcome::Fig3(per_bench(benchmarks, 2, &mut results, |bench, outs| {
+                let [vis, pf]: [CellOutput; 2] = outs.try_into().expect("VIS and prefetch cells");
+                Fig3Row {
+                    bench,
+                    vis: vis.into_summary(),
+                    pf: pf.into_summary(),
+                }
+            }))
+        }
         Grid::Sweep {
             cache,
             benchmarks,
             bytes,
         } => ManifestOutcome::Sweep {
             cache: *cache,
-            results: try_sweep_grid(size, benchmarks, bytes, *cache),
+            results: per_bench(benchmarks, bytes.len(), &mut results, |_, outs| {
+                bytes
+                    .iter()
+                    .zip(outs)
+                    .map(|(&bytes, out)| SweepPoint {
+                        bytes,
+                        summary: out.into_summary(),
+                    })
+                    .collect()
+            }),
         },
         Grid::Tables => ManifestOutcome::Tables,
         Grid::Ablation {
             benchmarks,
             sections,
-            histogram,
-        } => ManifestOutcome::Ablation {
-            sections: sections
+            ..
+        } => {
+            let mut summaries = results.map(|r| {
+                r.unwrap_or_else(|e| panic!("ablation cell failed: {e}"))
+                    .into_summary()
+            });
+            ManifestOutcome::Ablation {
+                sections: sections
+                    .iter()
+                    .map(|s| {
+                        let cells = benchmarks.len() * (s.values.len() + 1);
+                        summaries.by_ref().take(cells).collect()
+                    })
+                    .collect(),
+                histogram: summaries.collect(),
+            }
+        }
+        Grid::Kernels14 { kernels } => ManifestOutcome::Kernels14(
+            kernels
                 .iter()
-                .map(|s| run_ablation_section(s, benchmarks, size))
+                .copied()
+                .zip(results.map(|r| r.map(CellOutput::into_kernel)))
                 .collect(),
-            histogram: run_histogram_section(histogram, size),
-        },
-        Grid::Kernels14 { kernels } => ManifestOutcome::Kernels14(try_kernels14(kernels, size)),
+        ),
     }
+}
+
+/// Give each benchmark its next `per` results: `row(bench, outputs)`
+/// when all of them succeeded, else the first failure's error.
+fn per_bench<T>(
+    benchmarks: &[Bench],
+    per: usize,
+    results: &mut impl Iterator<Item = Result<CellOutput, SimError>>,
+    row: impl Fn(Bench, Vec<CellOutput>) -> T,
+) -> Vec<(Bench, Result<T, SimError>)> {
+    benchmarks
+        .iter()
+        .map(|&bench| {
+            // Take the whole group before looking for errors, so a
+            // failure never shifts the next benchmark's cells.
+            let group: Vec<_> = results.by_ref().take(per).collect();
+            let outs: Result<Vec<_>, _> = group.into_iter().collect();
+            (bench, outs.map(|outs| row(bench, outs)))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manifest::variant_label;
 
     fn tiny() -> WorkloadSize {
         let mut s = WorkloadSize::tiny();
@@ -1313,9 +1009,28 @@ mod tests {
         s
     }
 
+    fn timed(bench: Bench, arch: Arch, variant: Variant) -> Summary {
+        let spec = CellSpec::Timed {
+            label: format!(
+                "{}/{}/{}",
+                bench.name(),
+                arch.label(),
+                variant_label(variant)
+            ),
+            bench,
+            cpu: arch.cpu(),
+            mem: MemConfig::default(),
+            variant,
+        };
+        run_spec(&spec, &tiny())
+            .expect("timed cell runs")
+            .0
+            .into_summary()
+    }
+
     #[test]
     fn timed_run_produces_consistent_summary() {
-        let s = run_timed(Bench::Addition, Arch::Ooo4, None, &tiny(), Variant::SCALAR);
+        let s = timed(Bench::Addition, Arch::Ooo4, Variant::SCALAR);
         assert!(s.cycles() > 0);
         let b = s.cpu.breakdown();
         assert!((b.total() - s.cycles() as f64).abs() < 1e-6);
@@ -1324,22 +1039,16 @@ mod tests {
 
     #[test]
     fn ooo_beats_inorder_on_a_kernel() {
-        let io = run_timed(
-            Bench::Scaling,
-            Arch::InOrder1,
-            None,
-            &tiny(),
-            Variant::SCALAR,
-        );
-        let ooo = run_timed(Bench::Scaling, Arch::Ooo4, None, &tiny(), Variant::SCALAR);
+        let io = timed(Bench::Scaling, Arch::InOrder1, Variant::SCALAR);
+        let ooo = timed(Bench::Scaling, Arch::Ooo4, Variant::SCALAR);
         let speedup = io.cycles() as f64 / ooo.cycles() as f64;
         assert!(speedup > 1.5, "ILP speedup {speedup:.2}");
     }
 
     #[test]
     fn vis_beats_scalar_on_a_kernel() {
-        let s = run_timed(Bench::Thresh, Arch::Ooo4, None, &tiny(), Variant::SCALAR);
-        let v = run_timed(Bench::Thresh, Arch::Ooo4, None, &tiny(), Variant::VIS);
+        let s = timed(Bench::Thresh, Arch::Ooo4, Variant::SCALAR);
+        let v = timed(Bench::Thresh, Arch::Ooo4, Variant::VIS);
         let speedup = s.cycles() as f64 / v.cycles() as f64;
         assert!(speedup > 1.5, "VIS speedup {speedup:.2}");
     }
@@ -1353,7 +1062,7 @@ mod tests {
     fn replay_matches_direct_emission_exactly() {
         let size = tiny();
         for pass in ["cold", "warm"] {
-            let r = try_run_timed(Bench::Blend, Arch::Ooo4, None, &size, Variant::VIS).unwrap();
+            let r = timed(Bench::Blend, Arch::Ooo4, Variant::VIS);
             let mut pipe = Pipeline::new(Arch::Ooo4.cpu(), MemConfig::default());
             Bench::Blend.run(&mut pipe, &size, Variant::VIS);
             let d = pipe.try_finish().unwrap();
@@ -1370,35 +1079,160 @@ mod tests {
         }
     }
 
+    /// The manifest engine folds exactly what the per-cell executor
+    /// returns, and Figure 2's shape holds: VIS never adds instructions
+    /// and cuts the kernels' counts sharply.
     #[test]
-    fn cfg_runner_matches_arch_runner() {
+    fn fig2_manifest_matches_per_cell_runs() {
         let size = tiny();
-        let a =
-            try_run_timed(Bench::Scaling, Arch::InOrder4, None, &size, Variant::SCALAR).unwrap();
-        let b = try_run_timed_cfg(
-            Bench::Scaling,
-            Arch::InOrder4.cpu(),
-            MemConfig::default(),
-            &size,
-            Variant::SCALAR,
-        )
-        .unwrap();
-        assert_eq!(a.cycles(), b.cycles());
-        assert_eq!(a.mem, b.mem);
+        let m = Manifest::builtin("fig2").unwrap();
+        let ManifestOutcome::Fig2(rows) = run_manifest(&m, &size) else {
+            panic!("fig2 manifest folds into Figure 2 rows");
+        };
+        assert_eq!(rows.len(), 12);
+        let mut cells = m.cells().into_iter();
+        for (bench, row) in rows {
+            let r = row.unwrap();
+            for (counts, what) in [(&r.base, "base"), (&r.vis, "vis")] {
+                let cell = run_spec(&cells.next().unwrap(), &size).unwrap().0;
+                let solo = cell.into_counts();
+                assert_eq!(counts.retired, solo.retired, "{bench:?} {what}");
+                assert_eq!(counts.mix, solo.mix, "{bench:?} {what} mix");
+            }
+            assert!(
+                r.vis.retired <= r.base.retired,
+                "{}: VIS should not add instructions",
+                bench.name()
+            );
+            if bench == Bench::Addition {
+                assert!(r.vis.retired * 2 < r.base.retired);
+            }
+        }
+    }
+
+    fn ok_timed(cycles: u64) -> Result<CellOutput, SimError> {
+        let mut cpu = CpuStats::default();
+        cpu.cycles = cycles;
+        Ok(CellOutput::Timed(Box::new(Summary {
+            cpu,
+            mem: visim_mem::MemStats::default(),
+            mshr_histogram: Vec::new(),
+            metrics: Registry::new(),
+        })))
+    }
+
+    fn ok_counted(retired: u64) -> Result<CellOutput, SimError> {
+        let mut counts = CpuStats::default();
+        counts.retired = retired;
+        Ok(CellOutput::Counted(Box::new(counts)))
+    }
+
+    fn injected(bench: Bench, n: u32) -> Result<CellOutput, SimError> {
+        Err(SimError::Workload {
+            bench: bench.name().to_string(),
+            detail: format!("injected #{n}"),
+        })
+    }
+
+    fn error_detail<T>(row: &Result<T, SimError>) -> String {
+        match row {
+            Err(SimError::Workload { detail, .. }) => detail.clone(),
+            Err(e) => panic!("unexpected error {e}"),
+            Ok(_) => panic!("expected an error row"),
+        }
     }
 
     #[test]
-    fn fig2_fanout_matches_serial_composition() {
-        let size = tiny();
-        for (bench, row) in try_fig2(&size) {
-            let base = try_run_counted(bench, &size, Variant::SCALAR).unwrap();
-            let vis = try_run_counted(bench, &size, Variant::VIS).unwrap();
-            let r = row.unwrap();
-            assert_eq!(r.base.retired, base.retired, "{bench:?} base");
-            assert_eq!(r.base.mix, base.mix, "{bench:?} base mix");
-            assert_eq!(r.vis.retired, vis.retired, "{bench:?} vis");
-            assert_eq!(r.vis.mix, vis.mix, "{bench:?} vis mix");
+    fn fig1_and_sweep_rows_take_the_first_failing_cell() {
+        let benchmarks = vec![Bench::Addition, Bench::Blend, Bench::Conv];
+        let grid = Grid::Fig1 {
+            benchmarks: benchmarks.clone(),
+            archs: Arch::all().to_vec(),
+            variants: vec![Variant::SCALAR, Variant::VIS],
+        };
+        let results = (0..18u64)
+            .map(|i| match i {
+                8 => injected(Bench::Blend, 1),
+                10 => injected(Bench::Blend, 2),
+                _ => ok_timed(i),
+            })
+            .collect();
+        let ManifestOutcome::Fig1(rows) = fold(&grid, results) else {
+            panic!("fig1 grid folds into Figure 1 bars");
+        };
+        assert_eq!(rows.len(), 3);
+        assert_eq!(error_detail(&rows[1].1), "injected #1");
+        for (ix, first) in [(0, 0u64), (2, 12)] {
+            let (bench, bars) = &rows[ix];
+            assert_eq!(*bench, benchmarks[ix]);
+            let bars = bars.as_ref().expect("healthy benchmark keeps its bars");
+            let cycles: Vec<u64> = bars.iter().map(|b| b.summary.cycles()).collect();
+            assert_eq!(cycles, (first..first + 6).collect::<Vec<_>>());
+            for (b, bar) in bars.iter().enumerate() {
+                assert_eq!(bar.arch, Arch::all()[b % 3]);
+                assert_eq!(bar.vis, b >= 3);
+            }
         }
+
+        let grid = Grid::Sweep {
+            cache: SweepCache::L2,
+            benchmarks: vec![Bench::Addition, Bench::Blend],
+            bytes: vec![1, 2, 3],
+        };
+        let results = vec![
+            ok_timed(1),
+            ok_timed(2),
+            ok_timed(3),
+            ok_timed(4),
+            injected(Bench::Blend, 1),
+            injected(Bench::Blend, 2),
+        ];
+        let ManifestOutcome::Sweep { results: rows, .. } = fold(&grid, results) else {
+            panic!("sweep grid folds into sweep curves");
+        };
+        let points = rows[0].1.as_ref().expect("addition keeps its curve");
+        let bytes: Vec<u64> = points.iter().map(|p| p.bytes).collect();
+        assert_eq!(bytes, [1, 2, 3]);
+        assert_eq!(error_detail(&rows[1].1), "injected #1");
+    }
+
+    #[test]
+    fn fig2_and_fig3_base_failures_mask_the_vis_partner() {
+        let grid = Grid::Fig2 {
+            benchmarks: vec![Bench::Addition, Bench::Blend, Bench::Conv],
+            highlights: Vec::new(),
+        };
+        let results = vec![
+            ok_counted(100),
+            ok_counted(40),
+            injected(Bench::Blend, 1),
+            ok_counted(30),
+            ok_counted(90),
+            injected(Bench::Conv, 2),
+        ];
+        let ManifestOutcome::Fig2(rows) = fold(&grid, results) else {
+            panic!("fig2 grid folds into Figure 2 rows");
+        };
+        let addition = rows[0].1.as_ref().expect("addition keeps its row");
+        assert_eq!((addition.base.retired, addition.vis.retired), (100, 40));
+        assert_eq!(error_detail(&rows[1].1), "injected #1", "base masks VIS");
+        assert_eq!(error_detail(&rows[2].1), "injected #2", "VIS fails alone");
+
+        let grid = Grid::Fig3 {
+            benchmarks: vec![Bench::Addition, Bench::Blend],
+        };
+        let results = vec![
+            injected(Bench::Addition, 1),
+            injected(Bench::Addition, 2),
+            ok_timed(7),
+            ok_timed(5),
+        ];
+        let ManifestOutcome::Fig3(rows) = fold(&grid, results) else {
+            panic!("fig3 grid folds into Figure 3 rows");
+        };
+        assert_eq!(error_detail(&rows[0].1), "injected #1", "VIS masks VIS+PF");
+        let blend = rows[1].1.as_ref().expect("blend keeps its row");
+        assert_eq!((blend.vis.cycles(), blend.pf.cycles()), (7, 5));
     }
 
     /// Sampling accuracy and telemetry, driven directly through
@@ -1407,8 +1241,7 @@ mod tests {
     #[test]
     fn sampled_estimate_tracks_exact_cycles() {
         let size = tiny();
-        let exact = try_run_timed(Bench::Addition, Arch::Ooo4, None, &size, Variant::SCALAR)
-            .expect("exact reference runs");
+        let exact = timed(Bench::Addition, Arch::Ooo4, Variant::SCALAR);
         let stream = obtain_stream(Bench::Addition, &size, Variant::SCALAR).expect("stream");
         let scfg = SampleConfig {
             window: 500,
@@ -1477,8 +1310,7 @@ mod tests {
     #[test]
     fn unsampleable_cells_fall_back_to_exact() {
         let size = tiny();
-        let exact = try_run_timed(Bench::Addition, Arch::Ooo4, None, &size, Variant::SCALAR)
-            .expect("exact reference runs");
+        let exact = timed(Bench::Addition, Arch::Ooo4, Variant::SCALAR);
         let cpu = Arch::Ooo4.cpu();
         let mem = MemConfig::default();
         let scfg = SampleConfig {
@@ -1530,21 +1362,5 @@ mod tests {
         // returns is at least 1 (run_ordered would panic on 0 workers
         // only via BoundedQueue::new, never from here).
         assert!(jobs() >= 1);
-    }
-
-    #[test]
-    fn fig2_reduces_instruction_counts_with_vis() {
-        let rows = fig2(&tiny());
-        assert_eq!(rows.len(), 12);
-        for r in &rows {
-            assert!(
-                r.vis.retired <= r.base.retired,
-                "{}: VIS should not add instructions",
-                r.bench.name()
-            );
-        }
-        // Kernels see large reductions.
-        let addition = rows.iter().find(|r| r.bench == Bench::Addition).unwrap();
-        assert!(addition.vis.retired * 2 < addition.base.retired);
     }
 }

@@ -1,11 +1,12 @@
 //! The appendix 14-kernel VSDK sweep as a library: the kernel driver
-//! and the store-aware per-kernel cell runner.
+//! and the body of a [`CellSpec::Kernel`](crate::manifest::CellSpec)
+//! cell.
 //!
 //! The paper studies all 14 VSDK kernels but reports six for space
 //! (§2.1.1); this module drives the whole family — including the
-//! VIS-inapplicable scatter/gather kernels — so both the `kernels14`
-//! figure binary and the `visim-serve` daemon execute the identical
-//! cells through [`try_kernel_cell`].
+//! VIS-inapplicable scatter/gather kernels. Both the `kernels14` figure
+//! binary and the `visim-serve` daemon run these cells through
+//! [`experiment::run_spec`].
 
 use media_image::synth;
 use media_kernels::{blend, conv, pointwise, reduce, simimg::SimImage, thresh, KernelId, Variant};
@@ -110,16 +111,6 @@ pub fn drive<S: SimSink>(p: &mut Program<S>, k: KernelId, w: usize, h: usize, v:
     }
 }
 
-/// One detailed-timing run of `k` on the 4-way out-of-order baseline.
-pub fn timed(k: KernelId, w: usize, h: usize, v: Variant) -> Summary {
-    let mut pipe = Pipeline::new(CpuConfig::ooo_4way(), MemConfig::default());
-    {
-        let mut p = Program::new(&mut pipe);
-        drive(&mut p, k, w, h, v);
-    }
-    pipe.finish()
-}
-
 /// The four runs behind one `kernels14` table row.
 #[derive(Debug, Clone)]
 pub struct KernelCell {
@@ -131,57 +122,57 @@ pub struct KernelCell {
     pub timed_base: Summary,
     /// VIS-variant detailed timing (4-way ooo).
     pub timed_vis: Summary,
-    /// Whether every one of the four runs was served from the result
-    /// store (the cell's hit flag for serve accounting).
-    pub from_store: bool,
 }
 
 /// Run one kernel's full cell — two counted and two timed runs —
 /// through the store-aware custom-cell runners, so the appendix gets
 /// the same crash-safe resume, retry, and fault-injection coverage as
-/// the registry-driven figures.
-pub fn try_kernel_cell(k: KernelId, size: &WorkloadSize) -> Result<KernelCell, SimError> {
+/// the registry-driven figures. The flag is `true` when all four runs
+/// were served from the result store.
+pub(crate) fn kernel_cell(
+    k: KernelId,
+    size: &WorkloadSize,
+) -> Result<(KernelCell, bool), SimError> {
     let (w, h) = (size.image_w, size.image_h);
     let counted_run = |v: Variant, vname: &str| {
-        experiment::try_custom_counted_with_origin(
-            &format!("k14.{}.{vname}", k.name()),
-            size,
-            || {
-                let mut sink = CountingSink::new();
-                {
-                    let mut p = Program::new(&mut sink);
-                    drive(&mut p, k, w, h, v);
-                }
-                Ok(sink.finish())
-            },
-        )
+        experiment::custom_counted(&format!("k14.{}.{vname}", k.name()), size, || {
+            let mut sink = CountingSink::new();
+            {
+                let mut p = Program::new(&mut sink);
+                drive(&mut p, k, w, h, v);
+            }
+            Ok(sink.finish())
+        })
     };
     let (base, base_hit) = counted_run(Variant::SCALAR, "base")?;
     let (vis, vis_hit) = counted_run(Variant::VIS, "vis")?;
     let cpu = CpuConfig::ooo_4way();
     let mem = MemConfig::default();
     let timed_run = |v: Variant, vname: &str| {
-        experiment::try_custom_timed(
+        experiment::custom_timed(
             &format!("k14.{}.{vname}", k.name()),
             &cpu,
             &mem,
             size,
-            || Ok(timed(k, w, h, v)),
+            || {
+                let mut pipe = Pipeline::new(cpu.clone(), mem.clone());
+                {
+                    let mut p = Program::new(&mut pipe);
+                    drive(&mut p, k, w, h, v);
+                }
+                Ok(pipe.finish())
+            },
         )
     };
-    let timed_base = timed_run(Variant::SCALAR, "base")?;
-    let timed_vis = timed_run(Variant::VIS, "vis")?;
-    let from_store = base_hit
-        && vis_hit
-        && timed_base.metrics.counter("cell.store_hit") == 1
-        && timed_vis.metrics.counter("cell.store_hit") == 1;
-    Ok(KernelCell {
+    let (timed_base, timed_base_hit) = timed_run(Variant::SCALAR, "base")?;
+    let (timed_vis, timed_vis_hit) = timed_run(Variant::VIS, "vis")?;
+    let cell = KernelCell {
         base,
         vis,
         timed_base,
         timed_vis,
-        from_store,
-    })
+    };
+    Ok((cell, base_hit && vis_hit && timed_base_hit && timed_vis_hit))
 }
 
 #[cfg(test)]
@@ -193,7 +184,7 @@ mod tests {
         let mut size = WorkloadSize::tiny();
         size.image_w = 16;
         size.image_h = 16;
-        let cell = try_kernel_cell(KernelId::Addition, &size).expect("cell runs");
+        let (cell, from_store) = kernel_cell(KernelId::Addition, &size).expect("cell runs");
         assert!(cell.base.retired > 0);
         assert!(
             cell.vis.retired < cell.base.retired,
@@ -202,6 +193,6 @@ mod tests {
         assert!(cell.timed_base.cycles() > cell.timed_vis.cycles());
         // The store is disabled in unit tests (no default dir), so
         // nothing can have been served from it.
-        assert!(!cell.from_store);
+        assert!(!from_store);
     }
 }

@@ -9,12 +9,13 @@
 //! from scratch directories), with `--manifest <path>` overriding the
 //! built-in description at runtime.
 //!
-//! One generic engine (`experiment::run_manifest`) executes any
-//! manifest by fanning its cells through the existing worker pool,
-//! content-addressed result store, trace cache, and sampling machinery;
-//! the binaries reduce to "load manifest, run engine, render". The
-//! `visim-serve` daemon executes the same manifests cell-wise via
-//! [`Manifest::cells`].
+//! [`Manifest::cells`] is the only grid expansion: it turns a manifest
+//! into [`CellSpec`]s, which `experiment::run_spec` executes through
+//! the worker pool, content-addressed result store, trace cache, and
+//! sampling machinery. The figure binaries fold the cells into figure
+//! rows (`experiment::run_manifest`) and reduce to "load manifest, run
+//! engine, render"; the `visim-serve` daemon streams the same cells one
+//! by one.
 //!
 //! The grid kinds mirror the paper's artifacts: `fig1`/`fig2`/`fig3`,
 //! the §4.1 cache `sweep`s, the descriptive `tables`, the design
@@ -235,8 +236,7 @@ pub enum Grid {
 /// A parsed experiment manifest.
 #[derive(Debug, Clone)]
 pub struct Manifest {
-    /// Experiment name: the artifact base name (`results/json/<name>`)
-    /// and the run-journal name.
+    /// Experiment name: the artifact base name (`results/json/<name>`).
     pub name: String,
     /// One-line purpose, used in the binaries' usage text.
     pub about: String,
@@ -455,10 +455,11 @@ impl Manifest {
     }
 
     /// Enumerate the manifest's simulation cells as self-contained
-    /// specs, in grid order — the cell-wise view the `visim-serve`
-    /// daemon schedules (the figure renderers use
-    /// `experiment::run_manifest` instead, which preserves the
-    /// figure-shaped grouping and error-masking semantics).
+    /// specs, in grid order: per benchmark, every cell of its figure
+    /// row (bars, sweep points, or base-then-VIS pairs) in bar order.
+    /// This is the only grid expansion — the serve daemon schedules
+    /// these cells, and `experiment::run_manifest` runs them and folds
+    /// the results back into rows relying on this order.
     pub fn cells(&self) -> Vec<CellSpec> {
         let mut cells = Vec::new();
         match &self.grid {
@@ -590,8 +591,8 @@ pub fn variant_label(v: Variant) -> &'static str {
     }
 }
 
-/// One self-contained simulation cell of a manifest, as scheduled by
-/// the `visim-serve` daemon.
+/// One self-contained simulation cell of a manifest, executed by
+/// `experiment::run_spec`.
 #[derive(Debug, Clone)]
 pub enum CellSpec {
     /// A detailed-timing cell.

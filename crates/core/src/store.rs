@@ -116,7 +116,7 @@ pub fn dir() -> Option<String> {
 
 /// True when cells are persisted (a directory is configured and the
 /// store is not disabled).
-pub fn enabled() -> bool {
+fn enabled() -> bool {
     !CLI_DISABLE.load(Ordering::Relaxed)
         && std::env::var(NO_STORE_ENV).as_deref() != Ok("1")
         && dir().is_some()
@@ -131,7 +131,7 @@ pub fn resume() -> bool {
 /// The code revision recorded in (and demanded of) store entries:
 /// [`STORE_REV_ENV`] when set (tests), otherwise the git revision.
 /// Cached — it forks a `git` process — and rendered once per run.
-pub fn recorded_rev() -> &'static str {
+fn recorded_rev() -> &'static str {
     static REV: OnceLock<String> = OnceLock::new();
     REV.get_or_init(|| {
         std::env::var(STORE_REV_ENV).unwrap_or_else(|_| visim_obs::schema::git_rev())
@@ -179,11 +179,6 @@ impl CellKey {
     /// The payload kind this key addresses.
     pub fn kind(&self) -> Kind {
         self.kind
-    }
-
-    /// The full identity text.
-    pub fn text(&self) -> &str {
-        &self.text
     }
 
     /// The content hash of the identity text.
@@ -704,7 +699,7 @@ mod tests {
         let key = timed_test_key("fail");
         let err = SimError::Workload {
             bench: "conv".into(),
-            detail: "fault injected via VISIM_FAIL_BENCH".into(),
+            detail: "fault injected: cell.panic at conv".into(),
         };
         let bytes = encode_entry(&key, &Entry::Failed(err.clone()), RESULTS_SCHEMA, "r");
         match decode_entry(&bytes, &key, RESULTS_SCHEMA, "r") {

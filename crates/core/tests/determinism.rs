@@ -3,26 +3,39 @@
 //! committed `results/` files stop being regenerable.
 
 use visim::bench::{Bench, WorkloadSize};
-use visim::experiment::try_fig1_bench;
+use visim::experiment::{run_manifest, Fig1Bar, ManifestOutcome};
+use visim::manifest::{Grid, Manifest};
 use visim::report;
 
-fn tiny() -> WorkloadSize {
-    let mut s = WorkloadSize::tiny();
-    s.image_w = 32;
-    s.image_h = 32;
-    s.dotprod_n = 512;
-    s
+/// Figure 1 at a miniature size, restricted to `benchmarks`.
+fn fig1(benchmarks: &[Bench]) -> Vec<Vec<Fig1Bar>> {
+    let mut size = WorkloadSize::tiny();
+    size.image_w = 32;
+    size.image_h = 32;
+    size.dotprod_n = 512;
+    let mut m = Manifest::builtin("fig1").expect("built-in fig1 manifest");
+    let Grid::Fig1 { benchmarks: b, .. } = &mut m.grid else {
+        panic!("fig1 manifest has a fig1 grid");
+    };
+    *b = benchmarks.to_vec();
+    let ManifestOutcome::Fig1(rows) = run_manifest(&m, &size) else {
+        panic!("fig1 grid folds into Figure 1 bars");
+    };
+    rows.into_iter()
+        .map(|(bench, bars)| bars.unwrap_or_else(|e| panic!("{bench:?}: {e}")))
+        .collect()
 }
 
 #[test]
 fn fig1_is_byte_identical_across_runs() {
     // One kernel and one codec cover both emission paths without
     // running the full 12-benchmark figure twice.
-    for bench in [Bench::Addition, Bench::CjpegNp] {
-        let a = try_fig1_bench(bench, &tiny()).expect("first run");
-        let b = try_fig1_bench(bench, &tiny()).expect("second run");
+    let benchmarks = [Bench::Addition, Bench::CjpegNp];
+    let first = fig1(&benchmarks);
+    let second = fig1(&benchmarks);
+    for ((a, b), bench) in first.iter().zip(&second).zip(benchmarks) {
         assert_eq!(a.len(), 6);
-        for (x, y) in a.iter().zip(&b) {
+        for (x, y) in a.iter().zip(b) {
             assert_eq!(x.arch, y.arch);
             assert_eq!(x.vis, y.vis);
             assert_eq!(
@@ -36,6 +49,6 @@ fn fig1_is_byte_identical_across_runs() {
         }
         // The rendered rows (everything the figure file contains) match
         // byte for byte.
-        assert_eq!(report::fig1_rows(&a), report::fig1_rows(&b));
+        assert_eq!(report::fig1_rows(a), report::fig1_rows(b));
     }
 }

@@ -27,8 +27,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use visim::bench::WorkloadSize;
+use visim::experiment::{self, CellOutput};
 use visim::manifest::{CellSpec, Manifest};
-use visim::{experiment, journal, store};
+use visim::store;
 use visim_obs::live::names;
 use visim_obs::log;
 use visim_obs::schema::ResultsDoc;
@@ -49,7 +50,7 @@ static MISSES: AtomicU64 = AtomicU64::new(0);
 /// Cells that joined another request's in-flight simulation
 /// (`serve.coalesced`).
 static COALESCED: AtomicU64 = AtomicU64::new(0);
-/// Cells whose simulation failed, for the journal's end marker.
+/// Cells whose simulation failed (`serve.failures`).
 static FAILURES: AtomicU64 = AtomicU64::new(0);
 
 /// Graceful-shutdown latch, set by the `shutdown` op.
@@ -70,9 +71,7 @@ static FLIGHTS: Mutex<BTreeMap<String, Arc<Flight>>> = Mutex::new(BTreeMap::new(
 /// coalesced followers.
 #[derive(Debug, Clone)]
 struct CellResult {
-    /// `false` means the simulation failed.
-    ok: bool,
-    /// The error text when `!ok`.
+    /// The error text when the simulation failed.
     error: Option<String>,
     /// Whether the result came from the store (leader's perspective;
     /// followers report `coalesced` instead).
@@ -123,77 +122,49 @@ fn in_flight_count() -> u64 {
     FLIGHTS.lock().expect("flight table lock").len() as u64
 }
 
-/// Run one cell through the store-aware experiment runners. The store
-/// lookup, checksum validation, stale purge, fault injection, retry,
-/// and journal recording all live in `visim::experiment`; this function
-/// only adapts the three cell kinds onto one result shape.
-fn run_spec(spec: &CellSpec, size: &WorkloadSize) -> CellResult {
-    let ok = |from_store: bool, payload: Vec<(String, Json)>| CellResult {
-        ok: true,
-        error: None,
-        from_store,
-        payload,
-    };
-    let failed = |e: &dyn std::fmt::Display| CellResult {
-        ok: false,
-        error: Some(e.to_string()),
-        from_store: false,
-        payload: Vec::new(),
-    };
-    match spec {
-        CellSpec::Timed {
-            bench,
-            cpu,
-            mem,
-            variant,
-            ..
-        } => {
-            match experiment::try_run_timed_cfg(*bench, cpu.clone(), mem.clone(), size, *variant) {
-                Ok(summary) => ok(
-                    summary.metrics.counter("cell.store_hit") == 1,
-                    vec![("cycles".to_string(), Json::from(summary.cycles()))],
-                ),
-                Err(e) => failed(&e),
-            }
-        }
-        CellSpec::Counted { bench, variant, .. } => {
-            match experiment::try_run_counted_with_origin(*bench, size, *variant) {
-                Ok((stats, from_store)) => ok(
-                    from_store,
-                    vec![("retired".to_string(), Json::from(stats.retired))],
-                ),
-                Err(e) => failed(&e),
-            }
-        }
-        CellSpec::Kernel { kernel, .. } => match visim::kernels14::try_kernel_cell(*kernel, size) {
-            Ok(cell) => ok(
-                cell.from_store,
-                vec![
+/// Run one cell through the experiment layer's cell executor
+/// ([`experiment::run_spec`]), which owns the store lookup, checksum
+/// validation, stale purge, fault injection and retry, and adapt its
+/// outcome onto the `cell` event's shape.
+fn serve_cell(spec: &CellSpec, size: &WorkloadSize) -> CellResult {
+    match experiment::run_spec(spec, size) {
+        Ok((output, from_store)) => {
+            let payload = match output {
+                CellOutput::Timed(s) => vec![("cycles".to_string(), Json::from(s.cycles()))],
+                CellOutput::Counted(c) => vec![("retired".to_string(), Json::from(c.retired))],
+                CellOutput::Kernel(k) => vec![
                     (
                         "scalar_cycles".to_string(),
-                        Json::from(cell.timed_base.cycles()),
+                        Json::from(k.timed_base.cycles()),
                     ),
-                    (
-                        "vis_cycles".to_string(),
-                        Json::from(cell.timed_vis.cycles()),
-                    ),
+                    ("vis_cycles".to_string(), Json::from(k.timed_vis.cycles())),
                 ],
-            ),
-            Err(e) => failed(&e),
+            };
+            CellResult {
+                error: None,
+                from_store,
+                payload,
+            }
+        }
+        Err(e) => CellResult {
+            error: Some(e.to_string()),
+            from_store: false,
+            payload: Vec::new(),
         },
     }
 }
 
-/// Write one event line to the (shared) client stream. Write errors are
-/// ignored: a client that hung up mid-manifest must not abort the
+/// Write one event line to the (shared) client stream, reporting
+/// whether the client is still reachable. Most callers ignore the
+/// answer: a client that hung up mid-manifest must not abort the
 /// simulations — their results still land in the store for the next
-/// requester.
-fn send(stream: &Mutex<TcpStream>, event: &Json) {
+/// requester. Streaming loops use it to stop instead of spinning
+/// against a dead socket.
+fn send(stream: &Mutex<TcpStream>, event: &Json) -> bool {
     let mut line = event.to_compact();
     line.push('\n');
     let mut guard = stream.lock().expect("client stream lock");
-    let _ = guard.write_all(line.as_bytes());
-    let _ = guard.flush();
+    guard.write_all(line.as_bytes()).is_ok() && guard.flush().is_ok()
 }
 
 /// Per-request tally, reported in the terminal `done` event (the
@@ -238,7 +209,7 @@ fn run_cells(specs: Vec<CellSpec>, size: &WorkloadSize, stream: &Mutex<TcpStream
                     begun.duration_since(enqueued).as_nanos() as u64,
                 );
                 let identity = spec.identity(size);
-                let (result, coalesced) = single_flight(identity, || run_spec(&spec, size));
+                let (result, coalesced) = single_flight(identity, || serve_cell(&spec, size));
                 let served = Instant::now();
                 let (path, path_op) = if coalesced {
                     COALESCED.fetch_add(1, Ordering::Relaxed);
@@ -253,7 +224,8 @@ fn run_cells(specs: Vec<CellSpec>, size: &WorkloadSize, stream: &Mutex<TcpStream
                     tally.misses.fetch_add(1, Ordering::Relaxed);
                     (names::PATH_MISS, "miss")
                 };
-                if result.ok {
+                let ok = result.error.is_none();
+                if ok {
                     tally.ok.fetch_add(1, Ordering::Relaxed);
                 } else {
                     FAILURES.fetch_add(1, Ordering::Relaxed);
@@ -263,10 +235,7 @@ fn run_cells(specs: Vec<CellSpec>, size: &WorkloadSize, stream: &Mutex<TcpStream
                 let mut members = vec![
                     ("event", Json::from("cell")),
                     ("label", Json::from(spec.label())),
-                    (
-                        "status",
-                        Json::from(if result.ok { "ok" } else { "failed" }),
-                    ),
+                    ("status", Json::from(if ok { "ok" } else { "failed" })),
                     ("from_store", Json::Bool(result.from_store)),
                     ("coalesced", Json::Bool(coalesced)),
                     ("done", Json::from(done)),
@@ -301,7 +270,7 @@ fn run_cells(specs: Vec<CellSpec>, size: &WorkloadSize, stream: &Mutex<TcpStream
                     telemetry::record_span(InstSpan {
                         seq: id,
                         pc: id,
-                        op: if result.ok { path_op } else { "failed" },
+                        op: if ok { path_op } else { "failed" },
                         fetch: us(enqueued),
                         dispatch: us(begun),
                         issue: us(begun),
@@ -499,15 +468,6 @@ fn snapshot_json() -> Json {
     Json::obj(members)
 }
 
-/// Like [`send`] but reports whether the client is still reachable, so
-/// streaming loops can stop instead of spinning against a dead socket.
-fn send_ok(stream: &Mutex<TcpStream>, event: &Json) -> bool {
-    let mut line = event.to_compact();
-    line.push('\n');
-    let mut guard = stream.lock().expect("client stream lock");
-    guard.write_all(line.as_bytes()).is_ok() && guard.flush().is_ok()
-}
-
 /// Stream flight-recorder snapshots to a `watch` subscriber: one
 /// immediate snapshot (not pushed to the ring — watchers must not
 /// perturb the recorded timeline), then every ring tick as it lands,
@@ -517,14 +477,14 @@ fn send_ok(stream: &Mutex<TcpStream>, event: &Json) -> bool {
 fn handle_watch(count: u64, stream: &Mutex<TcpStream>) {
     let ring = telemetry::ring();
     let mut last = ring.last_seq();
-    if !send_ok(stream, &snapshot_json()) {
+    if !send(stream, &snapshot_json()) {
         return;
     }
     let mut sent = 1u64;
     'stream: while (count == 0 || sent < count) && !SHUTDOWN.load(Ordering::SeqCst) {
         for (seq, snap) in ring.wait_newer(last, Duration::from_millis(250)) {
             last = seq;
-            if !send_ok(stream, &snap) {
+            if !send(stream, &snap) {
                 return;
             }
             sent += 1;
@@ -619,8 +579,7 @@ pub struct DaemonConfig {
 /// run's results document (`results/json/serve.json`: pool, store,
 /// fault, retry, and `serve.*` metrics plus the store's size), the
 /// flight-recorder timeline (`results/json/serve_timeline.json`), the
-/// request trace when `--trace-out` asked for one, and closes the
-/// journal.
+/// request trace when `--trace-out` asked for one.
 pub fn run(cfg: &DaemonConfig) -> Result<(), String> {
     let started = Instant::now();
     // Latch the telemetry epoch and wire the experiment layer's phase
@@ -633,7 +592,6 @@ pub fn run(cfg: &DaemonConfig) -> Result<(), String> {
     // The daemon is store-first by definition: every lookup path goes
     // through the store before any simulation is scheduled.
     store::set_cli_resume();
-    let journal_prior = journal::begin("serve", "daemon").unwrap_or(0);
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))
         .map_err(|e| format!("bind 127.0.0.1:{}: {e}", cfg.port))?;
     let addr = listener
@@ -644,7 +602,6 @@ pub fn run(cfg: &DaemonConfig) -> Result<(), String> {
         ("schema", Json::from(SERVE_SCHEMA)),
         ("addr", Json::from(addr.to_string())),
         ("pid", Json::from(u64::from(std::process::id()))),
-        ("journal_prior", Json::from(journal_prior)),
     ]);
     println!("{}", listening.to_compact());
     let _ = std::io::stdout().flush();
@@ -656,11 +613,7 @@ pub fn run(cfg: &DaemonConfig) -> Result<(), String> {
     }
     log::info(
         "serve",
-        &format!(
-            "listening on {addr} (pid {}, {} journal entries recovered)",
-            std::process::id(),
-            journal_prior
-        ),
+        &format!("listening on {addr} (pid {})", std::process::id()),
     );
     // The flight recorder's tick thread: sample the daemon state into
     // the snapshot ring every VISIM_TICK_MS until shutdown. Detached —
@@ -731,7 +684,6 @@ pub fn run(cfg: &DaemonConfig) -> Result<(), String> {
             log::info("serve", &format!("request trace written to {path}"));
         }
     }
-    journal::finish(FAILURES.load(Ordering::Relaxed));
     log::info(
         "serve",
         &format!(
@@ -756,7 +708,6 @@ mod tests {
     fn single_flight_leader_runs_once_and_followers_share() {
         let key = "test|cell".to_string();
         let result = CellResult {
-            ok: true,
             error: None,
             from_store: false,
             payload: vec![("cycles".to_string(), Json::from(7u64))],
@@ -764,10 +715,15 @@ mod tests {
         // Sequential callers never coalesce: the flight retires as the
         // leader returns.
         let (r1, c1) = single_flight(key.clone(), || result.clone());
-        assert!(r1.ok && !c1);
+        assert!(r1.error.is_none() && !c1);
         let (_r2, c2) = single_flight(key, || result.clone());
         assert!(!c2, "no in-flight leader to join");
-        assert!(FLIGHTS.lock().unwrap().is_empty(), "flights retire");
+        // Only this test's own key: the flight table is process-wide and
+        // the concurrent test below holds its flight open meanwhile.
+        assert!(
+            !FLIGHTS.lock().unwrap().contains_key("test|cell"),
+            "flights retire"
+        );
     }
 
     #[test]
@@ -786,13 +742,12 @@ mod tests {
                         // other threads to arrive and become followers.
                         std::thread::sleep(std::time::Duration::from_millis(100));
                         CellResult {
-                            ok: true,
                             error: None,
                             from_store: false,
                             payload: Vec::new(),
                         }
                     });
-                    assert!(r.ok);
+                    assert!(r.error.is_none());
                     if coalesced {
                         coalesced_total.fetch_add(1, Ordering::SeqCst);
                     }

@@ -14,10 +14,14 @@
 //!   ([`visim::manifest::CellSpec::identity`]) coalesce onto one
 //!   in-flight simulation; followers wait for the leader's result
 //!   instead of duplicating work.
-//! - **Crash-safe.** Completed cells persist in the store and are
-//!   recorded in the run journal (`serve.daemon.jnl`), so a daemon
-//!   killed mid-manifest loses at most the cells in flight; a restart
-//!   reports the recovered progress and converges.
+//! - **Crash-safe.** Completed cells persist in the store, so a daemon
+//!   killed mid-manifest loses at most the cells in flight; after a
+//!   restart the resubmitted manifest serves the finished cells as
+//!   store hits and converges.
+//!
+//! Cells come from [`visim::manifest::Manifest::cells`] and run through
+//! [`visim::experiment::run_spec`] — the same grid expansion and the
+//! same executor the figure binaries use.
 //!
 //! - **Observable.** Every request is timed through its lifecycle
 //!   phases into a live, lock-cheap registry ([`telemetry`]); a flight

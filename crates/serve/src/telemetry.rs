@@ -31,7 +31,7 @@ pub const TICK_MS_ENV: &str = "VISIM_TICK_MS";
 /// Snapshots retained by the flight recorder: at the default one-
 /// second tick this is 12 minutes of history; older snapshots fall
 /// off the front (the ring is evidence of *recent* behaviour, the
-/// store and journal carry the durable record).
+/// store carries the durable record).
 pub const RING_CAPACITY: usize = 720;
 
 /// The daemon's live metrics registry (request-phase and per-path

@@ -1,15 +1,16 @@
 //! End-to-end daemon tests: single-flight coalescing across concurrent
-//! clients, crash recovery through the store + journal, and the
+//! clients, crash recovery through the result store, and the
 //! transient-fault retry path — all against the real binary over real
 //! TCP connections.
 
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Stdio};
 use std::time::{Duration, Instant};
 
 use visim_obs::Json;
+use visim_util::hermetic_command;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("visim-serve-{tag}-{}", std::process::id()));
@@ -23,7 +24,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn spawn_daemon(dir: &Path, envs: &[(&str, &str)]) -> (Child, String) {
     let addr_file = dir.join("addr.txt");
     std::fs::remove_file(&addr_file).ok();
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_visim-serve"));
+    let mut cmd = hermetic_command(env!("CARGO_BIN_EXE_visim-serve"));
     cmd.arg("--addr-file")
         .arg(&addr_file)
         .current_dir(dir)
@@ -51,16 +52,6 @@ fn spawn_daemon(dir: &Path, envs: &[(&str, &str)]) -> (Child, String) {
         std::thread::sleep(Duration::from_millis(20));
     };
     (child, addr)
-}
-
-/// The `journal_prior` member of the daemon's listening event.
-fn journal_prior(dir: &Path) -> u64 {
-    let line = std::fs::read_to_string(dir.join("addr.txt")).unwrap();
-    Json::parse(line.trim())
-        .unwrap()
-        .get("journal_prior")
-        .and_then(Json::as_u64)
-        .expect("listening event carries journal_prior")
 }
 
 /// Connect, send one request line, and stream events until (and
@@ -143,12 +134,12 @@ fn concurrent_clients_on_one_cell_simulate_exactly_once() {
 }
 
 #[test]
-fn killed_daemon_resumes_from_store_and_journal_on_restart() {
+fn killed_daemon_resumes_from_store_on_restart() {
     let dir = scratch_dir("kill");
     let (mut child, addr) = spawn_daemon(&dir, &[]);
     // Submit a full manifest and kill the daemon after three cells have
     // durably completed (each cell event is sent only after the cell
-    // was stored and journaled).
+    // was stored).
     let seen = request(
         &addr,
         "{\"op\":\"manifest\",\"name\":\"fig2\",\"size\":\"tiny\"}",
@@ -162,14 +153,10 @@ fn killed_daemon_resumes_from_store_and_journal_on_restart() {
     child.kill().expect("SIGKILL the daemon");
     child.wait().expect("reap the daemon");
 
-    // Restart over the same store: the journal reports the recovered
-    // cells and the resubmitted manifest converges without failures,
-    // serving at least the pre-kill cells straight from the store.
+    // Restart over the same store: the resubmitted manifest converges
+    // without failures, serving at least the pre-kill cells straight
+    // from the store — the store-hit count is the resume evidence.
     let (child, addr) = spawn_daemon(&dir, &[]);
-    assert!(
-        journal_prior(&dir) >= 3,
-        "restart reports the journaled progress"
-    );
     let events = request(
         &addr,
         "{\"op\":\"manifest\",\"name\":\"fig2\",\"size\":\"tiny\"}",
@@ -329,7 +316,7 @@ fn watch_streams_ticked_snapshots_and_the_timeline_persists() {
         doc.get("schema").and_then(Json::as_str),
         Some("visim-serve-timeline-v1")
     );
-    let check = Command::new(env!("CARGO_BIN_EXE_visim-serve"))
+    let check = hermetic_command(env!("CARGO_BIN_EXE_visim-serve"))
         .arg("--check-timeline")
         .arg(&timeline)
         .output()

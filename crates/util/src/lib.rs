@@ -28,7 +28,9 @@
 //!   `rayon`) for the parallel experiment executor; it also records
 //!   per-job queue-wait and run wall-clock plus queue-depth samples,
 //!   exported into a `visim_obs` metrics registry for the JSON result
-//!   artifacts.
+//!   artifacts;
+//! * [`hermetic_command`] — a subprocess that inherits none of the
+//!   caller's `VISIM_*` knobs, for end-to-end tests of the binaries.
 
 pub mod atomic;
 pub mod bench;
@@ -42,3 +44,18 @@ pub mod rng;
 pub use error::SimError;
 pub use hash::fnv1a64;
 pub use rng::Rng;
+
+/// A [`Command`](std::process::Command) for `program` that inherits
+/// none of this process's `VISIM_*` variables, so the spawned binary
+/// sees only the knobs the caller then sets on it explicitly. The
+/// end-to-end tests spawn every binary through this (the benchmark
+/// harness `perfbench/run.py` follows the same rule).
+pub fn hermetic_command(program: impl AsRef<std::ffi::OsStr>) -> std::process::Command {
+    let mut cmd = std::process::Command::new(program);
+    for (key, _) in std::env::vars_os() {
+        if key.to_str().is_some_and(|k| k.starts_with("VISIM_")) {
+            cmd.env_remove(key);
+        }
+    }
+    cmd
+}

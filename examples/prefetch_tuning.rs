@@ -8,7 +8,8 @@
 
 use media_kernels::Variant;
 use visim::bench::{Bench, WorkloadSize};
-use visim::experiment::run_timed;
+use visim::experiment::run_spec;
+use visim::manifest::CellSpec;
 use visim::Arch;
 
 fn main() {
@@ -23,8 +24,18 @@ fn main() {
         "kernel", "VIS", "VIS+PF", "speedup", "mem% before", "mem% after"
     );
     for bench in Bench::kernels() {
-        let vis = run_timed(bench, Arch::Ooo4, None, &size, Variant::VIS);
-        let pf = run_timed(bench, Arch::Ooo4, None, &size, Variant::VIS_PF);
+        let timed = |variant| {
+            let spec = CellSpec::Timed {
+                label: bench.name().into(),
+                bench,
+                cpu: Arch::Ooo4.cpu(),
+                mem: Default::default(),
+                variant,
+            };
+            let (out, _from_store) = run_spec(&spec, &size).expect("kernel simulates");
+            out.into_summary()
+        };
+        let (vis, pf) = (timed(Variant::VIS), timed(Variant::VIS_PF));
         let mem_before = vis.cpu.breakdown().memory() / vis.cycles() as f64;
         let mem_after = pf.cpu.breakdown().memory() / pf.cycles() as f64;
         println!(

@@ -27,7 +27,7 @@
 #   BENCH_OUT=path      output JSON path (default BENCH_runtime.json)
 #   VISIM_TRACE_DIR=dir on-disk trace cache location (purged at start)
 #
-# A degraded binary (nonzero exit, e.g. under VISIM_FAIL_BENCH) is still
+# A degraded binary (nonzero exit, e.g. under VISIM_FAULT=cell.panic:<bench>) is still
 # timed and recorded with its exit status; the harness itself only fails
 # on build errors.
 set -euo pipefail

@@ -3,8 +3,11 @@
 
 use media_kernels::Variant;
 use visim::bench::{Bench, WorkloadSize};
-use visim::experiment::{fig3, run_counted, run_timed};
+use visim::experiment::{run_manifest, run_spec, ManifestOutcome};
+use visim::manifest::{CellSpec, Manifest};
 use visim::Arch;
+use visim_cpu::Summary;
+use visim_mem::MemConfig;
 
 fn size() -> WorkloadSize {
     let mut s = WorkloadSize::tiny();
@@ -14,12 +17,27 @@ fn size() -> WorkloadSize {
     s
 }
 
+/// One timed cell on the default memory system.
+fn timed(bench: Bench, arch: Arch, variant: Variant) -> Summary {
+    let spec = CellSpec::Timed {
+        label: bench.name().into(),
+        bench,
+        cpu: arch.cpu(),
+        mem: MemConfig::default(),
+        variant,
+    };
+    run_spec(&spec, &size())
+        .expect("timed cell runs")
+        .0
+        .into_summary()
+}
+
 #[test]
 fn claim_base_machine_is_compute_bound() {
     // §3: "On the base single-issue in-order processor, all the
     // benchmarks are primarily compute-bound."
     for bench in [Bench::Addition, Bench::Thresh, Bench::CjpegNp] {
-        let s = run_timed(bench, Arch::InOrder1, None, &size(), Variant::SCALAR);
+        let s = timed(bench, Arch::InOrder1, Variant::SCALAR);
         let bd = s.cpu.breakdown();
         assert!(
             bd.memory() < 0.5 * s.cycles() as f64,
@@ -35,9 +53,9 @@ fn claim_ilp_features_speed_up_every_benchmark() {
     // §3.1: multiple issue + out-of-order = 2.3x-4.2x. On miniature
     // inputs we assert ordering and a healthy magnitude.
     for bench in [Bench::Addition, Bench::Conv, Bench::CjpegNp] {
-        let t1 = run_timed(bench, Arch::InOrder1, None, &size(), Variant::SCALAR).cycles();
-        let t4 = run_timed(bench, Arch::InOrder4, None, &size(), Variant::SCALAR).cycles();
-        let to = run_timed(bench, Arch::Ooo4, None, &size(), Variant::SCALAR).cycles();
+        let t1 = timed(bench, Arch::InOrder1, Variant::SCALAR).cycles();
+        let t4 = timed(bench, Arch::InOrder4, Variant::SCALAR).cycles();
+        let to = timed(bench, Arch::Ooo4, Variant::SCALAR).cycles();
         assert!(t4 < t1, "{}: multiple issue helps", bench.name());
         assert!(to < t4, "{}: out-of-order helps more", bench.name());
         let speedup = t1 as f64 / to as f64;
@@ -60,8 +78,8 @@ fn claim_vis_speedups_range_and_ordering() {
         Bench::Dotprod,
         Bench::DjpegNp,
     ] {
-        let s = run_timed(bench, Arch::Ooo4, None, &size(), Variant::SCALAR).cycles();
-        let v = run_timed(bench, Arch::Ooo4, None, &size(), Variant::VIS).cycles();
+        let s = timed(bench, Arch::Ooo4, Variant::SCALAR).cycles();
+        let v = timed(bench, Arch::Ooo4, Variant::VIS).cycles();
         speedups.push((bench, s as f64 / v as f64));
     }
     for &(b, sp) in &speedups {
@@ -81,7 +99,7 @@ fn claim_kernels_become_memory_bound_with_ilp_and_vis() {
     // §3.3: five image kernels spend 55-66% in memory stalls after
     // ILP+VIS. Streaming kernels must be majority-memory here.
     for bench in [Bench::Addition, Bench::Scaling] {
-        let s = run_timed(bench, Arch::Ooo4, None, &size(), Variant::VIS);
+        let s = timed(bench, Arch::Ooo4, Variant::VIS);
         let frac = s.cpu.breakdown().memory() / s.cycles() as f64;
         assert!(
             frac > 0.5,
@@ -95,8 +113,12 @@ fn claim_kernels_become_memory_bound_with_ilp_and_vis() {
 fn claim_prefetching_makes_everything_compute_bound() {
     // §4.2 + conclusion: with software prefetching all benchmarks
     // revert to being compute-bound.
-    let rows = fig3(&size());
-    for r in &rows {
+    let ManifestOutcome::Fig3(rows) = run_manifest(&Manifest::builtin("fig3").unwrap(), &size())
+    else {
+        panic!("fig3 manifest folds into Figure 3 rows");
+    };
+    for (bench, row) in rows {
+        let r = row.unwrap_or_else(|e| panic!("{bench:?}: {e}"));
         let frac = r.pf.cpu.breakdown().memory() / r.pf.cycles() as f64;
         assert!(
             frac < 0.5,
@@ -120,11 +142,16 @@ fn claim_vis_cuts_dynamic_instruction_counts() {
     // Figure 2's shape: kernels drop to ~18-30%, dotprod stays high,
     // JPEG codecs in between.
     let sz = size();
-    let ratio = |b: Bench| {
-        let base = run_counted(b, &sz, Variant::SCALAR).retired as f64;
-        let vis = run_counted(b, &sz, Variant::VIS).retired as f64;
-        vis / base
+    let retired = |bench: Bench, variant| {
+        let spec = CellSpec::Counted {
+            label: bench.name().into(),
+            bench,
+            variant,
+        };
+        let out = run_spec(&spec, &sz).expect("counted cell runs").0;
+        out.into_counts().retired as f64
     };
+    let ratio = |b: Bench| retired(b, Variant::VIS) / retired(b, Variant::SCALAR);
     let blend = ratio(Bench::Blend);
     let dotprod = ratio(Bench::Dotprod);
     let cjpeg = ratio(Bench::Cjpeg);
@@ -136,8 +163,8 @@ fn claim_vis_cuts_dynamic_instruction_counts() {
 
 #[test]
 fn determinism_across_full_timed_runs() {
-    let a = run_timed(Bench::Blend, Arch::Ooo4, None, &size(), Variant::VIS);
-    let b = run_timed(Bench::Blend, Arch::Ooo4, None, &size(), Variant::VIS);
+    let a = timed(Bench::Blend, Arch::Ooo4, Variant::VIS);
+    let b = timed(Bench::Blend, Arch::Ooo4, Variant::VIS);
     assert_eq!(a.cycles(), b.cycles());
     assert_eq!(a.cpu.retired, b.cpu.retired);
     assert_eq!(a.mem, b.mem);
