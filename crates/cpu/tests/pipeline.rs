@@ -558,6 +558,11 @@ fn watchdog_terminates_a_wedged_pipeline_with_a_diagnostic() {
             assert!(diagnostic.contains("fetch_q"), "{diagnostic}");
             assert!(diagnostic.contains("oldest un-retired"), "{diagnostic}");
             assert!(diagnostic.contains("issued=false"), "{diagnostic}");
+            // The self-dependent 0x104 waits on itself and stays
+            // unissued however the issue stage tracks blocked slots;
+            // 0x100 and 0x108 both issue.
+            assert!(diagnostic.contains("unissued 1 "), "{diagnostic}");
+            assert!(diagnostic.contains("pc 0x104"), "{diagnostic}");
         }
         other => panic!("expected CycleBudget, got {other:?}"),
     }

@@ -205,3 +205,65 @@ fn ooo_never_loses_to_inorder() {
         },
     );
 }
+
+/// Pins every statistic the pipeline reports on fixed-seed random
+/// streams, per machine configuration, so a change to the scheduler's
+/// bookkeeping that alters any issue cycle, memory access or counter
+/// fails here. The windows of 16 and 128 bracket the 64-entry base
+/// machine; `blocking_loads` takes the stall-on-load issue path.
+#[test]
+fn statistics_are_pinned_on_fixed_streams() {
+    let streams: Vec<Vec<Inst>> = (0..4u64)
+        .map(|seed| {
+            let mut rng = Rng::seed_from_u64(seed);
+            let gens: Vec<Gen> = (0..3000).map(|_| arb_gen(&mut rng)).collect();
+            materialize(&gens)
+        })
+        .collect();
+    let configs = [
+        ("inorder_1way", CpuConfig::inorder_1way()),
+        ("inorder_4way", CpuConfig::inorder_4way()),
+        ("ooo_4way", CpuConfig::ooo_4way()),
+        (
+            "ooo_4way/window16",
+            CpuConfig {
+                window: 16,
+                ..CpuConfig::ooo_4way()
+            },
+        ),
+        (
+            "ooo_4way/window128",
+            CpuConfig {
+                window: 128,
+                ..CpuConfig::ooo_4way()
+            },
+        ),
+        (
+            "ooo_4way/blocking_loads",
+            CpuConfig {
+                blocking_loads: true,
+                ..CpuConfig::ooo_4way()
+            },
+        ),
+    ];
+    let digests: Vec<(&str, u64)> = configs
+        .iter()
+        .map(|(name, cfg)| {
+            let mut text = String::new();
+            for insts in &streams {
+                let s = run(insts, cfg.clone());
+                text += &format!("{:?}|{:?}|{:?}\n", s.cpu, s.mem, s.mshr_histogram);
+            }
+            (*name, visim_util::fnv1a64(text.as_bytes()))
+        })
+        .collect();
+    let pinned: Vec<(&str, u64)> = vec![
+        ("inorder_1way", 0x0ab4_d5a3_4583_dca9),
+        ("inorder_4way", 0xa71f_51e8_1255_9598),
+        ("ooo_4way", 0x87ec_5fb8_c15a_cf01),
+        ("ooo_4way/window16", 0x713d_2c6a_bd72_78e8),
+        ("ooo_4way/window128", 0x02ed_223f_03d4_bcb0),
+        ("ooo_4way/blocking_loads", 0x1bfc_d916_f010_9949),
+    ];
+    assert_eq!(digests, pinned, "pipeline statistics changed");
+}
