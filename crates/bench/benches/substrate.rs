@@ -49,6 +49,48 @@ fn bench_pipeline(r: &mut Runner) {
         }
         black_box(p.finish().cycles())
     });
+    // Eight dependent ALU chains interleaved in program order, each
+    // restarted behind a load to a fresh line: the window fills with
+    // consumers of unissued producers, the out-of-order wake-up path.
+    r.bench_function("pipeline_dep_chains_ooo", || {
+        const CHAINS: u64 = 8;
+        let mut p = Pipeline::new(CpuConfig::ooo_4way(), MemConfig::default());
+        let mut reg = 0u32;
+        let mut fresh = || {
+            reg += 1;
+            Reg(reg)
+        };
+        for round in 0..64u64 {
+            let mut last = [Reg::NONE; CHAINS as usize];
+            for (c, l) in last.iter_mut().enumerate() {
+                *l = fresh();
+                p.push(Inst::memory(
+                    Op::Load,
+                    0x300,
+                    *l,
+                    [Reg::NONE; 3],
+                    visim_isa::MemRef {
+                        addr: 0x100000 + (round * CHAINS + c as u64) * 64,
+                        size: 8,
+                        kind: MemKind::Load,
+                    },
+                ));
+            }
+            for _ in 0..16 {
+                for l in last.iter_mut() {
+                    let d = fresh();
+                    p.push(Inst::compute(
+                        Op::IntAlu,
+                        0x304,
+                        d,
+                        [*l, Reg::NONE, Reg::NONE],
+                    ));
+                    *l = d;
+                }
+            }
+        }
+        black_box(p.finish().cycles())
+    });
 }
 
 fn bench_vis_ops(r: &mut Runner) {

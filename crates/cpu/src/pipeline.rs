@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use visim_isa::{BranchKind, Inst, MemKind, MemRef};
+use visim_isa::{BranchKind, Inst, MemKind, MemRef, Op};
 use visim_mem::{MemConfig, MemStats, MemSystem, Request, ServiceLevel};
 use visim_obs::codec::ByteReader;
 use visim_obs::trace::{InstSpan, InstantKind, SharedTraceRing};
@@ -90,8 +90,12 @@ impl RegMap {
     }
 }
 
-/// Sentinel in [`Slot::src_seqs`]: no (remaining) dependency.
+/// Sentinel sequence number: no (remaining) dependency in
+/// [`Slot::src_seqs`], and the end of a waiter list.
 const NO_DEP: u64 = u64::MAX;
+
+/// Bucket bounds of the `cpu.window_occupancy` histogram.
+const WINDOW_OCC_BOUNDS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
 #[derive(Debug, Clone, Copy)]
 struct Slot {
@@ -112,12 +116,12 @@ struct Slot {
     /// [`NO_DEP`] as producers complete so satisfied dependencies are
     /// never re-checked.
     src_seqs: [u64; 3],
-    /// Lower bound on the next cycle this (unissued) slot could issue.
-    /// Derived only from immutable facts — an issued producer's
-    /// `done_at` never changes and an instruction never completes the
-    /// cycle it issues — so skipping the slot while `now < wake_at`
-    /// cannot change any issue cycle.
-    wake_at: u64,
+    /// Head of the list of slots parked on this one (sequence numbers
+    /// linked through [`Slot::next_waiter`]; [`NO_DEP`] when empty).
+    /// See [`Pipeline::wake_at`].
+    waiters: u64,
+    /// Next slot parked on the same producer as this one.
+    next_waiter: u64,
 }
 
 impl Slot {
@@ -132,9 +136,23 @@ impl Slot {
             mispredicted: false,
             resolved: false,
             src_seqs: [NO_DEP; 3],
-            wake_at: 0,
+            waiters: NO_DEP,
+            next_waiter: NO_DEP,
         }
     }
+}
+
+/// What a slot's source operands wait for (see
+/// [`Pipeline::sources_ready_at`]).
+#[derive(Debug, Clone, Copy)]
+enum SrcWait {
+    /// Every producer has completed.
+    Ready,
+    /// Every pending producer has issued; the last completes at this
+    /// cycle.
+    Until(u64),
+    /// The producer with this sequence number has not issued yet.
+    Producer(u64),
 }
 
 /// A span under construction: lifecycle cycles gathered while the
@@ -216,12 +234,28 @@ pub struct Pipeline {
     /// the issue scan walks only these instead of the whole window.
     unissued_seqs: Vec<u64>,
     /// Lower bound on the next cycle any unissued slot could issue (the
-    /// minimum of their [`Slot::wake_at`] bounds as of the last scan).
+    /// minimum of their [`Pipeline::wake_at`] bounds as of the last scan;
+    /// parked slots contribute `u64::MAX`, since the chain they wait on
+    /// ends at an unparked slot whose own bound is already included).
     /// While `now < issue_scan_at` the per-cycle issue scan is skipped
     /// entirely: during a long memory stall the window is full of
     /// instructions waiting on an in-flight load's immutable `done_at`,
     /// and walking them every cycle dominated the simulation profile.
     issue_scan_at: u64,
+    /// Per unissued slot, a lower bound on the next cycle it could
+    /// issue; the issue scan skips the slot while `now < wake_at`. Set
+    /// from immutable facts only: an issued producer completes exactly
+    /// at its `done_at`, and a rejected memory access retries no earlier
+    /// than `mem_retry_at`. A slot waiting on an *unissued* producer is
+    /// parked on that producer's [`Slot::waiters`] list with
+    /// `wake_at = u64::MAX`; the producer lowers it to its own `done_at`
+    /// when it issues.
+    ///
+    /// Indexed by `seq & (len - 1)` (the length is the window size
+    /// rounded up to a power of two), apart from `Slot`: the scan's
+    /// skip test, its most frequent operation, then reads one dense word
+    /// instead of a window slot.
+    wake_at: Box<[u64]>,
     /// Completion times of loads occupying memory-queue slots.
     inflight_loads: Vec<u64>,
     /// Earliest completion time in `inflight_loads` (`u64::MAX` when
@@ -233,8 +267,10 @@ pub struct Pipeline {
     /// With `blocking_loads`, no instruction issues before this cycle.
     issue_blocked_until: u64,
     stats: CpuStats,
-    /// Per-cycle instruction-window occupancy (sampled after dispatch).
-    window_occ: Histogram,
+    /// Per-cycle instruction-window occupancy (sampled after dispatch):
+    /// entry `n` counts the cycles that ended with `n` occupied slots.
+    /// Folded into the `cpu.window_occupancy` histogram at the end.
+    window_occ: Vec<u64>,
     /// Cycle at which the pipeline state last changed (watchdog anchor).
     last_progress: u64,
     /// First failure observed: watchdog wedge, model invariant, or a
@@ -269,12 +305,13 @@ impl Pipeline {
             resolve_check_at: u64::MAX,
             unissued_seqs: Vec::new(),
             issue_scan_at: 0,
+            wake_at: vec![0; (cfg.window as usize).next_power_of_two()].into_boxed_slice(),
             inflight_loads: Vec::new(),
             inflight_min: u64::MAX,
             store_buffer: VecDeque::new(),
             issue_blocked_until: 0,
             stats,
-            window_occ: Histogram::new(&[1, 2, 4, 8, 16, 32, 64, 128]),
+            window_occ: vec![0; cfg.window as usize + 1],
             last_progress: 0,
             fault: None,
             tracer: None,
@@ -315,7 +352,11 @@ impl Pipeline {
         metrics.set("cpu.predictor.flips", ps.flips);
         metrics.set("cpu.ras.overflows", self.ras.overflows());
         metrics.set("cpu.ras.underflows", self.ras.underflows());
-        metrics.insert_histogram("cpu.window_occupancy", self.window_occ.clone());
+        let mut window_occ = Histogram::new(&WINDOW_OCC_BOUNDS);
+        for (occupancy, &n) in self.window_occ.iter().enumerate() {
+            window_occ.observe_n(occupancy as u64, n);
+        }
+        metrics.insert_histogram("cpu.window_occupancy", window_occ);
         self.mem.export_metrics(&mut metrics);
         Ok(Summary {
             cpu: self.stats,
@@ -376,7 +417,7 @@ impl Pipeline {
     /// extrapolation assumes.
     pub fn reset_stats(&mut self) {
         self.stats = CpuStats::new(self.cfg.issue_width);
-        self.window_occ = Histogram::new(&[1, 2, 4, 8, 16, 32, 64, 128]);
+        self.window_occ.fill(0);
     }
 
     /// The first failure observed so far, if any.
@@ -387,6 +428,12 @@ impl Pipeline {
     /// The processor configuration.
     pub fn config(&self) -> &CpuConfig {
         &self.cfg
+    }
+
+    /// Index of the slot with sequence number `seq` in
+    /// [`Pipeline::wake_at`].
+    fn wake_ix(&self, seq: u64) -> usize {
+        seq as usize & (self.wake_at.len() - 1)
     }
 
     fn mem_queue_used(&self) -> usize {
@@ -538,7 +585,7 @@ impl Pipeline {
         }
         let n = next - now;
         self.stats.account_idle(n, stall);
-        self.window_occ.observe_n(self.window.len() as u64, n);
+        self.window_occ[self.window.len()] += n;
         self.now = next;
     }
 
@@ -582,7 +629,7 @@ impl Pipeline {
                 .borrow_mut()
                 .sample(retired, stall.map(StallClass::to_trace));
         }
-        self.window_occ.observe(self.window.len() as u64);
+        self.window_occ[self.window.len()] += 1;
         // Fault propagation and the cycle-budget watchdog. A wedged
         // model (an instruction that can never retire) would otherwise
         // spin this loop forever; a violated memory-model invariant
@@ -715,19 +762,18 @@ impl Pipeline {
         (retired, None)
     }
 
-    /// True when every producer in the slot's dispatch-time renamed
-    /// dependency list has completed, plus a lower bound on the cycle
-    /// the sources can all be ready (meaningful only when not ready):
-    /// an issued producer completes exactly at its immutable `done_at`,
-    /// an unissued one no earlier than next cycle. Satisfied entries
-    /// flip to [`NO_DEP`] in place, so a dependency is checked at most
-    /// once after it completes — no hash lookups on this per-cycle path
-    /// (the `produced` map is only consulted once per instruction, at
-    /// dispatch).
-    fn sources_ready_at(&mut self, i: usize) -> (bool, u64) {
+    /// Check the slot's dispatch-time renamed dependency list: are all
+    /// its producers complete, and if not, what is it waiting for? An
+    /// issued producer completes exactly at its immutable `done_at`; an
+    /// unissued one is named so the caller can park the slot on it.
+    /// Satisfied entries flip to [`NO_DEP`] in place, so a dependency is
+    /// checked at most once after it completes — no hash lookups on this
+    /// path (the `produced` map is only consulted once per instruction,
+    /// at dispatch).
+    fn sources_ready_at(&mut self, i: usize) -> SrcWait {
         let mut deps = self.window[i].src_seqs;
-        let mut ready = true;
         let mut bound = 0u64;
+        let mut unissued = NO_DEP;
         for d in deps.iter_mut() {
             if *d == NO_DEP {
                 continue;
@@ -737,36 +783,38 @@ impl Pipeline {
                 continue;
             }
             let p = &self.window[(*d - self.head_seq) as usize];
-            if p.issued && p.done_at <= self.now {
+            if !p.issued {
+                unissued = *d;
+            } else if p.done_at <= self.now {
                 *d = NO_DEP;
             } else {
-                ready = false;
-                // An issued producer completes exactly at its immutable
-                // `done_at`; an unissued one cannot issue before its own
-                // `wake_at` (a sound lower bound, inductively), so its
-                // value exists no earlier than that — this propagates
-                // wake-up bounds down dependence chains, letting a whole
-                // chain behind a cache miss sleep until the fill.
-                bound = bound.max(if p.issued {
-                    p.done_at
-                } else {
-                    p.wake_at.max(self.now + 1)
-                });
+                bound = bound.max(p.done_at);
             }
         }
         self.window[i].src_seqs = deps;
-        (ready, bound)
+        if unissued != NO_DEP {
+            SrcWait::Producer(unissued)
+        } else if bound > 0 {
+            SrcWait::Until(bound)
+        } else {
+            SrcWait::Ready
+        }
     }
 
     /// Issue ready instructions (program-order scan; the in-order policy
     /// stops at the first unissued instruction that cannot go).
     ///
-    /// Every blocked slot records a `wake_at` lower bound and the scan
-    /// itself is gated on `issue_scan_at` (the minimum of those bounds):
-    /// both derive only from immutable completion times and
-    /// next-cycle-at-the-earliest conservatism, so the cycle at which
-    /// each instruction actually issues — and every observable statistic
-    /// — is identical to the exhaustive per-cycle scan.
+    /// The scan skips every slot whose `wake_at` lies in the future and
+    /// is itself gated on `issue_scan_at` (the minimum of those bounds).
+    /// A blocked slot gets its bound from immutable completion times and
+    /// next-cycle-at-the-earliest conservatism, or, when a producer has
+    /// not issued, parks on that producer until it does: a consumer
+    /// cannot issue before its producer's `done_at`, which is at least
+    /// the producer's issue cycle plus one. So the cycle at which each
+    /// instruction actually issues — and every observable statistic — is
+    /// identical to the exhaustive per-cycle scan, while a dependence
+    /// chain behind a cache miss costs one examination per link instead
+    /// of one per link per cycle.
     fn issue(&mut self) {
         let mut issued = 0;
         let now = self.now;
@@ -780,25 +828,29 @@ impl Pipeline {
         // compacting issued entries out of the list in place. Taken out
         // of `self` for the duration to keep the borrow checker happy.
         let mut seqs = std::mem::take(&mut self.unissued_seqs);
+        let width = self.cfg.issue_width;
+        let in_order = self.cfg.policy == IssuePolicy::InOrder;
         // Rebuilt during the scan; any early exit that leaves unissued
         // slots unexamined must clamp it to `now + 1`.
         let mut next_scan = u64::MAX;
         let mut keep = 0; // entries [0, keep) stay unissued
         let mut r = 0;
         while r < seqs.len() {
-            if issued >= self.cfg.issue_width {
+            if issued >= width {
                 next_scan = next_scan.min(now + 1);
                 break;
             }
             let seq = seqs[r];
             let i = (seq - self.head_seq) as usize;
-            if now < self.window[i].wake_at {
+            let ix = self.wake_ix(seq);
+            let wake_at = self.wake_at[ix];
+            if now < wake_at {
                 // Cannot issue yet (bound argument above); skip without
                 // touching dependence or memory state. Flipping satisfied
                 // deps to NO_DEP merely happens later, which no statistic
                 // observes.
-                next_scan = next_scan.min(self.window[i].wake_at);
-                if self.cfg.policy == IssuePolicy::InOrder {
+                next_scan = next_scan.min(wake_at);
+                if in_order {
                     break; // later slots cannot issue before this one
                 }
                 seqs[keep] = seq;
@@ -806,31 +858,45 @@ impl Pipeline {
                 r += 1;
                 continue;
             }
-            let inst = self.window[i].inst;
+            let Inst {
+                op, mem, branch, ..
+            } = self.window[i].inst;
             let mut blocked = false;
 
-            let (ready, dep_bound) = self.sources_ready_at(i);
-            if !ready || (self.window[i].mem_blocked && now < self.window[i].mem_retry_at) {
+            let wait = self.sources_ready_at(i);
+            if !matches!(wait, SrcWait::Ready)
+                || (self.window[i].mem_blocked && now < self.window[i].mem_retry_at)
+            {
                 blocked = true;
-            } else if let Some(mem) = inst.mem {
-                blocked = !self.try_issue_mem(i, mem, &inst);
-            } else if self.fus.try_issue(inst.op, now) {
+            } else if let Some(mem) = mem {
+                blocked = !self.try_issue_mem(i, mem, op);
+            } else if self.fus.try_issue(op, now) {
                 let slot = &mut self.window[i];
                 slot.issued = true;
-                slot.done_at = now + inst.op.latency(&self.cfg.lat) as u64;
+                slot.done_at = now + op.latency(&self.cfg.lat) as u64;
             } else {
                 blocked = true;
             }
 
             if self.window[i].issued {
+                let done_at = self.window[i].done_at;
                 if let Some(t) = self.tracer.as_mut() {
                     let sb = &mut t.spans[i];
                     sb.issue = now;
-                    sb.complete = self.window[i].done_at;
+                    sb.complete = done_at;
                 }
-                if inst.branch.is_some() {
+                if branch.is_some() {
                     // An unresolved branch just gained a completion time.
-                    self.resolve_check_at = self.resolve_check_at.min(self.window[i].done_at);
+                    self.resolve_check_at = self.resolve_check_at.min(done_at);
+                }
+                // Wake the slots parked on this one: none can issue
+                // before this value exists.
+                let mut w = std::mem::replace(&mut self.window[i].waiters, NO_DEP);
+                while w != NO_DEP {
+                    let ix = self.wake_ix(w);
+                    self.wake_at[ix] = done_at;
+                    w = self.window[(w - self.head_seq) as usize].next_waiter;
+                    next_scan = next_scan.min(done_at);
                 }
                 issued += 1;
                 r += 1; // drops this entry from the unissued list
@@ -840,21 +906,37 @@ impl Pipeline {
                 }
             } else {
                 debug_assert!(blocked);
-                // Memory contention carries its own retry bound; a busy
-                // functional unit (or a structural reject) may clear next
-                // cycle.
-                let slot = &mut self.window[i];
-                let mem_bound = if slot.mem_blocked {
-                    slot.mem_retry_at
+                if let SrcWait::Producer(p) = wait {
+                    // Park on the unissued producer; it sets `wake_at`
+                    // when it issues. A slot that reads its own
+                    // destination parks on itself and stays unissued
+                    // until the watchdog fires.
+                    let pi = (p - self.head_seq) as usize;
+                    let head = std::mem::replace(&mut self.window[pi].waiters, seq);
+                    self.window[i].next_waiter = head;
+                    self.wake_at[ix] = u64::MAX;
                 } else {
-                    0
-                };
-                slot.wake_at = dep_bound.max(mem_bound).max(now + 1);
-                next_scan = next_scan.min(slot.wake_at);
+                    // Memory contention carries its own retry bound; a
+                    // busy functional unit (or a structural reject) may
+                    // clear next cycle.
+                    let dep_bound = match wait {
+                        SrcWait::Until(t) => t,
+                        _ => 0,
+                    };
+                    let slot = &mut self.window[i];
+                    let mem_bound = if slot.mem_blocked {
+                        slot.mem_retry_at
+                    } else {
+                        0
+                    };
+                    let wake_at = dep_bound.max(mem_bound).max(now + 1);
+                    self.wake_at[ix] = wake_at;
+                    next_scan = next_scan.min(wake_at);
+                }
                 seqs[keep] = seq;
                 keep += 1;
                 r += 1;
-                if self.cfg.policy == IssuePolicy::InOrder {
+                if in_order {
                     break; // strict program-order issue
                 }
             }
@@ -871,14 +953,14 @@ impl Pipeline {
 
     /// Issue the memory instruction in window slot `i`. Returns false
     /// when it must keep waiting.
-    fn try_issue_mem(&mut self, i: usize, mem: MemRef, inst: &Inst) -> bool {
+    fn try_issue_mem(&mut self, i: usize, mem: MemRef, op: Op) -> bool {
         let now = self.now;
         let is_store = mem.kind.is_store();
         let is_prefetch = mem.kind == MemKind::Prefetch;
         if !is_store && !is_prefetch && self.mem_queue_used() >= self.cfg.mem_queue as usize {
             return false; // loads need a memory-queue slot
         }
-        if !self.fus.try_issue(inst.op, now) {
+        if !self.fus.try_issue(op, now) {
             return false; // both AGUs busy this cycle
         }
         if is_store || is_prefetch {
@@ -1017,6 +1099,8 @@ impl Pipeline {
                             .instant(InstantKind::BranchMispredict, inst.pc, 0);
                     }
                     self.window.push_back(slot);
+                    let ix = self.wake_ix(seq);
+                    self.wake_at[ix] = 0;
                     self.unissued_seqs.push(seq);
                     self.issue_scan_at = 0;
                     // Fetch stalls until this branch resolves.
@@ -1025,6 +1109,8 @@ impl Pipeline {
                 }
             }
             self.window.push_back(slot);
+            let ix = self.wake_ix(seq);
+            self.wake_at[ix] = 0;
             self.unissued_seqs.push(seq);
             self.issue_scan_at = 0;
             dispatched += 1;
