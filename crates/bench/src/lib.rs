@@ -25,7 +25,7 @@
 //!
 //! Every binary is also crash-safe: finished cells persist in the
 //! content-addressed result store (`results/store/` by default, see
-//! `visim::store`), and `--resume` (or `VISIM_RESUME=1`) serves them
+//! `visim::store`), and `--resume` serves them
 //! back instead of re-simulating, producing byte-identical text output.
 //! `--no-store` opts out; `VISIM_FAULT` arms the deterministic
 //! fault-injection harness for testing the recovery paths.
@@ -82,12 +82,10 @@ pub fn usage(bin: &str, about: &str) -> String {
          \x20 VISIM_JOBS            worker count (1 = serial reference path; unset/0 = one per core)\n\
          \x20 VISIM_QUIET           set to 1 to silence the stderr progress heartbeat and logs\n\
          \x20 VISIM_LOG             stderr log level: debug|info|warn|error (default info)\n\
-         \x20 VISIM_RESUME          set to 1 to resume from the result store (same as --resume)\n\
          \x20 VISIM_NO_STORE        set to 1 to disable the result store (same as --no-store)\n\
          \x20 VISIM_STORE_DIR       result-store directory (flag takes precedence)\n\
          \x20 VISIM_FAULT           inject deterministic faults, e.g. cell.transient:conv:0 (see EXPERIMENTS.md)\n\
          \x20 VISIM_NO_TRACE_CACHE  set to 1 to disable the trace cache (same as the flag)\n\
-         \x20 VISIM_TRACE_MB        resident trace budget in MB (flag takes precedence)\n\
          \x20 VISIM_TRACE_DIR       directory for the on-disk trace spill (unset = memory only)\n\
          \x20 VISIM_SPILL_EMIT_MBPS spill only streams emitting slower than this (default 200)\n\
          \x20 VISIM_SAMPLE          1 or W:P to enable sampled simulation (flag takes precedence)\n\
@@ -361,13 +359,11 @@ impl Report {
     /// then atomic-rename, so a concurrently running sibling process
     /// can never observe (or splice into) a half-written report.
     pub fn finish(mut self) -> ! {
-        // Drain the pool observability accumulated by every
-        // run_parallel call into the document, then write it — failed
+        // Drain the process-wide metrics sink into the document, then
+        // write it — failed
         // cells included, so a degraded run still leaves a usable
         // machine-readable record.
-        self.doc
-            .metrics
-            .merge(&visim::experiment::drain_pool_metrics());
+        self.doc.metrics = visim::experiment::drain_pool_metrics();
         if self.artifacts {
             let json_path = format!("results/json/{}.json", self.name);
             let mut text = self
@@ -480,12 +476,10 @@ mod tests {
             "--resume",
             "--no-store",
             "--store-dir",
-            "VISIM_RESUME",
             "VISIM_NO_STORE",
             "VISIM_STORE_DIR",
             "VISIM_FAULT",
             "VISIM_NO_TRACE_CACHE",
-            "VISIM_TRACE_MB",
             "VISIM_TRACE_DIR",
             "VISIM_SPILL_EMIT_MBPS",
             "--sample",

@@ -85,6 +85,20 @@ fn fig1_writes_a_full_results_document() {
             .is_some(),
         "per-job latency histogram drained into the artifact"
     );
+    // Every run-level counter the run carries even when nothing
+    // happened to it: a zero is evidence, not a missing metric.
+    let counters = metrics.get("counters").expect("run counters");
+    let always = "fault.injected retry.attempts retry.recovered retry.exhausted \
+        store.hit store.miss store.writes store.corrupt_purged store.stale_purged \
+        trace_cache.hits trace_cache.misses trace_cache.evictions trace_cache.disk_loads \
+        trace_cache.disk_stores trace_cache.disk_purged trace_cache.spill_skipped \
+        trace_cache.resident_bytes trace_cache.resident_entries pool.runs pool.jobs pool.workers";
+    for name in always.split_whitespace() {
+        assert!(
+            counters.get(name).and_then(Json::as_u64).is_some(),
+            "run-level counter {name} present"
+        );
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

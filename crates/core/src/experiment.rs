@@ -19,11 +19,15 @@
 //! order: output is bit-identical for any worker count. `VISIM_JOBS`
 //! selects the worker count (`1` = the serial reference path, no
 //! threads at all; unset/`0` = one worker per available core).
+//!
+//! Pool batch stats, retry counters and every cell's store-lookup and
+//! simulate phase timings go to the process-wide metrics sink
+//! ([`visim_obs::live::global`]), as do the store's, the trace cache's
+//! and fault injection's counters; [`drain_pool_metrics`] takes them.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -32,7 +36,7 @@ use visim_cpu::{
     CountingSink, CpuConfig, CpuStats, Pipeline, SimSink, Summary, Traced, WarmingSink,
 };
 use visim_mem::MemConfig;
-use visim_obs::live::{names as live_names, LiveRegistry};
+use visim_obs::live::{self, names as live_names};
 use visim_obs::trace::{Trace, TraceRing};
 use visim_obs::Registry;
 use visim_trace::{Checkpoint, Recorded, Recorder, ReplayCursor};
@@ -71,38 +75,12 @@ fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Pool observability accumulated across every [`run_parallel`] call in
-/// this process: job wall-clock and queue-wait histograms, queue depth,
-/// run/job counts. Drained by the figure binaries into their JSON
-/// artifacts via [`drain_pool_metrics`].
-static POOL_METRICS: Mutex<Option<Registry>> = Mutex::new(None);
-
 /// A process-wide progress callback, called as `(done, total, run_ns)`
 /// after every completed [`run_parallel`] job. See
 /// [`set_progress_observer`].
 pub type ProgressObserver = Box<dyn Fn(usize, usize, u64) + Send + Sync>;
 
 static PROGRESS: Mutex<Option<ProgressObserver>> = Mutex::new(None);
-
-/// An optional live telemetry sink. When installed (the serve daemon
-/// does; the figure binaries never do), the experiment layer
-/// additionally records request-lifecycle phase timings
-/// (store-lookup, simulate) and folds each pool run's batch stats in,
-/// so a concurrent reader can watch latency distributions build up
-/// mid-run. Never installed → not even an `Instant::now()` is spent,
-/// and nothing here ever feeds [`drain_pool_metrics`] — the binaries'
-/// artifacts are byte-identical with telemetry compiled in.
-static LIVE_METRICS: Mutex<Option<Arc<LiveRegistry>>> = Mutex::new(None);
-
-/// Install (or, with `None`, remove) the process-wide live telemetry
-/// sink. See [`LIVE_METRICS`].
-pub fn install_live_metrics(live: Option<Arc<LiveRegistry>>) {
-    *LIVE_METRICS.lock().expect("live metrics lock") = live;
-}
-
-fn live_metrics() -> Option<Arc<LiveRegistry>> {
-    LIVE_METRICS.lock().expect("live metrics lock").clone()
-}
 
 /// Install (or, with `None`, remove) the process-wide progress
 /// observer. The figure binaries install a stderr heartbeat here; the
@@ -112,32 +90,25 @@ pub fn set_progress_observer(obs: Option<ProgressObserver>) {
     *PROGRESS.lock().expect("progress observer lock") = obs;
 }
 
-/// Take (and reset) the pool metrics accumulated so far, merged with
-/// snapshots of the trace-cache counters (`trace_cache.*`), the result
-/// store counters (`store.*`), the fault-injection counters
-/// (`fault.*`), and the per-cell retry counters (`retry.*`). Returns
-/// the snapshots alone when no parallel work has run.
+/// Snapshot and reset the process-wide metrics sink: `pool.*`,
+/// `serve.phase.*`, `trace_cache.*`, `store.*`, `fault.*`, `retry.*`
+/// (and, in the daemon, `serve.*`) since the last drain. The library's
+/// counters are declared first, so each is present even at zero.
 pub fn drain_pool_metrics() -> Registry {
-    let mut reg = POOL_METRICS
-        .lock()
-        .expect("pool metrics lock")
-        .take()
-        .unwrap_or_default();
-    trace_cache::export_metrics(&mut reg);
-    store::export_metrics(&mut reg);
-    fault::export_metrics(&mut reg);
-    reg.set("retry.attempts", RETRY_ATTEMPTS.load(Ordering::Relaxed));
-    reg.set("retry.recovered", RETRY_RECOVERED.load(Ordering::Relaxed));
-    reg.set("retry.exhausted", RETRY_EXHAUSTED.load(Ordering::Relaxed));
-    reg
+    let sink = live::global();
+    sink.declare(&store::COUNTERS);
+    sink.declare(&trace_cache::COUNTERS);
+    sink.declare(&RETRY_COUNTERS);
+    sink.declare(&[fault::INJECTED_TOTAL]);
+    sink.drain()
 }
 
 /// Run independent experiment jobs on the worker pool ([`jobs`] workers)
 /// and return the results in input order. Each job must be a pure
 /// function of its captures; the result vector is then independent of
 /// the worker count, which is what makes `VISIM_JOBS=1` and
-/// `VISIM_JOBS=8` produce byte-identical figures. Per-job wall-clock
-/// and queue timings accumulate into the process-wide pool metrics
+/// `VISIM_JOBS=8` produce byte-identical figures. Each batch's per-job
+/// wall-clock and queue timings fold into the metrics sink once
 /// ([`drain_pool_metrics`]); they never influence the results.
 pub fn run_parallel<T, F>(work: Vec<F>) -> Vec<T>
 where
@@ -155,16 +126,9 @@ where
         }
     };
     let (results, stats) = pool::run_ordered_timed_observed(jobs(), work, Some(&observer));
-    // The live sink (when installed) gets the same batch stats — the
-    // pool queue-wait and run-time distributions join the daemon's
-    // instantly-readable registry as well as the end-of-run artifact.
-    if let Some(live) = live_metrics() {
-        let mut batch = Registry::new();
-        stats.export(&mut batch);
-        live.merge(&batch);
-    }
-    let mut guard = POOL_METRICS.lock().expect("pool metrics lock");
-    stats.export(guard.get_or_insert_with(Registry::new));
+    let mut batch = Registry::new();
+    stats.export(&mut batch);
+    live::global().merge(&batch);
     results
 }
 
@@ -176,9 +140,10 @@ where
 /// reproduce the same failure and waste the budget.
 const MAX_ATTEMPTS: u32 = 3;
 
-static RETRY_ATTEMPTS: AtomicU64 = AtomicU64::new(0);
-static RETRY_RECOVERED: AtomicU64 = AtomicU64::new(0);
-static RETRY_EXHAUSTED: AtomicU64 = AtomicU64::new(0);
+const RETRY_ATTEMPTS: &str = "retry.attempts";
+const RETRY_RECOVERED: &str = "retry.recovered";
+const RETRY_EXHAUSTED: &str = "retry.exhausted";
+const RETRY_COUNTERS: [&str; 3] = [RETRY_ATTEMPTS, RETRY_RECOVERED, RETRY_EXHAUSTED];
 
 /// Run one cell attempt function under the retry policy. The attempt
 /// number is passed in so the `cell.transient` fault point can be
@@ -191,18 +156,18 @@ fn with_retry<T>(mut attempt_fn: impl FnMut(u32) -> Result<T, SimError>) -> Resu
         match attempt_fn(attempt) {
             Ok(v) => {
                 if attempt > 0 {
-                    RETRY_RECOVERED.fetch_add(1, Ordering::Relaxed);
+                    live::global().add(RETRY_RECOVERED, 1);
                 }
                 return Ok(v);
             }
             Err(e) if e.is_transient() && attempt + 1 < MAX_ATTEMPTS => {
-                RETRY_ATTEMPTS.fetch_add(1, Ordering::Relaxed);
+                live::global().add(RETRY_ATTEMPTS, 1);
                 std::thread::sleep(std::time::Duration::from_millis(1u64 << attempt));
                 attempt += 1;
             }
             Err(e) => {
                 if e.is_transient() {
-                    RETRY_EXHAUSTED.fetch_add(1, Ordering::Relaxed);
+                    live::global().add(RETRY_EXHAUSTED, 1);
                 }
                 return Err(e);
             }
@@ -220,6 +185,8 @@ fn with_retry<T>(mut attempt_fn: impl FnMut(u32) -> Result<T, SimError>) -> Resu
 /// fault point armed per attempt) and the outcome — success or
 /// deterministic failure, never a transient one — is persisted
 /// atomically. The flag is `true` when the result came from the store.
+/// The store lookup (on resume) and the computation are timed into the
+/// sink's `serve.phase.store_lookup_ns` and `serve.phase.simulate_ns`.
 fn run_cell<T: Clone>(
     key: Option<store::CellKey>,
     tag: &str,
@@ -227,16 +194,14 @@ fn run_cell<T: Clone>(
     to_entry: impl Fn(&T) -> store::Entry,
     from_entry: impl Fn(store::Entry) -> Option<T>,
 ) -> Result<(T, bool), SimError> {
-    let live = live_metrics();
+    let sink = live::global();
     if let Some(key) = key.as_ref().filter(|_| store::resume()) {
-        let t0 = live.as_ref().map(|_| Instant::now());
+        let t0 = Instant::now();
         let loaded = store::load(key);
-        if let (Some(live), Some(t0)) = (&live, t0) {
-            live.observe_latency_ns(
-                live_names::PHASE_STORE_LOOKUP,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
+        sink.observe_latency_ns(
+            live_names::PHASE_STORE_LOOKUP,
+            t0.elapsed().as_nanos() as u64,
+        );
         match loaded {
             Some(store::Entry::Failed(e)) => return Err(e),
             Some(entry) => {
@@ -247,14 +212,12 @@ fn run_cell<T: Clone>(
             None => {}
         }
     }
-    let t1 = live.as_ref().map(|_| Instant::now());
+    let t1 = Instant::now();
     let result = with_retry(|attempt| {
         fault::trip_transient("cell.transient", &format!("{tag}:{attempt}"))?;
         compute()
     });
-    if let (Some(live), Some(t1)) = (&live, t1) {
-        live.observe_latency_ns(live_names::PHASE_SIMULATE, t1.elapsed().as_nanos() as u64);
-    }
+    sink.observe_latency_ns(live_names::PHASE_SIMULATE, t1.elapsed().as_nanos() as u64);
     if let Some(key) = &key {
         match &result {
             Ok(v) => store::save(key, &to_entry(v)),
@@ -1362,5 +1325,34 @@ mod tests {
         // returns is at least 1 (run_ordered would panic on 0 workers
         // only via BoundedQueue::new, never from here).
         assert!(jobs() >= 1);
+    }
+
+    fn transient() -> SimError {
+        SimError::Transient {
+            point: "test.retry".into(),
+            detail: "injected".into(),
+        }
+    }
+
+    /// Both retry outcomes in one test: the retry counters are
+    /// process-wide, and no other test in this crate raises a transient
+    /// error, so deltas read from the sink are exact.
+    #[test]
+    fn retry_counts_recovered_and_exhausted_transients() {
+        let counts = || RETRY_COUNTERS.map(|n| live::global().counter(n));
+        let delta = |before: [u64; 3]| {
+            let after = counts();
+            [0, 1, 2].map(|i| after[i] - before[i])
+        };
+        // [attempts, recovered, exhausted]
+        let before = counts();
+        let got = with_retry(|attempt| (attempt > 0).then_some(attempt).ok_or_else(transient));
+        assert_eq!(got.unwrap(), 1);
+        assert_eq!(delta(before), [1, 1, 0]);
+
+        let before = counts();
+        let got: Result<(), SimError> = with_retry(|_| Err(transient()));
+        assert!(got.unwrap_err().is_transient());
+        assert_eq!(delta(before), [u64::from(MAX_ATTEMPTS) - 1, 0, 1]);
     }
 }

@@ -34,27 +34,28 @@
 //! The store is enabled whenever a directory is configured —
 //! `VISIM_STORE_DIR`, or the binaries' default `results/store` — and
 //! not disabled via `--no-store`/`VISIM_NO_STORE=1`. Reads happen only
-//! on resume (`--resume`/`VISIM_RESUME=1`); writes happen on every
-//! run, which is what makes any run crash-safe by default.
+//! on resume (`--resume`, or [`set_cli_resume`], which the serve daemon
+//! calls); writes happen on every run, which is what makes any run
+//! crash-safe by default.
+//!
+//! Hits, misses, writes and purges count into the process-wide metrics
+//! sink under [`COUNTERS`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use media_kernels::Variant;
 use visim_cpu::{CpuConfig, CpuStats, Summary};
 use visim_mem::MemConfig;
 use visim_obs::codec::{ByteReader, ByteWriter};
+use visim_obs::live;
 use visim_obs::schema::RESULTS_SCHEMA;
-use visim_obs::Registry;
 use visim_util::{fault, fnv1a64, SimError};
 
 use crate::bench::WorkloadSize;
 
 /// Directory holding the store (unset + no CLI default = disabled).
 pub const STORE_DIR_ENV: &str = "VISIM_STORE_DIR";
-/// Set to `1` to serve finished cells from the store (same as
-/// `--resume`).
-pub const RESUME_ENV: &str = "VISIM_RESUME";
 /// Set to `1` to disable the store entirely (same as `--no-store`).
 pub const NO_STORE_ENV: &str = "VISIM_NO_STORE";
 /// Test hook: override the git revision recorded in (and expected of)
@@ -124,8 +125,7 @@ fn enabled() -> bool {
 
 /// True when finished cells are *served* from the store this run.
 pub fn resume() -> bool {
-    enabled()
-        && (CLI_RESUME.load(Ordering::Relaxed) || std::env::var(RESUME_ENV).as_deref() == Ok("1"))
+    enabled() && CLI_RESUME.load(Ordering::Relaxed)
 }
 
 /// The code revision recorded in (and demanded of) store entries:
@@ -336,27 +336,16 @@ enum Reject {
     Stale(String),
 }
 
-// Observability counters (process-wide, exported into every binary's
-// metrics block via `experiment::drain_pool_metrics`).
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static WRITES: AtomicU64 = AtomicU64::new(0);
-static CORRUPT_PURGED: AtomicU64 = AtomicU64::new(0);
-static STALE_PURGED: AtomicU64 = AtomicU64::new(0);
+const HIT: &str = "store.hit";
+const MISS: &str = "store.miss";
+const WRITES: &str = "store.writes";
+const CORRUPT_PURGED: &str = "store.corrupt_purged";
+const STALE_PURGED: &str = "store.stale_purged";
 
-/// Snapshot the store counters into `reg` (`store.*` namespace). All
-/// five counters are always present — a zero `store.stale_purged` is
-/// evidence of freshness, not absence of instrumentation.
-pub fn export_metrics(reg: &mut Registry) {
-    reg.set("store.hit", HITS.load(Ordering::Relaxed));
-    reg.set("store.miss", MISSES.load(Ordering::Relaxed));
-    reg.set("store.writes", WRITES.load(Ordering::Relaxed));
-    reg.set(
-        "store.corrupt_purged",
-        CORRUPT_PURGED.load(Ordering::Relaxed),
-    );
-    reg.set("store.stale_purged", STALE_PURGED.load(Ordering::Relaxed));
-}
+/// The store's counters in the process-wide metrics sink. All five are
+/// declared in every run's metrics block — a zero `store.stale_purged`
+/// is evidence of freshness, not absence of instrumentation.
+pub const COUNTERS: [&str; 5] = [HIT, MISS, WRITES, CORRUPT_PURGED, STALE_PURGED];
 
 /// Aggregate statistics for the entries one (schema, revision) pairing
 /// wrote — the unit of staleness: entries under another pairing would
@@ -575,24 +564,24 @@ pub fn load(key: &CellKey) -> Option<Entry> {
     let dir = dir()?;
     let path = key.path(&dir);
     let Ok(bytes) = std::fs::read(&path) else {
-        MISSES.fetch_add(1, Ordering::Relaxed);
+        live::global().add(MISS, 1);
         return None;
     };
     match decode_entry(&bytes, key, RESULTS_SCHEMA, recorded_rev()) {
         Ok(entry) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
+            live::global().add(HIT, 1);
             Some(entry)
         }
         Err(reject) => {
             let (counter, why) = match &reject {
-                Reject::Corrupt(why) => (&CORRUPT_PURGED, why),
-                Reject::Stale(why) => (&STALE_PURGED, why),
+                Reject::Corrupt(why) => (CORRUPT_PURGED, why),
+                Reject::Stale(why) => (STALE_PURGED, why),
             };
             if std::fs::remove_file(&path).is_ok() {
-                counter.fetch_add(1, Ordering::Relaxed);
+                live::global().add(counter, 1);
                 eprintln!("result store: purged {} ({why})", path.display());
             }
-            MISSES.fetch_add(1, Ordering::Relaxed);
+            live::global().add(MISS, 1);
             None
         }
     }
@@ -618,7 +607,7 @@ pub fn save(key: &CellKey, entry: &Entry) {
         return;
     }
     if visim_util::atomic::write_atomic(&path, &bytes).is_ok() {
-        WRITES.fetch_add(1, Ordering::Relaxed);
+        live::global().add(WRITES, 1);
     }
 }
 

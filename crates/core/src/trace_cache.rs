@@ -12,8 +12,8 @@
 //!   of the workload geometry's Debug form>"`. Anything that can change
 //!   the emitted stream is in the key; anything that cannot (arch,
 //!   cache sizes, tracing) is not.
-//! * **Budget.** The resident set is LRU-bounded by `VISIM_TRACE_MB`
-//!   (default 1024 MB; `--trace-cache-mb` overrides). The same budget
+//! * **Budget.** The resident set is LRU-bounded by `--trace-cache-mb`
+//!   (default 1024 MB). The same budget
 //!   caps a single capture: a stream that outgrows it poisons its
 //!   recorder and the cell falls back to direct emission. The default
 //!   deliberately does *not* hold the full study suite (~2.5 GB of
@@ -52,21 +52,21 @@
 //! bit-identical `Inst` values in the original order, so hit, miss,
 //! and disabled paths produce byte-identical simulations. Only the
 //! wall-clock observability (`cell.*` and `trace_cache.*` counters in
-//! the JSON artifacts) reflects which path ran.
+//! the JSON artifacts) reflects which path ran. The `trace_cache.*`
+//! counters ([`COUNTERS`]) live in the process-wide metrics sink; the
+//! two `resident_*` gauges are set wherever the LRU changes.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use media_kernels::Variant;
-use visim_obs::Registry;
+use visim_obs::live;
 use visim_trace::Recorded;
 use visim_util::fnv1a64;
 
 use crate::bench::WorkloadSize;
 
-/// Resident-set budget in megabytes (default 1024).
-pub const TRACE_MB_ENV: &str = "VISIM_TRACE_MB";
 /// Set to `1` to disable the trace cache (every cell emits directly).
 pub const NO_TRACE_CACHE_ENV: &str = "VISIM_NO_TRACE_CACHE";
 /// Directory for the on-disk spill; unset means memory-only.
@@ -81,7 +81,7 @@ const DEFAULT_SPILL_EMIT_MBPS: u64 = 200;
 // CLI overrides, set by the binaries' shared arg parser before any
 // simulation runs (they take precedence over the environment).
 static CLI_DISABLE: AtomicBool = AtomicBool::new(false);
-static CLI_BUDGET_MB: AtomicU64 = AtomicU64::new(0); // 0 = unset
+static CLI_BUDGET_MB: Mutex<Option<u64>> = Mutex::new(None);
 
 /// Disable the cache for this process (the `--no-trace-cache` flag).
 pub fn set_cli_disabled() {
@@ -90,7 +90,7 @@ pub fn set_cli_disabled() {
 
 /// Override the resident budget (the `--trace-cache-mb N` flag).
 pub fn set_cli_budget_mb(mb: u64) {
-    CLI_BUDGET_MB.store(mb.max(1), Ordering::Relaxed);
+    *CLI_BUDGET_MB.lock().expect("trace budget lock") = Some(mb.max(1));
 }
 
 /// True when recording/replay may be used at all.
@@ -100,14 +100,10 @@ pub fn enabled() -> bool {
 
 /// The resident budget in bytes (also the per-capture poison limit).
 pub fn budget_bytes() -> usize {
-    let mb = match CLI_BUDGET_MB.load(Ordering::Relaxed) {
-        0 => std::env::var(TRACE_MB_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&v| v >= 1)
-            .unwrap_or(DEFAULT_BUDGET_MB),
-        cli => cli,
-    };
+    let mb = CLI_BUDGET_MB
+        .lock()
+        .expect("trace budget lock")
+        .unwrap_or(DEFAULT_BUDGET_MB);
     usize::try_from(mb.saturating_mul(1 << 20)).unwrap_or(usize::MAX)
 }
 
@@ -130,41 +126,29 @@ pub fn key_for(bench: &str, size: &WorkloadSize, variant: Variant) -> Option<Str
     ))
 }
 
-// Observability counters (process-wide, exported into the JSON
-// artifacts next to the worker-pool metrics).
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static DISK_LOADS: AtomicU64 = AtomicU64::new(0);
-static DISK_STORES: AtomicU64 = AtomicU64::new(0);
-static DISK_PURGED: AtomicU64 = AtomicU64::new(0);
-static SPILL_SKIPPED: AtomicU64 = AtomicU64::new(0);
+const HITS: &str = "trace_cache.hits";
+const MISSES: &str = "trace_cache.misses";
+const EVICTIONS: &str = "trace_cache.evictions";
+const DISK_LOADS: &str = "trace_cache.disk_loads";
+const DISK_STORES: &str = "trace_cache.disk_stores";
+const DISK_PURGED: &str = "trace_cache.disk_purged";
+const SPILL_SKIPPED: &str = "trace_cache.spill_skipped";
+const RESIDENT_BYTES: &str = "trace_cache.resident_bytes";
+const RESIDENT_ENTRIES: &str = "trace_cache.resident_entries";
 
-/// Snapshot the cache counters into `reg` (`trace_cache.*` namespace).
-pub fn export_metrics(reg: &mut Registry) {
-    reg.set("trace_cache.hits", HITS.load(Ordering::Relaxed));
-    reg.set("trace_cache.misses", MISSES.load(Ordering::Relaxed));
-    reg.set("trace_cache.evictions", EVICTIONS.load(Ordering::Relaxed));
-    reg.set("trace_cache.disk_loads", DISK_LOADS.load(Ordering::Relaxed));
-    reg.set(
-        "trace_cache.disk_stores",
-        DISK_STORES.load(Ordering::Relaxed),
-    );
-    reg.set(
-        "trace_cache.disk_purged",
-        DISK_PURGED.load(Ordering::Relaxed),
-    );
-    reg.set(
-        "trace_cache.spill_skipped",
-        SPILL_SKIPPED.load(Ordering::Relaxed),
-    );
-    let (bytes, entries) = {
-        let lru = state().lock().expect("trace cache lock");
-        (lru.bytes as u64, lru.order.len() as u64)
-    };
-    reg.set("trace_cache.resident_bytes", bytes);
-    reg.set("trace_cache.resident_entries", entries);
-}
+/// The cache's counters and resident-set gauges in the process-wide
+/// metrics sink, declared in every run's metrics block.
+pub const COUNTERS: [&str; 9] = [
+    HITS,
+    MISSES,
+    EVICTIONS,
+    DISK_LOADS,
+    DISK_STORES,
+    DISK_PURGED,
+    SPILL_SKIPPED,
+    RESIDENT_BYTES,
+    RESIDENT_ENTRIES,
+];
 
 /// The resident store: keyed `Arc<Recorded>` with least-recently-used
 /// eviction on a byte budget. `order` holds keys from cold (front) to
@@ -203,13 +187,7 @@ impl Lru {
             self.bytes -= old.approx_bytes();
             self.order.retain(|k| k != &id);
         }
-        let mut evicted = 0;
-        while self.bytes + bytes > budget {
-            let cold = self.order.remove(0);
-            let old = self.map.remove(&cold).expect("order tracks map");
-            self.bytes -= old.approx_bytes();
-            evicted += 1;
-        }
+        let evicted = self.pre_evict(bytes, budget);
         self.bytes += bytes;
         self.map.insert(id.clone(), rec);
         self.order.push(id);
@@ -217,7 +195,8 @@ impl Lru {
     }
 
     /// Evict cold entries until `incoming` more bytes would fit in
-    /// `budget`, returning the eviction count. Called *before* an
+    /// `budget`, returning the eviction count. [`Lru::insert`] evicts
+    /// through here; [`lookup`] also calls it *before* an
     /// expensive disk load rather than after it: dropping the cold
     /// streams first hands their pages back to the OS, so the fresh
     /// multi-hundred-MB allocations the load is about to make fault in
@@ -242,11 +221,23 @@ fn state() -> &'static Mutex<Lru> {
     STATE.get_or_init(|| Mutex::new(Lru::default()))
 }
 
+/// Resize the resident LRU through `f` (an insert or a pre-eviction),
+/// count its evictions, and set the `resident_*` gauges while the lock
+/// is still held, so the gauges follow every change in order.
+fn resize(f: impl FnOnce(&mut Lru) -> u64) {
+    let mut lru = state().lock().expect("trace cache lock");
+    let evicted = f(&mut lru);
+    let sink = live::global();
+    sink.add(EVICTIONS, evicted);
+    sink.set(RESIDENT_BYTES, lru.bytes as u64);
+    sink.set(RESIDENT_ENTRIES, lru.order.len() as u64);
+}
+
 /// Look up a stream: resident store first, then the on-disk spill.
 /// Counts one hit or one miss.
 pub fn lookup(id: &str) -> Option<Arc<Recorded>> {
     if let Some(rec) = state().lock().expect("trace cache lock").lookup(id) {
-        HITS.fetch_add(1, Ordering::Relaxed);
+        live::global().add(HITS, 1);
         return Some(rec);
     }
     if let Some(dir) = disk_dir() {
@@ -260,26 +251,17 @@ pub fn lookup(id: &str) -> Option<Arc<Recorded>> {
                 .unwrap_or(usize::MAX)
                 .saturating_mul(3)
                 / 2;
-            let evicted = state()
-                .lock()
-                .expect("trace cache lock")
-                .pre_evict(estimate, budget_bytes());
-            EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
+            resize(|lru| lru.pre_evict(estimate, budget_bytes()));
         }
         if let Some(rec) = disk_load(&dir, id) {
             let rec = Arc::new(rec);
-            let evicted = state().lock().expect("trace cache lock").insert(
-                id.to_string(),
-                rec.clone(),
-                budget_bytes(),
-            );
-            EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
-            HITS.fetch_add(1, Ordering::Relaxed);
-            DISK_LOADS.fetch_add(1, Ordering::Relaxed);
+            resize(|lru| lru.insert(id.to_string(), rec.clone(), budget_bytes()));
+            live::global().add(HITS, 1);
+            live::global().add(DISK_LOADS, 1);
             return Some(rec);
         }
     }
-    MISSES.fetch_add(1, Ordering::Relaxed);
+    live::global().add(MISSES, 1);
     None
 }
 
@@ -289,19 +271,14 @@ pub fn lookup(id: &str) -> Option<Arc<Recorded>> {
 /// [`spill_worthwhile`]) — onto disk. `emit` is the measured wall
 /// clock of the recording pass.
 pub fn store(id: &str, rec: &Arc<Recorded>, emit: std::time::Duration) {
-    let evicted = state().lock().expect("trace cache lock").insert(
-        id.to_string(),
-        rec.clone(),
-        budget_bytes(),
-    );
-    EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
+    resize(|lru| lru.insert(id.to_string(), rec.clone(), budget_bytes()));
     if let Some(dir) = disk_dir() {
         if !spill_worthwhile(rec.approx_bytes(), emit, spill_emit_mbps()) {
-            SPILL_SKIPPED.fetch_add(1, Ordering::Relaxed);
+            live::global().add(SPILL_SKIPPED, 1);
             return;
         }
         if disk_store(&dir, id, rec).is_ok() {
-            DISK_STORES.fetch_add(1, Ordering::Relaxed);
+            live::global().add(DISK_STORES, 1);
         }
         // A failed spill (full disk, permissions) is silently a
         // memory-only cache — never a simulation failure.
@@ -344,7 +321,7 @@ fn disk_load(dir: &str, id: &str) -> Option<Recorded> {
         Ok(rec) => Some(rec),
         Err(reason) => {
             if std::fs::remove_file(&path).is_ok() {
-                DISK_PURGED.fetch_add(1, Ordering::Relaxed);
+                live::global().add(DISK_PURGED, 1);
                 eprintln!("trace cache: purged stale {} ({reason})", path.display());
             }
             None

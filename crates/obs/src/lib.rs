@@ -13,13 +13,14 @@
 //!   write machine-readable artifacts and the `validate` gate can read
 //!   them back without third-party crates;
 //! * [`metrics`] — a lightweight registry of named counters and
-//!   fixed-bucket histograms, threaded through the pipeline, the memory
-//!   system, and the experiment worker pool, and drained into the JSON
-//!   artifacts;
-//! * [`live`] — the thread-safe counterpart: a sharded registry of
-//!   atomic counters and mutex-guarded histograms that concurrent
-//!   threads record into and any thread snapshots at any instant (the
-//!   serve daemon's request-lifecycle telemetry lives here);
+//!   fixed-bucket histograms: the value type for per-cell metrics
+//!   (threaded through the pipeline and the memory system), result-store
+//!   payloads and snapshots;
+//! * [`live`] — the thread-safe counterpart and the process-wide
+//!   metrics sink ([`live::global`]): a sharded registry of atomic
+//!   counters and mutex-guarded histograms that every run-level counter
+//!   (store, trace cache, retry, faults, worker pool, serve daemon)
+//!   records into and any thread snapshots or drains at any instant;
 //! * [`log`] — a leveled structured stderr logger (`VISIM_LOG`,
 //!   `VISIM_QUIET`) shared by the binaries' progress heartbeat and the
 //!   daemon's diagnostics;

@@ -1,31 +1,33 @@
-//! A thread-safe metrics registry readable at any instant.
+//! The process-wide metrics sink: a thread-safe registry readable at
+//! any instant.
 //!
-//! The plain [`Registry`](crate::metrics::Registry) is `&mut`-only: the
-//! figure binaries record into it single-threaded (after the worker
-//! pool reassembles results) and drain it once at exit. A long-lived
-//! daemon needs the opposite — many threads recording concurrently
-//! while another thread snapshots the current state without stopping
-//! the world. [`LiveRegistry`] provides that:
+//! [`Registry`](crate::metrics::Registry) is the `&mut`-only value type
+//! (per-cell metrics, store payloads, drained snapshots). Everything
+//! that counts across a run — result store, trace cache, retries, fault
+//! injection, worker pool, request phases, the serve daemon — records
+//! into one [`LiveRegistry`], the [`global`] sink. A figure binary
+//! drains it once into its artifact; the daemon reads it live and
+//! drains it once at shutdown.
 //!
-//! * counters are `AtomicU64`s behind shard locks taken only on first
-//!   touch (hot-path increments are a map lookup plus one atomic add;
-//!   [`LiveRegistry::handle`] removes even the lookup);
-//! * histograms are the existing mergeable [`Histogram`]s behind
-//!   per-shard mutexes, so observation cost is one short critical
-//!   section and snapshots see bucket-consistent state (a histogram is
-//!   never observed half-updated — no torn reads);
-//! * [`LiveRegistry::snapshot`] converts to an ordinary [`Registry`] at
-//!   any moment, which gives the JSON form for free.
+//! * counters are `AtomicU64`s behind shard locks: an increment is a
+//!   map lookup plus one atomic add and allocates only on a name's
+//!   first touch; [`LiveRegistry::handle`] removes even the lookup;
+//! * a counter written with [`LiveRegistry::set`] is a gauge (a level,
+//!   not a count) and keeps its value across [`LiveRegistry::drain`],
+//!   which resets every other counter to zero but keeps its name;
+//! * histograms are the mergeable [`Histogram`]s behind per-shard
+//!   mutexes, so readers never see one half-updated (no torn reads).
 //!
 //! Names are spread over a fixed set of shards by FNV-1a hash, so
 //! threads hammering *different* metrics rarely contend. The daemon's
 //! request-lifecycle phase and per-path latency names live here too
 //! ([`names`]), shared between `visim::experiment` (which records the
-//! store-lookup and simulate phases) and `visim-serve` (which records
-//! the rest), so both sides agree on the vocabulary.
+//! store-lookup and simulate phases for every cell) and `visim-serve`
+//! (which records the rest), so both sides agree on the vocabulary.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::metrics::{Histogram, Registry};
 
@@ -90,14 +92,21 @@ pub fn latency_histogram() -> Histogram {
 }
 
 /// Number of shards. A small power of two: enough to keep a dozen
-/// worker threads off each other's locks, few enough that snapshots
+/// worker threads off each other's locks, few enough that drains
 /// stay cheap.
 const SHARDS: usize = 16;
 
+/// One named counter. A gauge (last written by [`LiveRegistry::set`])
+/// holds a level rather than a count, so a drain keeps its value.
+struct Counter {
+    value: Arc<AtomicU64>,
+    gauge: bool,
+}
+
 #[derive(Default)]
 struct Shard {
-    counters: Mutex<std::collections::BTreeMap<String, Arc<AtomicU64>>>,
-    histograms: Mutex<std::collections::BTreeMap<String, Histogram>>,
+    counters: Mutex<BTreeMap<String, Counter>>,
+    histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
 /// A sharded, thread-safe registry of named counters and histograms.
@@ -105,6 +114,13 @@ struct Shard {
 #[derive(Default)]
 pub struct LiveRegistry {
     shards: [Shard; SHARDS],
+}
+
+/// The process-wide metrics sink every library counter and the serve
+/// daemon record into. See the module docs.
+pub fn global() -> &'static LiveRegistry {
+    static GLOBAL: OnceLock<LiveRegistry> = OnceLock::new();
+    GLOBAL.get_or_init(LiveRegistry::new)
 }
 
 fn fnv1a(name: &str) -> u64 {
@@ -126,39 +142,64 @@ impl LiveRegistry {
         &self.shards[(fnv1a(name) as usize) % SHARDS]
     }
 
+    /// Run `f` on the counter `name` under its shard lock, creating it
+    /// at zero on first use (the only time the name is allocated).
+    fn with_counter<R>(&self, name: &str, f: impl FnOnce(&mut Counter) -> R) -> R {
+        let mut map = self.shard(name).counters.lock().expect("counter shard");
+        if let Some(c) = map.get_mut(name) {
+            return f(c);
+        }
+        let c = map.entry(name.to_string()).or_insert(Counter {
+            value: Arc::new(AtomicU64::new(0)),
+            gauge: false,
+        });
+        f(c)
+    }
+
     /// The counter cell for `name`, created at zero on first use. Hot
     /// paths keep the handle and `fetch_add` on it directly.
     pub fn handle(&self, name: &str) -> Arc<AtomicU64> {
-        let mut map = self.shard(name).counters.lock().expect("counter shard");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
+        self.with_counter(name, |c| Arc::clone(&c.value))
+    }
+
+    /// Create every counter in `names` that is absent, at zero.
+    pub fn declare(&self, names: &[&str]) {
+        for name in names {
+            self.with_counter(name, |_| ());
+        }
     }
 
     /// Add `by` to the counter `name`.
     pub fn add(&self, name: &str, by: u64) {
-        self.handle(name).fetch_add(by, Ordering::Relaxed);
+        self.with_counter(name, |c| c.value.fetch_add(by, Ordering::Relaxed));
     }
 
-    /// Set counter `name` to exactly `value`.
+    /// Set the gauge `name` to exactly `value`. A gauge is a level, not
+    /// a count: [`LiveRegistry::drain`] keeps its value.
     pub fn set(&self, name: &str, value: u64) {
-        self.handle(name).store(value, Ordering::Relaxed);
+        self.with_counter(name, |c| {
+            c.gauge = true;
+            c.value.store(value, Ordering::Relaxed);
+        });
     }
 
     /// Current value of a counter (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
         let map = self.shard(name).counters.lock().expect("counter shard");
-        map.get(name).map_or(0, |c| c.load(Ordering::Relaxed))
+        map.get(name).map_or(0, |c| c.value.load(Ordering::Relaxed))
     }
 
     /// Record `value` into histogram `name`, creating it with the given
-    /// layout on first use.
+    /// layout on first use (the only time the name is allocated).
     pub fn observe_with(&self, name: &str, value: u64, mk: impl FnOnce() -> Histogram) {
         let mut map = self.shard(name).histograms.lock().expect("histogram shard");
-        map.entry(name.to_string())
-            .or_insert_with(mk)
-            .observe(value);
+        match map.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => map
+                .entry(name.to_string())
+                .or_insert_with(mk)
+                .observe(value),
+        }
     }
 
     /// Record a latency sample in nanoseconds under the shared
@@ -176,7 +217,7 @@ impl LiveRegistry {
 
     /// Fold a plain [`Registry`] in: counters add, histograms merge (or
     /// are adopted when absent here). This is how post-run batch stats
-    /// (the worker pool's `PoolRunStats`) join the live view.
+    /// (the worker pool's `PoolRunStats`) join the sink.
     pub fn merge(&self, other: &Registry) {
         for (name, v) in other.counters() {
             self.add(name, v);
@@ -192,26 +233,28 @@ impl LiveRegistry {
         }
     }
 
-    /// Snapshot the current state into an ordinary [`Registry`].
-    /// Shards are locked one at a time, so the snapshot is per-metric
-    /// consistent (each counter and histogram is internally coherent)
-    /// without ever blocking all recording threads at once.
-    pub fn snapshot(&self) -> Registry {
+    /// Snapshot into an ordinary [`Registry`] and reset: counters go
+    /// back to zero (gauges keep their level) but stay present, and
+    /// histograms are taken whole. Shards lock one at a time, and each
+    /// counter is swapped atomically, so an increment racing the drain
+    /// lands in exactly one of two drains.
+    pub fn drain(&self) -> Registry {
         let mut reg = Registry::new();
         for shard in &self.shards {
             for (name, c) in shard.counters.lock().expect("counter shard").iter() {
-                reg.set(name, c.load(Ordering::Relaxed));
+                let v = if c.gauge {
+                    c.value.load(Ordering::Relaxed)
+                } else {
+                    c.value.swap(0, Ordering::Relaxed)
+                };
+                reg.set(name, v);
             }
-            for (name, h) in shard.histograms.lock().expect("histogram shard").iter() {
-                reg.merge_histogram(name, h);
+            let taken = std::mem::take(&mut *shard.histograms.lock().expect("histogram shard"));
+            for (name, h) in taken {
+                reg.insert_histogram(&name, h);
             }
         }
         reg
-    }
-
-    /// The JSON form of [`LiveRegistry::snapshot`].
-    pub fn to_json(&self) -> crate::json::Json {
-        self.snapshot().to_json()
     }
 }
 
@@ -234,9 +277,6 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.min(), 1);
         assert_eq!(h.max(), 5_000);
-        let snap = live.snapshot();
-        assert_eq!(snap.counter("a"), 5);
-        assert_eq!(snap.histogram("lat").unwrap().count(), 2);
     }
 
     #[test]
@@ -254,7 +294,7 @@ mod tests {
 
     /// The tentpole concurrency guarantee: N threads hammering the same
     /// counters and histograms lose nothing and tear nothing — totals
-    /// are exact and every snapshot taken mid-flight is internally
+    /// are exact and every read taken mid-flight is internally
     /// consistent (histogram bucket sums always equal its count).
     #[test]
     fn concurrent_recording_is_exact_and_untorn() {
@@ -273,13 +313,12 @@ mod tests {
                     }
                 });
             }
-            // A reader snapshots while the writers run; whatever it
-            // sees must be internally coherent.
+            // A reader samples while the writers run; whatever it sees
+            // must be internally coherent.
             let live = &live;
             s.spawn(move || {
                 for _ in 0..50 {
-                    let snap = live.snapshot();
-                    if let Some(h) = snap.histogram("stress.lat") {
+                    if let Some(h) = live.histogram("stress.lat") {
                         let j = h.to_json();
                         let counts = j.get("counts").and_then(crate::json::Json::elements);
                         let sum: u64 = counts
@@ -289,7 +328,7 @@ mod tests {
                             .sum();
                         assert_eq!(sum, h.count(), "torn histogram read");
                     }
-                    assert!(snap.counter("stress.count") <= THREADS as u64 * PER_THREAD);
+                    assert!(live.counter("stress.count") <= THREADS as u64 * PER_THREAD);
                 }
             });
         });
@@ -297,6 +336,27 @@ mod tests {
         assert_eq!(live.counter("stress.count"), want);
         assert_eq!(live.counter("stress.slow"), want);
         assert_eq!(live.histogram("stress.lat").unwrap().count(), want);
+    }
+
+    #[test]
+    fn drain_returns_then_resets_and_keeps_declared_names() {
+        let live = LiveRegistry::new();
+        live.declare(&["d.quiet", "d.busy"]);
+        live.add("d.busy", 4);
+        live.set("d.level", 9);
+        live.observe_latency_ns("d.lat", 1_000);
+        let first = live.drain();
+        assert_eq!(first.counter("d.busy"), 4);
+        assert_eq!(first.counters().count(), 3, "declared zero present");
+        assert_eq!(first.histogram("d.lat").unwrap().count(), 1);
+        let second = live.drain();
+        let names: Vec<&str> = second.counters().map(|(n, _)| n).collect();
+        assert_eq!(names, ["d.busy", "d.level", "d.quiet"]);
+        assert_eq!(second.counter("d.busy"), 0, "counts reset");
+        assert_eq!(second.counter("d.level"), 9, "gauges keep their level");
+        assert!(second.histogram("d.lat").is_none(), "histograms taken");
+        live.add("d.busy", 1);
+        assert_eq!(live.drain().counter("d.busy"), 1);
     }
 
     #[test]

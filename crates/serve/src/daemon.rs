@@ -5,19 +5,20 @@
 //! long-lived), with each manifest request fanning its cells out over
 //! the experiment worker pool (`VISIM_JOBS` workers, scoped threads —
 //! concurrent manifests each get their own pool scope and share the
-//! process-wide pool metrics). Cell deduplication happens *across*
+//! process-wide metrics sink). Cell deduplication happens *across*
 //! connections through the single-flight table, so two clients
 //! submitting overlapping manifests never simulate a cell twice.
 //!
-//! Telemetry: every cell request is timed through its lifecycle phases
-//! (read/parse → store lookup → coalesce wait → queue wait → simulate
-//! → respond) into the process-wide [`crate::telemetry::live`]
-//! registry; a tick thread samples the whole state into the flight
-//! recorder every `VISIM_TICK_MS`; `watch` clients stream those
-//! snapshots; and at shutdown the recorder persists as
-//! `results/json/serve_timeline.json` (plus, with `--trace-out`, a
-//! Chrome-trace request timeline). None of this touches the figure
-//! binaries: the live sink is installed here, by the daemon only.
+//! Telemetry: every cell request is counted (`serve.*`) and timed
+//! through its lifecycle phases (read/parse → store lookup → coalesce
+//! wait → queue wait → simulate → respond) into the process-wide
+//! metrics sink ([`visim_obs::live::global`]) — the one the library's
+//! store, trace-cache, retry, fault and pool counters also land in.
+//! The `stats` event and the flight recorder (a tick thread sampling
+//! the sink every `VISIM_TICK_MS`, streamed to `watch` clients) read it
+//! live; at shutdown one drain of it becomes `results/json/serve.json`,
+//! and the recorder persists as `results/json/serve_timeline.json`
+//! (plus, with `--trace-out`, a Chrome-trace request timeline).
 
 use std::collections::BTreeMap;
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -30,7 +31,7 @@ use visim::bench::WorkloadSize;
 use visim::experiment::{self, CellOutput};
 use visim::manifest::{CellSpec, Manifest};
 use visim::store;
-use visim_obs::live::names;
+use visim_obs::live::{self, names};
 use visim_obs::log;
 use visim_obs::schema::ResultsDoc;
 use visim_obs::trace::InstSpan;
@@ -41,17 +42,19 @@ use crate::telemetry;
 use crate::SERVE_SCHEMA;
 
 /// Requests received, counted per cell (a manifest of 24 cells is 24
-/// requests). Exported as `serve.requests`.
-static REQUESTS: AtomicU64 = AtomicU64::new(0);
-/// Cells served straight from the result store (`serve.hits`).
-static HITS: AtomicU64 = AtomicU64::new(0);
-/// Cells that had to be simulated (`serve.misses`).
-static MISSES: AtomicU64 = AtomicU64::new(0);
-/// Cells that joined another request's in-flight simulation
-/// (`serve.coalesced`).
-static COALESCED: AtomicU64 = AtomicU64::new(0);
-/// Cells whose simulation failed (`serve.failures`).
-static FAILURES: AtomicU64 = AtomicU64::new(0);
+/// requests).
+const REQUESTS: &str = "serve.requests";
+/// Cells served straight from the result store.
+const HITS: &str = "serve.hits";
+/// Cells that had to be simulated.
+const MISSES: &str = "serve.misses";
+/// Cells that joined another request's in-flight simulation.
+const COALESCED: &str = "serve.coalesced";
+/// Cells whose simulation failed.
+const FAILURES: &str = "serve.failures";
+/// The daemon's counters, declared in the sink at startup so
+/// `serve.json` carries them even at zero.
+const COUNTERS: [&str; 5] = [REQUESTS, HITS, MISSES, COALESCED, FAILURES];
 
 /// Graceful-shutdown latch, set by the `shutdown` op.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -109,7 +112,7 @@ fn single_flight(key: String, compute: impl FnOnce() -> CellResult) -> (CellResu
     while slot.is_none() {
         slot = flight.cv.wait(slot).expect("flight slot wait");
     }
-    telemetry::live().observe_latency_ns(
+    live::global().observe_latency_ns(
         names::PHASE_COALESCE_WAIT,
         waited.elapsed().as_nanos() as u64,
     );
@@ -171,7 +174,6 @@ fn send(stream: &Mutex<TcpStream>, event: &Json) -> bool {
 /// `serve.*` counters aggregate the same quantities daemon-wide).
 #[derive(Default)]
 struct Tally {
-    ok: AtomicU64,
     failed: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -192,7 +194,11 @@ struct Tally {
 fn run_cells(specs: Vec<CellSpec>, size: &WorkloadSize, stream: &Mutex<TcpStream>) -> Tally {
     let total = specs.len();
     let tally = Tally::default();
-    let live = telemetry::live();
+    let live = live::global();
+    // Counter handles, looked up once per request batch: the per-cell
+    // path is then one atomic add per counter, and the request counter's
+    // `fetch_add` hands out the daemon-wide request id.
+    let [requests, hits, misses, coalesced_n, failures] = COUNTERS.map(|n| live.handle(n));
     let tracing = telemetry::trace_enabled();
     let slow_ns = telemetry::slow_threshold_ns();
     let epoch = telemetry::started();
@@ -200,9 +206,11 @@ fn run_cells(specs: Vec<CellSpec>, size: &WorkloadSize, stream: &Mutex<TcpStream
         .into_iter()
         .map(|spec| {
             let tally = &tally;
+            let (requests, hits, misses, coalesced_n, failures) =
+                (&requests, &hits, &misses, &coalesced_n, &failures);
             let enqueued = Instant::now();
             move || {
-                let id = REQUESTS.fetch_add(1, Ordering::Relaxed) + 1;
+                let id = requests.fetch_add(1, Ordering::Relaxed) + 1;
                 let begun = Instant::now();
                 live.observe_latency_ns(
                     names::PHASE_QUEUE_WAIT,
@@ -212,23 +220,21 @@ fn run_cells(specs: Vec<CellSpec>, size: &WorkloadSize, stream: &Mutex<TcpStream
                 let (result, coalesced) = single_flight(identity, || serve_cell(&spec, size));
                 let served = Instant::now();
                 let (path, path_op) = if coalesced {
-                    COALESCED.fetch_add(1, Ordering::Relaxed);
+                    coalesced_n.fetch_add(1, Ordering::Relaxed);
                     tally.coalesced.fetch_add(1, Ordering::Relaxed);
                     (names::PATH_COALESCED, "coalesced")
                 } else if result.from_store {
-                    HITS.fetch_add(1, Ordering::Relaxed);
+                    hits.fetch_add(1, Ordering::Relaxed);
                     tally.hits.fetch_add(1, Ordering::Relaxed);
                     (names::PATH_HIT, "hit")
                 } else {
-                    MISSES.fetch_add(1, Ordering::Relaxed);
+                    misses.fetch_add(1, Ordering::Relaxed);
                     tally.misses.fetch_add(1, Ordering::Relaxed);
                     (names::PATH_MISS, "miss")
                 };
                 let ok = result.error.is_none();
-                if ok {
-                    tally.ok.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    FAILURES.fetch_add(1, Ordering::Relaxed);
+                if !ok {
+                    failures.fetch_add(1, Ordering::Relaxed);
                     tally.failed.fetch_add(1, Ordering::Relaxed);
                 }
                 let done = tally.done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -329,14 +335,15 @@ fn handle_run(
         ]),
     );
     let tally = run_cells(specs, &size, stream);
+    let (done, failed) = (tally.done.into_inner(), tally.failed.into_inner());
     send(
         stream,
         &Json::obj(vec![
             ("event", Json::from("done")),
             ("manifest", Json::from(manifest.name.as_str())),
-            ("cells", Json::from(tally.done.load(Ordering::Relaxed))),
-            ("ok", Json::from(tally.ok.load(Ordering::Relaxed))),
-            ("failed", Json::from(tally.failed.load(Ordering::Relaxed))),
+            ("cells", Json::from(done)),
+            ("ok", Json::from(done - failed)),
+            ("failed", Json::from(failed)),
             ("hits", Json::from(tally.hits.load(Ordering::Relaxed))),
             ("misses", Json::from(tally.misses.load(Ordering::Relaxed))),
             (
@@ -348,10 +355,25 @@ fn handle_run(
     Ok(())
 }
 
-/// Integer hit ratio in percent (hits × 100 / requests), 0 before the
-/// first request. Kept integral so shell gates can grep it exactly.
-fn hit_ratio_pct(hits: u64, requests: u64) -> u64 {
-    (hits * 100).checked_div(requests).unwrap_or(0)
+/// The daemon-wide serve counters, read live off the sink, plus the
+/// in-flight count and the integer hit ratio in percent (hits × 100 /
+/// requests, 0 before the first request; integral so shell gates can
+/// grep it exactly). Shared by the `stats` and `snapshot` events.
+fn serve_members() -> Vec<(&'static str, Json)> {
+    let sink = live::global();
+    let [requests, hits, misses, coalesced, failures] = COUNTERS.map(|n| sink.counter(n));
+    vec![
+        ("requests", Json::from(requests)),
+        ("hits", Json::from(hits)),
+        ("misses", Json::from(misses)),
+        ("coalesced", Json::from(coalesced)),
+        ("failures", Json::from(failures)),
+        ("in_flight", Json::from(in_flight_count())),
+        (
+            "hit_ratio_pct",
+            Json::from((hits * 100).checked_div(requests).unwrap_or(0)),
+        ),
+    ]
 }
 
 /// Latency percentiles of one live histogram, for the `stats` and
@@ -370,7 +392,7 @@ fn percentiles_json(h: &Histogram) -> Json {
 /// paths), keyed by short name — empty histograms are omitted rather
 /// than reported as zeros.
 fn latency_group_json(group: &[&str]) -> Json {
-    let live = telemetry::live();
+    let live = live::global();
     let mut members = Vec::new();
     for name in group {
         if let Some(h) = live.histogram(name) {
@@ -386,8 +408,6 @@ fn latency_group_json(group: &[&str]) -> Json {
 /// and per-path latency percentiles from the live registry, and a
 /// (checksumming) store scan.
 fn stats_event() -> Json {
-    let requests = REQUESTS.load(Ordering::Relaxed);
-    let hits = HITS.load(Ordering::Relaxed);
     let mut members = vec![
         ("event", Json::from("stats")),
         ("schema", Json::from(SERVE_SCHEMA)),
@@ -395,18 +415,7 @@ fn stats_event() -> Json {
             "uptime_seconds",
             Json::from(telemetry::started().elapsed().as_secs_f64()),
         ),
-        (
-            "serve",
-            Json::obj(vec![
-                ("requests", Json::from(requests)),
-                ("hits", Json::from(hits)),
-                ("misses", Json::from(MISSES.load(Ordering::Relaxed))),
-                ("coalesced", Json::from(COALESCED.load(Ordering::Relaxed))),
-                ("failures", Json::from(FAILURES.load(Ordering::Relaxed))),
-                ("in_flight", Json::from(in_flight_count())),
-                ("hit_ratio_pct", Json::from(hit_ratio_pct(hits, requests))),
-            ]),
-        ),
+        ("serve", Json::obj(serve_members())),
         ("phases", latency_group_json(&names::PHASES)),
         ("paths", latency_group_json(&names::PATHS)),
     ];
@@ -441,24 +450,16 @@ fn pong_event() -> Json {
 
 /// One flight-recorder snapshot of the daemon's current state. Runs on
 /// the tick thread (and once at shutdown), so it only uses cheap
-/// probes: atomic counter loads, live-histogram clones, and the
+/// probes: sink counter loads, histogram clones, and the
 /// metadata-only store scan ([`store::quick_scan`], no checksumming).
 fn snapshot_json() -> Json {
-    let requests = REQUESTS.load(Ordering::Relaxed);
-    let hits = HITS.load(Ordering::Relaxed);
     let mut members = vec![
         ("event", Json::from("snapshot")),
         ("t_ms", Json::from(telemetry::uptime_ms())),
-        ("requests", Json::from(requests)),
-        ("hits", Json::from(hits)),
-        ("misses", Json::from(MISSES.load(Ordering::Relaxed))),
-        ("coalesced", Json::from(COALESCED.load(Ordering::Relaxed))),
-        ("failures", Json::from(FAILURES.load(Ordering::Relaxed))),
-        ("hit_ratio_pct", Json::from(hit_ratio_pct(hits, requests))),
-        ("in_flight", Json::from(in_flight_count())),
-        ("phases", latency_group_json(&names::PHASES)),
     ];
-    if let Some(h) = telemetry::live().histogram("pool.queue_depth") {
+    members.extend(serve_members());
+    members.push(("phases", latency_group_json(&names::PHASES)));
+    if let Some(h) = live::global().histogram("pool.queue_depth") {
         members.push(("queue_depth_max", Json::from(h.max())));
     }
     if let Some((entries, bytes)) = store::quick_scan() {
@@ -516,7 +517,7 @@ fn handle_conn(stream: TcpStream, daemon_addr: std::net::SocketAddr) {
         }
         let accepted = Instant::now();
         let parsed = Request::parse(&line);
-        telemetry::live().observe_latency_ns(
+        live::global().observe_latency_ns(
             names::PHASE_READ_PARSE,
             accepted.elapsed().as_nanos() as u64,
         );
@@ -576,16 +577,16 @@ pub struct DaemonConfig {
 }
 
 /// Run the daemon until a client sends `shutdown`. On exit, writes the
-/// run's results document (`results/json/serve.json`: pool, store,
-/// fault, retry, and `serve.*` metrics plus the store's size), the
-/// flight-recorder timeline (`results/json/serve_timeline.json`), the
-/// request trace when `--trace-out` asked for one.
+/// run's results document (`results/json/serve.json`: one drain of the
+/// metrics sink — pool, store, trace-cache, fault, retry and `serve.*`
+/// counters plus the request-lifecycle histograms), the flight-recorder
+/// timeline (`results/json/serve_timeline.json`), and the request trace
+/// when `--trace-out` asked for one.
 pub fn run(cfg: &DaemonConfig) -> Result<(), String> {
     let started = Instant::now();
-    // Latch the telemetry epoch and wire the experiment layer's phase
-    // timings (store lookup, simulate) into the daemon's live registry.
+    // Latch the telemetry epoch.
     telemetry::started();
-    experiment::install_live_metrics(Some(Arc::clone(telemetry::live())));
+    live::global().declare(&COUNTERS);
     if cfg.trace_out.is_some() {
         telemetry::enable_trace();
     }
@@ -645,26 +646,7 @@ pub fn run(cfg: &DaemonConfig) -> Result<(), String> {
     // its first tick retains at least one snapshot.
     telemetry::ring().push(snapshot_json());
     let mut doc = ResultsDoc::new("serve", "daemon", experiment::jobs());
-    doc.metrics.merge(&experiment::drain_pool_metrics());
-    doc.metrics
-        .set("serve.requests", REQUESTS.load(Ordering::Relaxed));
-    doc.metrics.set("serve.hits", HITS.load(Ordering::Relaxed));
-    doc.metrics
-        .set("serve.misses", MISSES.load(Ordering::Relaxed));
-    doc.metrics
-        .set("serve.coalesced", COALESCED.load(Ordering::Relaxed));
-    doc.metrics
-        .set("serve.failures", FAILURES.load(Ordering::Relaxed));
-    // The request-lifecycle latency histograms ride along in the run
-    // document (`serve.phase.*`, `serve.lat.*`); the pool histograms
-    // already arrived through drain_pool_metrics, so only serve-side
-    // metrics are taken from the live registry.
-    let live_snapshot = telemetry::live().snapshot();
-    for (name, h) in live_snapshot.histograms() {
-        if name.starts_with("serve.") {
-            doc.metrics.merge_histogram(name, h);
-        }
-    }
+    doc.metrics = experiment::drain_pool_metrics();
     let mut text = doc.to_json(started.elapsed().as_secs_f64()).to_pretty();
     text.push('\n');
     visim_util::atomic::write_atomic("results/json/serve.json", text.as_bytes())
@@ -690,11 +672,11 @@ pub fn run(cfg: &DaemonConfig) -> Result<(), String> {
             "shutdown after {:.1}s: {} requests ({} hits, {} misses, {} coalesced, {} failed), \
              {retained} timeline snapshot(s) retained",
             started.elapsed().as_secs_f64(),
-            REQUESTS.load(Ordering::Relaxed),
-            HITS.load(Ordering::Relaxed),
-            MISSES.load(Ordering::Relaxed),
-            COALESCED.load(Ordering::Relaxed),
-            FAILURES.load(Ordering::Relaxed),
+            doc.metrics.counter(REQUESTS),
+            doc.metrics.counter(HITS),
+            doc.metrics.counter(MISSES),
+            doc.metrics.counter(COALESCED),
+            doc.metrics.counter(FAILURES),
         ),
     );
     Ok(())

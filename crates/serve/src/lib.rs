@@ -24,7 +24,8 @@
 //! same executor the figure binaries use.
 //!
 //! - **Observable.** Every request is timed through its lifecycle
-//!   phases into a live, lock-cheap registry ([`telemetry`]); a flight
+//!   phases into the process-wide metrics sink
+//!   ([`visim_obs::live::global`], see [`telemetry`]); a flight
 //!   recorder samples the daemon state every `VISIM_TICK_MS` into a
 //!   bounded ring that `watch` clients stream live and that persists
 //!   as `results/json/serve_timeline.json` at shutdown. The `stats`

@@ -1,13 +1,16 @@
-//! Live telemetry for the daemon: the process-wide [`LiveRegistry`],
-//! the flight-recorder snapshot ring, the request-trace collector
-//! behind `--trace-out`, and the slow-request threshold.
+//! Live telemetry for the daemon: the flight-recorder snapshot ring,
+//! the request-trace collector behind `--trace-out`, and the
+//! slow-request threshold.
 //!
-//! The daemon records request-lifecycle phases into the live registry
-//! (the store-lookup and simulate phases are recorded inside
-//! `visim::experiment`, which shares the metric names via
-//! [`visim_obs::live::names`]); a tick thread samples the whole state
-//! into the bounded [`SnapshotRing`]; `watch` clients stream new
-//! snapshots off the ring; and at shutdown the ring persists as
+//! The metrics themselves live in the process-wide sink
+//! ([`visim_obs::live::global`]), which the daemon shares with the
+//! library: the daemon records its request counters and most
+//! request-lifecycle phases there, `visim::experiment` records the
+//! store-lookup and simulate phases (names shared via
+//! [`visim_obs::live::names`]) and the worker pool's batch stats. A
+//! tick thread samples the whole state into the bounded
+//! [`SnapshotRing`]; `watch` clients stream new snapshots off the ring;
+//! and at shutdown the ring persists as
 //! `results/json/serve_timeline.json` under
 //! [`SERVE_TIMELINE_SCHEMA`](visim_obs::schema::SERVE_TIMELINE_SCHEMA).
 
@@ -15,7 +18,6 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use visim_obs::live::LiveRegistry;
 use visim_obs::schema::SERVE_TIMELINE_SCHEMA;
 use visim_obs::trace::InstSpan;
 use visim_obs::Json;
@@ -33,13 +35,6 @@ pub const TICK_MS_ENV: &str = "VISIM_TICK_MS";
 /// off the front (the ring is evidence of *recent* behaviour, the
 /// store carries the durable record).
 pub const RING_CAPACITY: usize = 720;
-
-/// The daemon's live metrics registry (request-phase and per-path
-/// latency histograms, plus the worker pool's batch stats).
-pub fn live() -> &'static std::sync::Arc<LiveRegistry> {
-    static LIVE: OnceLock<std::sync::Arc<LiveRegistry>> = OnceLock::new();
-    LIVE.get_or_init(|| std::sync::Arc::new(LiveRegistry::new()))
-}
 
 /// The instant the daemon started serving; phases and snapshots are
 /// timestamped against it. Latched by the first caller.

@@ -23,13 +23,11 @@
 //! gates diff outputs byte-for-byte.
 //!
 //! Injections are counted per point (`fault.<point>` plus the
-//! `fault.injected` total) and exported into every binary's metrics
-//! block via [`export_metrics`], so a fault run is self-describing.
+//! [`INJECTED_TOTAL`] total) in the process-wide metrics sink
+//! ([`visim_obs::live::global`]), which every binary drains into its
+//! metrics block, so a fault run is self-describing.
 
-use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
-
-use visim_obs::Registry;
+use std::sync::OnceLock;
 
 use crate::error::SimError;
 use crate::hash::fnv1a64;
@@ -109,18 +107,19 @@ fn rules() -> &'static [Rule] {
     })
 }
 
-/// Injection counters, keyed by point name.
-static INJECTED: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
-
-fn note_injected(point: &str) {
-    let mut map = INJECTED.lock().expect("fault counter lock");
-    *map.entry(point.to_string()).or_insert(0) += 1;
-}
+/// Total injections across every point; declared in every run's
+/// metrics block, so a zero is evidence that no fault fired.
+pub const INJECTED_TOTAL: &str = "fault.injected";
 
 /// True when any active rule makes `point` fire for `key`; counts the
 /// injection. Deterministic in `(point, key)` for a fixed fault plan.
 pub fn fires(point: &str, key: &str) -> bool {
-    let fired = rules().iter().any(|r| {
+    fires_under(rules(), point, key)
+}
+
+/// [`fires`] against an explicit rule set.
+fn fires_under(rules: &[Rule], point: &str, key: &str) -> bool {
+    let fired = rules.iter().any(|r| {
         r.point == point
             && match &r.spec {
                 Spec::Rate { m, n, seed } => {
@@ -130,7 +129,9 @@ pub fn fires(point: &str, key: &str) -> bool {
             }
     });
     if fired {
-        note_injected(point);
+        let sink = visim_obs::live::global();
+        sink.add(&format!("fault.{point}"), 1);
+        sink.add(INJECTED_TOTAL, 1);
     }
     fired
 }
@@ -145,17 +146,6 @@ pub fn trip_transient(point: &str, key: &str) -> Result<(), SimError> {
         })
     } else {
         Ok(())
-    }
-}
-
-/// Snapshot the injection counters into `reg`: `fault.injected` (the
-/// total) plus one `fault.<point>` counter per fired point.
-pub fn export_metrics(reg: &mut Registry) {
-    let map = INJECTED.lock().expect("fault counter lock");
-    let total: u64 = map.values().sum();
-    reg.set("fault.injected", total);
-    for (point, n) in map.iter() {
-        reg.set(&format!("fault.{point}"), *n);
     }
 }
 
@@ -224,6 +214,23 @@ mod tests {
         // A different seed picks a different victim set.
         let reseeded: Vec<bool> = keys.iter().map(|k| decide(7, k)).collect();
         assert_ne!(first, reseeded);
+    }
+
+    #[test]
+    fn firing_counts_the_point_and_the_total() {
+        // Deltas, not absolutes: the sink is process-wide.
+        let sink = visim_obs::live::global();
+        let before = (
+            sink.counter("fault.test.counted"),
+            sink.counter(INJECTED_TOTAL),
+        );
+        let plan = parse_plan("test.counted:hit");
+        assert!(fires_under(&plan, "test.counted", "a-hit"));
+        assert!(fires_under(&plan, "test.counted", "hit-again"));
+        assert!(!fires_under(&plan, "test.counted", "spared"));
+        assert!(!fires_under(&plan, "other.point", "hit"));
+        assert_eq!(sink.counter("fault.test.counted") - before.0, 2);
+        assert_eq!(sink.counter(INJECTED_TOTAL) - before.1, 2);
     }
 
     #[test]

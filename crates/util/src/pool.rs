@@ -126,7 +126,7 @@ pub struct JobTiming {
     pub run_ns: u64,
 }
 
-/// Observability record of one [`run_ordered_timed`] call.
+/// Observability record of one [`run_ordered_timed_observed`] call.
 #[derive(Debug, Clone, Default)]
 pub struct PoolRunStats {
     /// Worker threads actually used (1 = serial reference path).
@@ -166,8 +166,8 @@ impl PoolRunStats {
 
 /// Run every job and return the results **in input order**.
 ///
-/// Convenience wrapper over [`run_ordered_timed`] that discards the
-/// timing observations.
+/// Convenience wrapper over [`run_ordered_timed_observed`] that
+/// discards the timing observations.
 ///
 /// # Panics
 ///
@@ -180,24 +180,7 @@ where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    run_ordered_timed(workers, jobs).0
-}
-
-/// Run every job, returning the results **in input order** plus the
-/// per-job wall-clock observations ([`PoolRunStats`]).
-///
-/// Convenience wrapper over [`run_ordered_timed_observed`] with no
-/// progress observer.
-///
-/// # Panics
-///
-/// Same contract as [`run_ordered`].
-pub fn run_ordered_timed<T, F>(workers: usize, jobs: Vec<F>) -> (Vec<T>, PoolRunStats)
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_ordered_timed_observed(workers, jobs, None)
+    run_ordered_timed_observed(workers, jobs, None).0
 }
 
 /// A per-job-completion progress callback: `(done, total, run_ns)`.
@@ -387,7 +370,7 @@ mod tests {
     #[test]
     fn timed_runs_observe_every_job() {
         let jobs: Vec<_> = (0..24u64).map(|i| move || i).collect();
-        let (out, stats) = run_ordered_timed(4, jobs);
+        let (out, stats) = run_ordered_timed_observed(4, jobs, None);
         assert_eq!(out, (0..24u64).collect::<Vec<_>>());
         assert_eq!(stats.timings.len(), 24);
         assert_eq!(stats.workers, 4);
@@ -414,7 +397,7 @@ mod tests {
                 }
             })
             .collect();
-        let (out, stats) = run_ordered_timed(1, jobs);
+        let (out, stats) = run_ordered_timed_observed(1, jobs, None);
         assert_eq!(out, vec![0, 1, 2]);
         assert_eq!(stats.workers, 1);
         assert!(stats.queue_depth.is_none(), "no queue on the serial path");
@@ -426,7 +409,8 @@ mod tests {
     fn pool_exports_merge_across_runs() {
         let mut reg = Registry::new();
         for _ in 0..2 {
-            let (_, stats) = run_ordered_timed(3, (0..8u64).map(|i| move || i).collect());
+            let (_, stats) =
+                run_ordered_timed_observed(3, (0..8u64).map(|i| move || i).collect(), None);
             stats.export(&mut reg);
         }
         assert_eq!(reg.counter("pool.runs"), 2);

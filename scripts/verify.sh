@@ -23,6 +23,19 @@ cargo clippy --workspace --offline -- -D warnings
 echo "== formatting =="
 cargo fmt --check
 
+echo "== metrics gate: one sink, no bare counters =="
+# Every run-level count goes through the process-wide metrics sink
+# (visim_obs::live::global). A `static NAME: AtomicU64` in crate code
+# would be a second counting path. The one allowed is the temp-file
+# sequence in util/src/atomic.rs, which names files rather than counts.
+bare=$(grep -rnE 'static +[A-Za-z_][A-Za-z0-9_]* *: *AtomicU64' crates/*/src \
+  | grep -v '^crates/util/src/atomic.rs:' || true)
+if [ -n "$bare" ]; then
+  echo "bare AtomicU64 statics (count into visim_obs::live::global instead):"
+  echo "$bare"
+  exit 1
+fi
+
 echo "== paper-fidelity gate (tiny) =="
 fidelity_dir=$(mktemp -d)
 trap 'rm -rf "$fidelity_dir"' EXIT
