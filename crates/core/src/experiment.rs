@@ -276,12 +276,15 @@ fn obtain_stream(bench: Bench, size: &WorkloadSize, variant: Variant) -> Result<
     let Some(key) = trace_cache::key_for(bench.name(), size, variant) else {
         return Ok(Stream::Direct);
     };
-    if let Some(rec) = trace_cache::lookup(&key) {
-        return Ok(Stream::Replay {
-            rec,
-            cache_hit: true,
-        });
-    }
+    let recording = match trace_cache::lookup(&key) {
+        trace_cache::Lookup::Hit(rec) => {
+            return Ok(Stream::Replay {
+                rec,
+                cache_hit: true,
+            })
+        }
+        trace_cache::Lookup::Miss(recording) => recording,
+    };
     let mut recorder = Recorder::new(trace_cache::budget_bytes());
     let t0 = Instant::now();
     catch_workload(bench.name(), || bench.run(&mut recorder, size, variant))?;
@@ -289,7 +292,7 @@ fn obtain_stream(bench: Bench, size: &WorkloadSize, variant: Variant) -> Result<
     match recorder.finish() {
         Some(rec) => {
             let rec = Arc::new(rec);
-            trace_cache::store(&key, &rec, emit);
+            recording.store(&rec, emit);
             Ok(Stream::Replay {
                 rec,
                 cache_hit: false,
@@ -831,14 +834,38 @@ pub enum ManifestOutcome {
 /// [`run_spec`] as one worker-pool batch, then fold the results into
 /// the grid-shaped outcome for rendering.
 pub fn run_manifest(m: &Manifest, size: &WorkloadSize) -> ManifestOutcome {
-    let cells = m.cells();
-    let results = run_parallel(
+    fold(&m.grid, run_cells(&m.cells(), size))
+}
+
+/// Run `cells` as one worker-pool batch, results in input order. Each
+/// timed cell holds a [`trace_cache::Consumer`] of its stream, all
+/// registered before the batch starts and each dropped when its cell
+/// finishes — succeeded, failed or served from the store — so a
+/// recorded stream is released right after its last reader instead of
+/// lingering in the LRU.
+fn run_cells(cells: &[CellSpec], size: &WorkloadSize) -> Vec<Result<CellOutput, SimError>> {
+    let consumers: Vec<_> = cells
+        .iter()
+        .map(|spec| match spec {
+            CellSpec::Timed { bench, variant, .. } => {
+                trace_cache::key_for(bench.name(), size, *variant).map(trace_cache::Consumer::new)
+            }
+            _ => None,
+        })
+        .collect();
+    run_parallel(
         cells
             .iter()
-            .map(|spec| move || run_spec(spec, size).map(|(out, _)| out))
+            .zip(consumers)
+            .map(|(spec, consumer)| {
+                move || {
+                    let result = run_spec(spec, size).map(|(out, _)| out);
+                    drop(consumer);
+                    result
+                }
+            })
             .collect(),
-    );
-    fold(&m.grid, results)
+    )
 }
 
 /// Fold a manifest's cell results, in [`Manifest::cells`] order, into
@@ -1040,6 +1067,32 @@ mod tests {
                 "{pass}: MSHR histogram diverges under replay"
             );
         }
+    }
+
+    /// A failing cell still drops its consumer: once both readers of
+    /// a stream are done, one of them wedged by a one-cycle watchdog,
+    /// the stream has left the resident set.
+    #[test]
+    fn a_failing_cell_still_releases_its_stream() {
+        let mut size = tiny();
+        size.seed = 0x5eed_f00d; // a stream no other test records
+        let mut wedged = Arch::Ooo4.cpu();
+        wedged.watchdog_cycles = 1;
+        let cell = |label: &str, cpu| CellSpec::Timed {
+            label: label.into(),
+            bench: Bench::Addition,
+            cpu,
+            mem: MemConfig::default(),
+            variant: Variant::SCALAR,
+        };
+        let results = run_cells(
+            &[cell("ok", Arch::Ooo4.cpu()), cell("wedged", wedged)],
+            &size,
+        );
+        assert!(results[0].is_ok());
+        assert!(results[1].is_err(), "the wedged cell fails");
+        let key = trace_cache::key_for("addition", &size, Variant::SCALAR).unwrap();
+        assert!(!trace_cache::is_resident(&key), "stream released");
     }
 
     /// The manifest engine folds exactly what the per-cell executor

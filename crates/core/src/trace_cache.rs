@@ -12,17 +12,34 @@
 //!   of the workload geometry's Debug form>"`. Anything that can change
 //!   the emitted stream is in the key; anything that cannot (arch,
 //!   cache sizes, tracing) is not.
+//! * **Consumer-counted residency.** [`crate::experiment::run_manifest`]
+//!   knows every cell of its batch up front, so before the batch starts
+//!   it registers one [`Consumer`] per timed cell under the cell's key;
+//!   each is dropped when its cell finishes — succeeded, failed, or
+//!   served from the result store. When the last consumer of a key is
+//!   dropped, its stream leaves the resident set at once
+//!   (`trace_cache.released`, not an eviction). Resident memory then
+//!   tracks the streams the running cells still need, not the budget:
+//!   a study-size `fig1 --no-store` at `VISIM_JOBS=1` peaks at one
+//!   stream. Nothing registers consumers for the serve daemon's direct
+//!   [`crate::experiment::run_spec`] calls, so its streams outlive a
+//!   request under the LRU as before.
+//! * **Single flight.** The first worker to miss a key records it; a
+//!   worker that misses the same key meanwhile waits for that recording
+//!   ([`Recording`]) and then hits, so a stream is recorded once at any
+//!   worker count.
 //! * **Budget.** The resident set is LRU-bounded by `--trace-cache-mb`
-//!   (default 1024 MB). The same budget
-//!   caps a single capture: a stream that outgrows it poisons its
-//!   recorder and the cell falls back to direct emission. The default
-//!   deliberately does *not* hold the full study suite (~2.5 GB of
-//!   decoded streams): evictions cost re-loads, but on virtualized
-//!   hosts with on-demand paging the cost of first-touch page faults
-//!   grows with resident set size, and a measured study run with a
-//!   4 GB budget was slower end to end than with 1 GB — the extra
-//!   residency made every later allocation pay more than the evicted
-//!   re-loads saved.
+//!   (default 1024 MB). The same budget caps a single capture: a stream
+//!   that outgrows it poisons its recorder and the cell falls back to
+//!   direct emission. The study suite's 36 distinct streams (81.5 M
+//!   instructions) take 605 MB in the compact form
+//!   (`visim_trace::Recorded`, 7.8 B/inst), the largest (`mpeg-enc`
+//!   base) 164 MB; with consumer counting a figure run holds far less
+//!   than either. The default still does *not* aim to hold everything
+//!   a long-lived daemon ever sees: on virtualized hosts with on-demand
+//!   paging, first-touch page-fault cost grows with resident set size,
+//!   and a measured study run with a 4 GB budget was slower end to end
+//!   than with 1 GB.
 //! * **Opt-out.** `VISIM_NO_TRACE_CACHE=1` (or `--no-trace-cache`)
 //!   disables the cache entirely; every cell then emits directly, and
 //!   output must be byte-identical either way.
@@ -34,12 +51,13 @@
 //!   never to a wrong result.
 //! * **Spill policy.** A disk spill only pays off when re-*emitting*
 //!   the stream costs more than reading and decoding it back. Most of
-//!   the twelve workloads emit at ~1 GB/s of encoded stream — far
+//!   the twelve workloads emit at ~1 GB/s of (version 1, verbatim)
+//!   encoded stream — far
 //!   faster than a disk round-trip — so spilling them is pure
 //!   overhead (measured: the study-size sweep binaries spent ~12 s
 //!   writing and ~5 s reloading 450 MB of traces to save under 1 s of
 //!   emission, making the warm pass *slower* than the cold one).
-//!   [`store`] therefore spills only streams whose measured emission
+//!   [`Recording::store`] therefore spills only streams whose measured emission
 //!   rate falls below `VISIM_SPILL_EMIT_MBPS` (default 200 MB/s —
 //!   i.e. the workload regenerates its stream slower than a disk read
 //!   could): skipped spills count in `trace_cache.spill_skipped`. Set
@@ -54,11 +72,12 @@
 //! wall-clock observability (`cell.*` and `trace_cache.*` counters in
 //! the JSON artifacts) reflects which path ran. The `trace_cache.*`
 //! counters ([`COUNTERS`]) live in the process-wide metrics sink; the
-//! two `resident_*` gauges are set wherever the LRU changes.
+//! `resident_*` gauges and the `peak_resident_bytes` high-water mark
+//! are set wherever the resident set changes.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use media_kernels::Variant;
 use visim_obs::live;
@@ -135,19 +154,23 @@ const DISK_PURGED: &str = "trace_cache.disk_purged";
 const SPILL_SKIPPED: &str = "trace_cache.spill_skipped";
 const RESIDENT_BYTES: &str = "trace_cache.resident_bytes";
 const RESIDENT_ENTRIES: &str = "trace_cache.resident_entries";
+const RELEASED: &str = "trace_cache.released";
+const PEAK_RESIDENT_BYTES: &str = "trace_cache.peak_resident_bytes";
 
 /// The cache's counters and resident-set gauges in the process-wide
 /// metrics sink, declared in every run's metrics block.
-pub const COUNTERS: [&str; 9] = [
+pub const COUNTERS: [&str; 11] = [
     HITS,
     MISSES,
     EVICTIONS,
+    RELEASED,
     DISK_LOADS,
     DISK_STORES,
     DISK_PURGED,
     SPILL_SKIPPED,
     RESIDENT_BYTES,
     RESIDENT_ENTRIES,
+    PEAK_RESIDENT_BYTES,
 ];
 
 /// The resident store: keyed `Arc<Recorded>` with least-recently-used
@@ -158,6 +181,12 @@ struct Lru {
     map: HashMap<String, Arc<Recorded>>,
     order: Vec<String>,
     bytes: usize,
+    /// High-water mark of `bytes`.
+    peak: usize,
+    /// Per key: registered [`Consumer`]s not yet dropped.
+    consumers: HashMap<String, usize>,
+    /// Keys some worker is recording (or loading from disk) right now.
+    in_flight: HashSet<String>,
 }
 
 impl Lru {
@@ -183,12 +212,10 @@ impl Lru {
         if bytes > budget {
             return 0;
         }
-        if let Some(old) = self.map.remove(&id) {
-            self.bytes -= old.approx_bytes();
-            self.order.retain(|k| k != &id);
-        }
+        self.drop_resident(&id);
         let evicted = self.pre_evict(bytes, budget);
         self.bytes += bytes;
+        self.peak = self.peak.max(self.bytes);
         self.map.insert(id.clone(), rec);
         self.order.push(id);
         evicted
@@ -208,38 +235,149 @@ impl Lru {
         let mut evicted = 0;
         while !self.order.is_empty() && self.bytes + incoming > budget {
             let cold = self.order.remove(0);
-            let old = self.map.remove(&cold).expect("order tracks map");
-            self.bytes -= old.approx_bytes();
+            self.drop_resident(&cold);
             evicted += 1;
         }
         evicted
     }
+
+    /// Remove `id` from the resident set, if it is there.
+    fn drop_resident(&mut self, id: &str) -> bool {
+        let Some(old) = self.map.remove(id) else {
+            return false;
+        };
+        self.bytes -= old.approx_bytes();
+        self.order.retain(|k| k != id);
+        true
+    }
+
+    /// Drop one consumer of `id`; when it was the last, release the
+    /// stream. Returns the number of streams released (0 or 1).
+    fn release(&mut self, id: &str) -> u64 {
+        let Some(n) = self.consumers.get_mut(id) else {
+            return 0;
+        };
+        *n -= 1;
+        if *n > 0 {
+            return 0;
+        }
+        self.consumers.remove(id);
+        u64::from(self.drop_resident(id))
+    }
 }
 
-fn state() -> &'static Mutex<Lru> {
-    static STATE: std::sync::OnceLock<Mutex<Lru>> = std::sync::OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(Lru::default()))
+/// The resident set, and the signal a finished recording gives the
+/// workers waiting for it.
+struct Cache {
+    lru: Mutex<Lru>,
+    recorded: Condvar,
 }
 
-/// Resize the resident LRU through `f` (an insert or a pre-eviction),
-/// count its evictions, and set the `resident_*` gauges while the lock
-/// is still held, so the gauges follow every change in order.
-fn resize(f: impl FnOnce(&mut Lru) -> u64) {
-    let mut lru = state().lock().expect("trace cache lock");
-    let evicted = f(&mut lru);
+fn cache() -> &'static Cache {
+    static CACHE: std::sync::OnceLock<Cache> = std::sync::OnceLock::new();
+    CACHE.get_or_init(|| Cache {
+        lru: Mutex::new(Lru::default()),
+        recorded: Condvar::new(),
+    })
+}
+
+fn lock() -> MutexGuard<'static, Lru> {
+    cache().lru.lock().expect("trace cache lock")
+}
+
+/// Resize the resident LRU through `f` (an insert or a pre-eviction)
+/// and [`publish`] what it evicted, under the lock.
+fn resize(counter: &str, f: impl FnOnce(&mut Lru) -> u64) {
+    let mut lru = lock();
+    let n = f(&mut lru);
+    publish(&lru, counter, n);
+}
+
+/// Add `n` to `counter` and set the resident gauges. Callers hold the
+/// lock, so the gauges follow every change in order.
+fn publish(lru: &Lru, counter: &str, n: u64) {
     let sink = live::global();
-    sink.add(EVICTIONS, evicted);
+    sink.add(counter, n);
     sink.set(RESIDENT_BYTES, lru.bytes as u64);
     sink.set(RESIDENT_ENTRIES, lru.order.len() as u64);
+    sink.set(PEAK_RESIDENT_BYTES, lru.peak as u64);
+}
+
+/// One expected reader of a stream. While any `Consumer` of a key is
+/// alive, the stream stays resident (budget permitting); dropping the
+/// last one releases it at once instead of leaving it for the LRU.
+/// [`crate::experiment::run_manifest`] registers one per timed cell
+/// before the batch starts, so a stream lives exactly as long as the
+/// cells that read it.
+pub struct Consumer(String);
+
+impl Consumer {
+    /// Register one more consumer of `id`.
+    pub fn new(id: String) -> Consumer {
+        *lock().consumers.entry(id.clone()).or_default() += 1;
+        Consumer(id)
+    }
+}
+
+impl Drop for Consumer {
+    fn drop(&mut self) {
+        // Never panic in drop: a poisoned lock only keeps the stream
+        // resident.
+        if let Ok(mut lru) = cache().lru.lock() {
+            let released = lru.release(&self.0);
+            publish(&lru, RELEASED, released);
+        }
+    }
+}
+
+/// True when `id` is in the resident set (test probe).
+#[cfg(test)]
+pub(crate) fn is_resident(id: &str) -> bool {
+    lock().map.contains_key(id)
+}
+
+/// The outcome of [`lookup`].
+pub enum Lookup {
+    /// The stream, from memory or the on-disk spill.
+    Hit(Arc<Recorded>),
+    /// Not cached: the caller records it and hands it to
+    /// [`Recording::store`].
+    Miss(Recording),
+}
+
+/// The right to record one stream. Workers that miss the same key in
+/// the meantime wait in [`lookup`] until it is dropped (stored or not),
+/// so concurrent cells never record one stream twice.
+pub struct Recording(String);
+
+impl Drop for Recording {
+    fn drop(&mut self) {
+        // Never panic in drop: waiters on a poisoned lock fail anyway.
+        if let Ok(mut lru) = cache().lru.lock() {
+            lru.in_flight.remove(&self.0);
+        }
+        cache().recorded.notify_all();
+    }
 }
 
 /// Look up a stream: resident store first, then the on-disk spill.
-/// Counts one hit or one miss.
-pub fn lookup(id: &str) -> Option<Arc<Recorded>> {
-    if let Some(rec) = state().lock().expect("trace cache lock").lookup(id) {
-        live::global().add(HITS, 1);
-        return Some(rec);
+/// While another worker records the same key, wait for it. Counts one
+/// hit or one miss.
+pub fn lookup(id: &str) -> Lookup {
+    let mut lru = lock();
+    loop {
+        if let Some(rec) = lru.lookup(id) {
+            live::global().add(HITS, 1);
+            return Lookup::Hit(rec);
+        }
+        if !lru.in_flight.contains(id) {
+            break;
+        }
+        lru = cache().recorded.wait(lru).expect("trace cache lock");
     }
+    lru.in_flight.insert(id.to_string());
+    drop(lru);
+    let claim = Recording(id.to_string());
     if let Some(dir) = disk_dir() {
         // Make room *before* reading: the decoded stream lands in
         // roughly 1.5x its encoded bytes of fresh allocations, and
@@ -251,37 +389,46 @@ pub fn lookup(id: &str) -> Option<Arc<Recorded>> {
                 .unwrap_or(usize::MAX)
                 .saturating_mul(3)
                 / 2;
-            resize(|lru| lru.pre_evict(estimate, budget_bytes()));
+            resize(EVICTIONS, |lru| lru.pre_evict(estimate, budget_bytes()));
         }
         if let Some(rec) = disk_load(&dir, id) {
             let rec = Arc::new(rec);
-            resize(|lru| lru.insert(id.to_string(), rec.clone(), budget_bytes()));
+            resize(EVICTIONS, |lru| {
+                lru.insert(id.to_string(), rec.clone(), budget_bytes())
+            });
             live::global().add(HITS, 1);
             live::global().add(DISK_LOADS, 1);
-            return Some(rec);
+            return Lookup::Hit(rec);
         }
     }
     live::global().add(MISSES, 1);
-    None
+    Lookup::Miss(claim)
 }
 
-/// Store a freshly captured stream: into the resident LRU and — when
-/// `VISIM_TRACE_DIR` is set *and* the stream is expensive enough to
-/// regenerate that a disk round-trip can win (see
-/// [`spill_worthwhile`]) — onto disk. `emit` is the measured wall
-/// clock of the recording pass.
-pub fn store(id: &str, rec: &Arc<Recorded>, emit: std::time::Duration) {
-    resize(|lru| lru.insert(id.to_string(), rec.clone(), budget_bytes()));
-    if let Some(dir) = disk_dir() {
-        if !spill_worthwhile(rec.approx_bytes(), emit, spill_emit_mbps()) {
-            live::global().add(SPILL_SKIPPED, 1);
-            return;
+impl Recording {
+    /// Store the freshly captured stream: into the resident LRU and —
+    /// when `VISIM_TRACE_DIR` is set *and* the stream is expensive
+    /// enough to regenerate that a disk round-trip can win (see
+    /// [`spill_worthwhile`]) — onto disk. `emit` is the measured wall
+    /// clock of the recording pass. Waiting workers resume as soon as
+    /// the stream is resident, before any spill.
+    pub fn store(self, rec: &Arc<Recorded>, emit: std::time::Duration) {
+        let id = self.0.clone();
+        resize(EVICTIONS, |lru| {
+            lru.insert(id.clone(), rec.clone(), budget_bytes())
+        });
+        drop(self);
+        if let Some(dir) = disk_dir() {
+            if !spill_worthwhile(rec.approx_bytes(), emit, spill_emit_mbps()) {
+                live::global().add(SPILL_SKIPPED, 1);
+                return;
+            }
+            if disk_store(&dir, &id, rec).is_ok() {
+                live::global().add(DISK_STORES, 1);
+            }
+            // A failed spill (full disk, permissions) is silently a
+            // memory-only cache — never a simulation failure.
         }
-        if disk_store(&dir, id, rec).is_ok() {
-            live::global().add(DISK_STORES, 1);
-        }
-        // A failed spill (full disk, permissions) is silently a
-        // memory-only cache — never a simulation failure.
     }
 }
 
@@ -399,6 +546,26 @@ mod tests {
         assert_eq!(lru.bytes, stream_of(20).approx_bytes());
         assert_eq!(lru.order.len(), 1);
         assert_eq!(lru.lookup("a").unwrap().len(), 20);
+    }
+
+    #[test]
+    fn the_last_consumer_releases_and_peak_stays() {
+        let mut lru = Lru::default();
+        let budget = 10 * stream_of(10).approx_bytes();
+        lru.insert("a".into(), stream_of(10), budget);
+        lru.insert("b".into(), stream_of(10), budget);
+        lru.consumers.insert("a".into(), 2);
+        assert_eq!(lru.release("a"), 0, "one consumer left");
+        assert!(lru.lookup("a").is_some());
+        assert_eq!(lru.release("a"), 1, "last consumer releases");
+        assert!(lru.lookup("a").is_none());
+        assert!(!lru.consumers.contains_key("a"));
+        // Keys nobody registered (the daemon's) stay under the LRU.
+        assert_eq!(lru.release("b"), 0);
+        assert!(lru.lookup("b").is_some());
+        assert_eq!(lru.bytes, stream_of(10).approx_bytes());
+        assert_eq!(lru.peak, 2 * stream_of(10).approx_bytes());
+        assert_eq!(lru.order, ["b"]);
     }
 
     #[test]

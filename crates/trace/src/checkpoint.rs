@@ -22,7 +22,7 @@ use crate::record::{Cursor, Recorded, ReplayCursor};
 
 /// Version tag of the checkpoint frame. Bump whenever the byte layout
 /// changes; decoders reject other versions.
-pub const CKPT_FORMAT_VERSION: u32 = 1;
+pub const CKPT_FORMAT_VERSION: u32 = 2;
 
 /// Magic prefix of an encoded checkpoint.
 const MAGIC: &[u8; 4] = b"VCKP";
@@ -48,9 +48,11 @@ impl Checkpoint {
         out.extend_from_slice(&CKPT_FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&(key.len() as u32).to_le_bytes());
         out.extend_from_slice(key.as_bytes());
-        out.extend_from_slice(&self.cursor.inst.to_le_bytes());
-        out.extend_from_slice(&self.cursor.mem.to_le_bytes());
-        out.extend_from_slice(&self.cursor.branch.to_le_bytes());
+        let c = &self.cursor;
+        for v in [c.inst, c.src, c.esc, c.addr, c.target] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(&c.reg.to_le_bytes());
         out.extend_from_slice(&(self.state.len() as u64).to_le_bytes());
         out.extend_from_slice(&self.state);
         let sum = fnv1a64(&out);
@@ -88,11 +90,14 @@ impl Checkpoint {
         }
         let cursor = ReplayCursor {
             inst: c.u64()?,
-            mem: c.u64()?,
-            branch: c.u64()?,
+            src: c.u64()?,
+            esc: c.u64()?,
+            addr: c.u64()?,
+            target: c.u64()?,
+            reg: c.u32()?,
         };
-        if cursor.mem > cursor.inst || cursor.branch > cursor.inst {
-            return Err("checkpoint cursor side tables ahead of instruction index".into());
+        if !cursor.is_consistent() {
+            return Err("checkpoint cursor columns ahead of instruction index".into());
         }
         let state_len = c.u64()? as usize;
         let state = c.take(state_len)?.to_vec();
@@ -130,8 +135,11 @@ mod tests {
         Checkpoint {
             cursor: ReplayCursor {
                 inst: 20_000,
-                mem: 7_311,
-                branch: 2_985,
+                src: 31_042,
+                esc: 1_207,
+                addr: 7_311,
+                target: 85,
+                reg: 14_876,
             },
             state: (0u16..300).map(|b| (b % 251) as u8).collect(),
         }
@@ -193,8 +201,7 @@ mod tests {
         let ok = Checkpoint {
             cursor: ReplayCursor {
                 inst: 5,
-                mem: 0,
-                branch: 0,
+                ..ReplayCursor::start()
             },
             state: vec![1, 2, 3],
         };
@@ -203,8 +210,7 @@ mod tests {
         let beyond = Checkpoint {
             cursor: ReplayCursor {
                 inst: 11,
-                mem: 0,
-                branch: 0,
+                ..ReplayCursor::start()
             },
             state: vec![],
         };
@@ -214,8 +220,8 @@ mod tests {
         let mut crooked = sample();
         crooked.cursor = ReplayCursor {
             inst: 3,
-            mem: 9,
-            branch: 0,
+            addr: 9,
+            ..ReplayCursor::start()
         };
         assert!(Checkpoint::decode(&crooked.encode("k"), "k").is_err());
     }

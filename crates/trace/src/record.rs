@@ -11,18 +11,48 @@
 //! per-instruction register-value computation, address arithmetic, and
 //! emitter bookkeeping on all but the first run.
 //!
-//! [`Recorded`] stores every [`Inst`] *verbatim*, in struct-of-arrays
-//! form (per-field flat vectors, with side tables for the optional
-//! memory and branch payloads). Replay therefore pushes bit-identical
-//! `Inst` values in the original order, which is what makes
-//! replay-vs-direct byte-identity hold by construction: the pipeline
-//! cannot distinguish the two paths.
+//! # Compact form
+//!
+//! [`Recorded`] stores a stream in about a quarter of the 31 bytes per
+//! instruction a verbatim [`Inst`] copy takes, by splitting each
+//! instruction into what its static site fixes and what varies per
+//! execution:
+//!
+//! * **Sites.** A workload has a few hundred static instruction sites
+//!   at most, and the pc, op, memory size/kind and branch kind never
+//!   differ between two executions of one site. Each distinct
+//!   `(pc, op, mem size/kind, branch kind)` tuple is stored once in a
+//!   site table; an instruction carries a `u16` index into it.
+//! * **Registers.** The emitter allocates destination registers in
+//!   sequence, and sources are mostly recent producers. A running
+//!   register base (the next register the sequence would allocate)
+//!   turns a destination into one flag bit and each present source into
+//!   a `u16` distance back from the base.
+//! * **Meta byte.** Per instruction: the destination mode (none, next
+//!   in sequence, or escaped), which of the three source slots are
+//!   present, and the branch outcome bits (taken, backward, non-zero
+//!   linkage target).
+//! * **Side tables.** Memory addresses and non-zero branch targets are
+//!   dense `u64` columns consumed in stream order.
+//! * **Escapes.** Anything the compact fields cannot express — a site
+//!   index past `u16`, a destination out of sequence, a source that is
+//!   not a recent earlier register — goes verbatim into one `u32`
+//!   escape column, also consumed in stream order. The encoding is
+//!   lossless for *any* `Inst` sequence; nothing about the emitter's
+//!   habits is assumed, only rewarded.
+//!
+//! Replay rebuilds and pushes bit-identical `Inst` values in the
+//! original order, which is what makes replay-vs-direct byte-identity
+//! hold by construction: the pipeline cannot distinguish the two paths.
 //!
 //! The buffer also round-trips through a versioned, checksummed binary
 //! encoding ([`Recorded::encode`] / [`Recorded::decode`]) so a
 //! process-spanning cache can spill streams to disk.
 //!
 //! [`Program`]: crate::Program
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use visim_cpu::SimSink;
 use visim_isa::{BranchInfo, BranchKind, Inst, MemKind, MemRef, Op, Reg};
@@ -32,42 +62,109 @@ use visim_util::fnv1a64;
 /// (or the meaning of any field) changes; decoders reject other
 /// versions, so stale cache files are re-recorded instead of
 /// misinterpreted.
-pub const TRACE_FORMAT_VERSION: u32 = 1;
+pub const TRACE_FORMAT_VERSION: u32 = 2;
 
 /// Magic prefix of an encoded trace.
 const MAGIC: &[u8; 4] = b"VTRC";
 
-/// A captured dynamic instruction stream in struct-of-arrays form.
-///
-/// One entry per instruction in `ops`/`pcs`/`dsts`/`srcs`/`meta`; the
-/// optional memory and branch payloads live in dense side tables
-/// consumed in stream order during replay (`meta` records which
-/// instructions carry one).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Recorded {
-    ops: Vec<Op>,
-    pcs: Vec<u64>,
-    dsts: Vec<u32>,
-    srcs: Vec<[u32; 3]>,
-    /// Bit 0: a `mems` entry follows; bit 1: a `branches` entry follows.
-    meta: Vec<u8>,
-    mems: Vec<MemRef>,
-    branches: Vec<BranchInfo>,
+/// The static part of an instruction: everything one emitter call site
+/// fixes. `mem` is the reference's `(size, kind)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Site {
+    pc: u64,
+    op: Op,
+    mem: Option<(u8, MemKind)>,
+    branch: Option<BranchKind>,
 }
 
-const META_MEM: u8 = 1;
-const META_BRANCH: u8 = 2;
+/// Multiply-rotate hasher for the site index: the keys are a handful of
+/// small fields, looked up once per recorded instruction, and never
+/// adversarial.
+#[derive(Default)]
+struct SiteHasher(u64);
+
+impl Hasher for SiteHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
+
+/// Site-column value meaning "the site index is the next escape".
+const SITE_ESC: u16 = u16::MAX;
+/// Source-column value meaning "the register is the next escape".
+const SRC_ESC: u16 = 0;
+
+/// Meta byte, bits 0–1: the destination mode.
+const DST_MASK: u8 = 0b11;
+const DST_NONE: u8 = 0;
+/// The destination is the register base, which then advances by one.
+const DST_NEXT: u8 = 1;
+/// The destination is the next escape; the base moves past it.
+const DST_ESC: u8 = 2;
+/// Meta byte, bits 2–4: source slot `k` is present when bit `2 + k` is set.
+const SRC_SHIFT: u32 = 2;
+/// Meta byte, bits 5–7: branch outcome (branch sites only).
+const TAKEN: u8 = 1 << 5;
+const BACKWARD: u8 = 1 << 6;
+/// A `targets` entry follows (a zero target is implied otherwise).
+const TARGET: u8 = 1 << 7;
+
+/// The most escapes one instruction can take: its site, its
+/// destination and three sources.
+const MAX_ESC_PER_INST: u64 = 5;
+
+/// A captured dynamic instruction stream in compact columnar form (see
+/// the module docs).
+///
+/// One entry per instruction in `site` and `meta`; one `srcs` entry
+/// per present source; the `escapes`, `addrs` and `targets` columns are
+/// dense and consumed in stream order during replay.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Recorded {
+    sites: Vec<Site>,
+    /// Reverse of `sites`, for recording.
+    site_ix: HashMap<Site, u32, BuildHasherDefault<SiteHasher>>,
+    site: Vec<u16>,
+    meta: Vec<u8>,
+    srcs: Vec<u16>,
+    escapes: Vec<u32>,
+    addrs: Vec<u64>,
+    targets: Vec<u64>,
+    /// The register base after the last instruction.
+    reg: u32,
+}
 
 /// A resumable position in a [`Recorded`] stream: the instruction index
-/// plus the side-table cursors that make mid-stream replay start at the
-/// right memory/branch payloads. Produced by [`Recorded::replay_span`];
-/// serialized inside architectural checkpoints (see
-/// [`crate::Checkpoint`]).
+/// plus the column cursors and register base that make mid-stream
+/// replay decode the right payloads. Produced by
+/// [`Recorded::replay_span`]; serialized inside architectural
+/// checkpoints (see [`crate::Checkpoint`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayCursor {
     pub(crate) inst: u64,
-    pub(crate) mem: u64,
-    pub(crate) branch: u64,
+    pub(crate) src: u64,
+    pub(crate) esc: u64,
+    pub(crate) addr: u64,
+    pub(crate) target: u64,
+    pub(crate) reg: u32,
 }
 
 impl ReplayCursor {
@@ -80,6 +177,17 @@ impl ReplayCursor {
     pub fn inst(&self) -> u64 {
         self.inst
     }
+
+    /// True when the column cursors are possible for the instruction
+    /// index alone: each instruction has at most three sources, five
+    /// escapes, one address and one target. [`Recorded::cursor_in_bounds`]
+    /// adds the checks against a particular stream.
+    pub(crate) fn is_consistent(&self) -> bool {
+        self.src <= self.inst.saturating_mul(3)
+            && self.esc <= self.inst.saturating_mul(MAX_ESC_PER_INST)
+            && self.addr <= self.inst
+            && self.target <= self.inst
+    }
 }
 
 impl Recorded {
@@ -90,73 +198,157 @@ impl Recorded {
 
     /// Number of instructions captured.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.meta.len()
     }
 
     /// True when nothing has been captured.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.meta.is_empty()
     }
 
     /// Approximate resident size in bytes (used for cache budgeting).
     pub fn approx_bytes(&self) -> usize {
-        self.ops.len()
-            * (std::mem::size_of::<Op>() + 8 /* pc */ + 4 /* dst */ + 12 /* srcs */ + 1/* meta */)
-            + self.mems.len() * std::mem::size_of::<MemRef>()
-            + self.branches.len() * std::mem::size_of::<BranchInfo>()
+        use std::mem::size_of;
+        self.sites.len() * (2 * size_of::<Site>() + size_of::<u32>())
+            + self.site.len() * size_of::<u16>()
+            + self.meta.len()
+            + self.srcs.len() * size_of::<u16>()
+            + self.escapes.len() * size_of::<u32>()
+            + (self.addrs.len() + self.targets.len()) * size_of::<u64>()
     }
 
-    /// Append one instruction, preserving every field verbatim.
+    /// Release the columns' spare capacity (a finished recording never
+    /// grows again).
+    fn shrink_to_fit(&mut self) {
+        self.site.shrink_to_fit();
+        self.meta.shrink_to_fit();
+        self.srcs.shrink_to_fit();
+        self.escapes.shrink_to_fit();
+        self.addrs.shrink_to_fit();
+        self.targets.shrink_to_fit();
+    }
+
+    /// The index of `site`, adding it to the table on first sight.
+    fn intern(&mut self, site: Site) -> u32 {
+        if let Some(&ix) = self.site_ix.get(&site) {
+            return ix;
+        }
+        let ix = u32::try_from(self.sites.len()).expect("fewer than 2^32 static sites");
+        self.sites.push(site);
+        self.site_ix.insert(site, ix);
+        ix
+    }
+
+    /// Append one instruction. Every field survives replay exactly.
     pub fn push(&mut self, inst: Inst) {
-        self.ops.push(inst.op);
-        self.pcs.push(inst.pc);
-        self.dsts.push(inst.dst.0);
-        self.srcs
-            .push([inst.srcs[0].0, inst.srcs[1].0, inst.srcs[2].0]);
-        let mut meta = 0u8;
+        let ix = self.intern(Site {
+            pc: inst.pc,
+            op: inst.op,
+            mem: inst.mem.map(|m| (m.size, m.kind)),
+            branch: inst.branch.map(|b| b.kind),
+        });
+        match u16::try_from(ix) {
+            Ok(ix) if ix != SITE_ESC => self.site.push(ix),
+            _ => {
+                self.site.push(SITE_ESC);
+                self.escapes.push(ix);
+            }
+        }
+        let base = self.reg;
+        let mut meta = match inst.dst {
+            Reg::NONE => DST_NONE,
+            // `dst` is not `Reg::NONE`, so neither increment overflows.
+            Reg(d) if d == base => {
+                self.reg = d + 1;
+                DST_NEXT
+            }
+            Reg(d) => {
+                self.escapes.push(d);
+                self.reg = d + 1;
+                DST_ESC
+            }
+        };
+        for (k, &Reg(r)) in inst.srcs.iter().enumerate() {
+            if r == Reg::NONE.0 {
+                continue;
+            }
+            meta |= 1 << (SRC_SHIFT + k as u32);
+            match src_distance(base, r) {
+                Some(d) => self.srcs.push(d),
+                None => {
+                    self.srcs.push(SRC_ESC);
+                    self.escapes.push(r);
+                }
+            }
+        }
         if let Some(m) = inst.mem {
-            meta |= META_MEM;
-            self.mems.push(m);
+            self.addrs.push(m.addr);
         }
         if let Some(b) = inst.branch {
-            meta |= META_BRANCH;
-            self.branches.push(b);
+            meta |= if b.taken { TAKEN } else { 0 } | if b.backward { BACKWARD } else { 0 };
+            if b.target != 0 {
+                meta |= TARGET;
+                self.targets.push(b.target);
+            }
         }
         self.meta.push(meta);
     }
 
-    /// The instruction at index `i`, given cursors into the side
-    /// tables (advanced past any payload consumed).
-    fn inst_at(&self, i: usize, mem_ix: &mut usize, br_ix: &mut usize) -> Inst {
+    /// Decode instruction `i`, advancing `pos` past every column entry
+    /// it consumed.
+    #[inline(always)]
+    fn inst_at(&self, i: usize, pos: &mut ReplayCursor) -> Inst {
         let meta = self.meta[i];
-        let mem = (meta & META_MEM != 0).then(|| {
-            let m = self.mems[*mem_ix];
-            *mem_ix += 1;
-            m
-        });
-        let branch = (meta & META_BRANCH != 0).then(|| {
-            let b = self.branches[*br_ix];
-            *br_ix += 1;
-            b
-        });
-        let s = self.srcs[i];
+        let site = match self.site[i] {
+            SITE_ESC => take(&self.escapes, &mut pos.esc) as usize,
+            ix => ix as usize,
+        };
+        let site = self.sites[site];
+        let base = pos.reg;
+        let dst = match meta & DST_MASK {
+            DST_NONE => Reg::NONE,
+            DST_NEXT => Reg(base),
+            _ => Reg(take(&self.escapes, &mut pos.esc)),
+        };
+        if dst != Reg::NONE {
+            pos.reg = dst.0.wrapping_add(1);
+        }
+        let mut srcs = [Reg::NONE; 3];
+        for (k, slot) in srcs.iter_mut().enumerate() {
+            if meta & (1 << (SRC_SHIFT + k as u32)) != 0 {
+                *slot = Reg(match take(&self.srcs, &mut pos.src) {
+                    SRC_ESC => take(&self.escapes, &mut pos.esc),
+                    d => base.wrapping_sub(d as u32),
+                });
+            }
+        }
         Inst {
-            op: self.ops[i],
-            pc: self.pcs[i],
-            dst: Reg(self.dsts[i]),
-            srcs: [Reg(s[0]), Reg(s[1]), Reg(s[2])],
-            mem,
-            branch,
+            op: site.op,
+            pc: site.pc,
+            dst,
+            srcs,
+            mem: site.mem.map(|(size, kind)| MemRef {
+                addr: take(&self.addrs, &mut pos.addr),
+                size,
+                kind,
+            }),
+            branch: site.branch.map(|kind| BranchInfo {
+                kind,
+                taken: meta & TAKEN != 0,
+                backward: meta & BACKWARD != 0,
+                target: if meta & TARGET != 0 {
+                    take(&self.targets, &mut pos.target)
+                } else {
+                    0
+                },
+            }),
         }
     }
 
     /// Feed the captured stream to `sink`, in order, as the exact
     /// `Inst` values originally pushed.
     pub fn replay<S: SimSink>(&self, sink: &mut S) {
-        let (mut mem_ix, mut br_ix) = (0, 0);
-        for i in 0..self.ops.len() {
-            sink.push(self.inst_at(i, &mut mem_ix, &mut br_ix));
-        }
+        self.replay_span(ReplayCursor::start(), u64::MAX, sink);
     }
 
     /// Replay up to `count` instructions starting at `cursor`, returning
@@ -172,68 +364,78 @@ impl Recorded {
         count: u64,
         sink: &mut S,
     ) -> ReplayCursor {
-        let start = (cursor.inst as usize).min(self.ops.len());
-        let end = (cursor.inst.saturating_add(count) as usize).min(self.ops.len());
-        let (mut mem_ix, mut br_ix) = (cursor.mem as usize, cursor.branch as usize);
+        let start = (cursor.inst as usize).min(self.len());
+        let end = (cursor.inst.saturating_add(count) as usize).min(self.len());
+        let mut pos = cursor;
         for i in start..end {
-            sink.push(self.inst_at(i, &mut mem_ix, &mut br_ix));
+            sink.push(self.inst_at(i, &mut pos));
         }
-        ReplayCursor {
-            inst: end as u64,
-            mem: mem_ix as u64,
-            branch: br_ix as u64,
-        }
+        pos.inst = end as u64;
+        pos
     }
 
     /// True when `cursor` is a structurally possible position in this
-    /// stream: indices within range, and side-table cursors not ahead of
-    /// the instruction cursor (each instruction carries at most one
-    /// memory and one branch payload). A checkpoint restored from disk
-    /// is validated with this before any replay uses it.
+    /// stream: every index within its column, and no column cursor
+    /// ahead of what the instructions before it could have consumed. A
+    /// checkpoint restored from disk is validated with this before any
+    /// replay uses it.
     pub fn cursor_in_bounds(&self, cursor: ReplayCursor) -> bool {
-        cursor.inst <= self.ops.len() as u64
-            && cursor.mem <= self.mems.len() as u64
-            && cursor.branch <= self.branches.len() as u64
-            && cursor.mem <= cursor.inst
-            && cursor.branch <= cursor.inst
+        cursor.is_consistent()
+            && cursor.inst <= self.len() as u64
+            && cursor.src <= self.srcs.len() as u64
+            && cursor.esc <= self.escapes.len() as u64
+            && cursor.addr <= self.addrs.len() as u64
+            && cursor.target <= self.targets.len() as u64
     }
 
     /// Serialize with a magic/version header, the caller's `key`
     /// (verified on decode so a renamed file cannot masquerade as a
     /// different stream), and a trailing FNV-1a checksum.
+    ///
+    /// Layout after the key: six little-endian `u64` counts (sites,
+    /// instructions, sources, escapes, addresses, targets), then the
+    /// columns in that order — each site as `pc: u64`, op code, memory
+    /// code (0 = none, else 1 + kind), memory size, branch code (0 =
+    /// none, else 1 + kind); the instructions' `u16` site indices, then
+    /// their meta bytes; the `u16` source distances; the `u32` escapes;
+    /// the `u64` addresses; the `u64` targets.
     pub fn encode(&self, key: &str) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.approx_bytes() + key.len() + 64);
+        let mut out = Vec::with_capacity(self.approx_bytes() + key.len() + 80);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&(key.len() as u32).to_le_bytes());
         out.extend_from_slice(key.as_bytes());
-        out.extend_from_slice(&(self.ops.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.mems.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.branches.len() as u64).to_le_bytes());
-        for &op in &self.ops {
-            out.push(op_code(op));
+        for n in [
+            self.sites.len(),
+            self.len(),
+            self.srcs.len(),
+            self.escapes.len(),
+            self.addrs.len(),
+            self.targets.len(),
+        ] {
+            out.extend_from_slice(&(n as u64).to_le_bytes());
         }
-        for &pc in &self.pcs {
-            out.extend_from_slice(&pc.to_le_bytes());
+        for s in &self.sites {
+            out.extend_from_slice(&s.pc.to_le_bytes());
+            out.push(op_code(s.op));
+            let (mem_code, size) = s
+                .mem
+                .map_or((0, 0), |(size, kind)| (1 + mem_kind_code(kind), size));
+            out.extend_from_slice(&[mem_code, size]);
+            out.push(s.branch.map_or(0, |k| 1 + branch_kind_code(k)));
         }
-        for &dst in &self.dsts {
-            out.extend_from_slice(&dst.to_le_bytes());
-        }
-        for s in &self.srcs {
-            for &r in s {
-                out.extend_from_slice(&r.to_le_bytes());
-            }
+        for &ix in &self.site {
+            out.extend_from_slice(&ix.to_le_bytes());
         }
         out.extend_from_slice(&self.meta);
-        for m in &self.mems {
-            out.extend_from_slice(&m.addr.to_le_bytes());
-            out.push(m.size);
-            out.push(mem_kind_code(m.kind));
+        for &d in &self.srcs {
+            out.extend_from_slice(&d.to_le_bytes());
         }
-        for b in &self.branches {
-            out.push(branch_kind_code(b.kind));
-            out.push(b.taken as u8 | (b.backward as u8) << 1);
-            out.extend_from_slice(&b.target.to_le_bytes());
+        for &e in &self.escapes {
+            out.extend_from_slice(&e.to_le_bytes());
+        }
+        for &v in self.addrs.iter().chain(&self.targets) {
+            out.extend_from_slice(&v.to_le_bytes());
         }
         let sum = fnv1a64(&out);
         out.extend_from_slice(&sum.to_le_bytes());
@@ -241,9 +443,13 @@ impl Recorded {
     }
 
     /// Decode a stream previously produced by [`Recorded::encode`] for
-    /// the same `key`, verifying magic, version, key, structural
-    /// consistency, and the checksum. Any failure is an `Err` so the
-    /// cache can discard the file and fall back to re-recording.
+    /// the same `key`, verifying the checksum, magic, version, key,
+    /// exact length, every code, and — in one walk over the
+    /// instructions — that every site index and register distance is in
+    /// range and every column is consumed exactly. Only the canonical
+    /// encoding [`Recorded::push`] produces is accepted. Any failure is
+    /// an `Err` so the cache can discard the file and fall back to
+    /// re-recording.
     pub fn decode(bytes: &[u8], key: &str) -> Result<Recorded, String> {
         if bytes.len() < 8 + 8 {
             return Err("truncated header".into());
@@ -267,17 +473,24 @@ impl Recorded {
         if c.take(key_len)? != key.as_bytes() {
             return Err("key mismatch".into());
         }
-        let n_inst = c.u64()? as usize;
-        let n_mem = c.u64()? as usize;
-        let n_br = c.u64()? as usize;
+        let mut counts = [0usize; 6];
+        for n in &mut counts {
+            *n = usize::try_from(c.u64()?).map_err(|_| "count overflow")?;
+        }
+        let [n_sites, n_inst, n_src, n_esc, n_addr, n_target] = counts;
         // Exact-length check up front so corrupt counts cannot trigger
         // huge allocations or misaligned reads below.
-        let expect = n_inst
-            .checked_mul(26)
-            .and_then(|n| n.checked_add(n_mem.checked_mul(10)?))
-            .and_then(|n| n.checked_add(n_br.checked_mul(10)?))
-            .and_then(|n| n.checked_add(c.pos))
-            .ok_or("length overflow")?;
+        let expect = [
+            (n_sites, 12),
+            (n_inst, 3),
+            (n_src, 2),
+            (n_esc, 4),
+            (n_addr, 8),
+            (n_target, 8),
+        ]
+        .iter()
+        .try_fold(c.pos, |acc, &(n, w)| acc.checked_add(n.checked_mul(w)?))
+        .ok_or("length overflow")?;
         if expect != body.len() {
             return Err(format!(
                 "payload length {} != expected {expect}",
@@ -287,85 +500,158 @@ impl Recorded {
         // Column-at-a-time decode: the exact-length check above fixes
         // every column's extent, so each one is a contiguous slice
         // consumed with `chunks_exact` instead of a per-element cursor.
-        // The bounds-check-free inner loops run an order of magnitude
-        // faster, which is what makes reloading a multi-hundred-MB
-        // spilled stream cheaper than re-emitting it.
-        let (ops_b, rest) = body[c.pos..].split_at(n_inst);
-        let (pcs_b, rest) = rest.split_at(8 * n_inst);
-        let (dsts_b, rest) = rest.split_at(4 * n_inst);
-        let (srcs_b, rest) = rest.split_at(12 * n_inst);
+        let rest = &body[c.pos..];
+        let (sites_b, rest) = rest.split_at(12 * n_sites);
+        let (site_b, rest) = rest.split_at(2 * n_inst);
         let (meta_b, rest) = rest.split_at(n_inst);
-        let (mems_b, br_b) = rest.split_at(10 * n_mem);
-        debug_assert_eq!(br_b.len(), 10 * n_br);
+        let (srcs_b, rest) = rest.split_at(2 * n_src);
+        let (esc_b, rest) = rest.split_at(4 * n_esc);
+        let (addrs_b, targets_b) = rest.split_at(8 * n_addr);
 
-        let ops = ops_b
-            .iter()
-            .map(|&b| op_from_code(b))
-            .collect::<Result<Vec<_>, _>>()?;
-        let pcs: Vec<u64> = pcs_b
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().expect("8B")))
-            .collect();
-        let dsts: Vec<u32> = dsts_b
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes(w.try_into().expect("4B")))
-            .collect();
-        let srcs: Vec<[u32; 3]> = srcs_b
-            .chunks_exact(12)
-            .map(|w| {
-                [
-                    u32::from_le_bytes(w[0..4].try_into().expect("4B")),
-                    u32::from_le_bytes(w[4..8].try_into().expect("4B")),
-                    u32::from_le_bytes(w[8..12].try_into().expect("4B")),
-                ]
-            })
-            .collect();
-        let (mut mem_seen, mut br_seen) = (0usize, 0usize);
-        for &m in meta_b {
-            if m & !(META_MEM | META_BRANCH) != 0 {
-                return Err(format!("bad meta byte {m:#x}"));
-            }
-            mem_seen += (m & META_MEM != 0) as usize;
-            br_seen += (m & META_BRANCH != 0) as usize;
-        }
-        if mem_seen != n_mem || br_seen != n_br {
-            return Err("meta flags disagree with side-table counts".into());
-        }
-        let mems = mems_b
-            .chunks_exact(10)
-            .map(|w| {
-                Ok(MemRef {
-                    addr: u64::from_le_bytes(w[0..8].try_into().expect("8B")),
-                    size: w[8],
-                    kind: mem_kind_from_code(w[9])?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let branches = br_b
-            .chunks_exact(10)
-            .map(|w| {
-                let kind = branch_kind_from_code(w[0])?;
-                let flags = w[1];
-                if flags & !3 != 0 {
-                    return Err(format!("bad branch flags {flags:#x}"));
-                }
-                Ok(BranchInfo {
-                    kind,
-                    taken: flags & 1 != 0,
-                    backward: flags & 2 != 0,
-                    target: u64::from_le_bytes(w[2..10].try_into().expect("8B")),
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Recorded {
-            ops,
-            pcs,
-            dsts,
-            srcs,
+        let u16s = |b: &[u8]| -> Vec<u16> {
+            b.chunks_exact(2)
+                .map(|w| u16::from_le_bytes([w[0], w[1]]))
+                .collect()
+        };
+        let u64s = |b: &[u8]| -> Vec<u64> {
+            b.chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8B")))
+                .collect()
+        };
+        let mut rec = Recorded {
+            site: u16s(site_b),
             meta: meta_b.to_vec(),
-            mems,
-            branches,
-        })
+            srcs: u16s(srcs_b),
+            escapes: esc_b
+                .chunks_exact(4)
+                .map(|w| u32::from_le_bytes(w.try_into().expect("4B")))
+                .collect(),
+            addrs: u64s(addrs_b),
+            targets: u64s(targets_b),
+            ..Recorded::default()
+        };
+        for w in sites_b.chunks_exact(12) {
+            let mem = match w[9] {
+                0 if w[10] == 0 => None,
+                0 => return Err("memory size on a site without memory".into()),
+                code => Some((w[10], mem_kind_from_code(code - 1)?)),
+            };
+            let branch = match w[11] {
+                0 => None,
+                code => Some(branch_kind_from_code(code - 1)?),
+            };
+            let site = Site {
+                pc: u64::from_le_bytes(w[0..8].try_into().expect("8B")),
+                op: op_from_code(w[8])?,
+                mem,
+                branch,
+            };
+            let before = rec.sites.len();
+            rec.intern(site);
+            if rec.sites.len() == before {
+                return Err("duplicate site".into());
+            }
+        }
+        rec.reg = rec.validate()?;
+        Ok(rec)
+    }
+
+    /// Walk a decoded stream the way replay will, checking every index
+    /// against its column and every field for its canonical encoding.
+    /// Returns the register base after the last instruction.
+    fn validate(&self) -> Result<u32, String> {
+        let mut pos = ReplayCursor::start();
+        let escape = |pos: &mut ReplayCursor| -> Result<u32, String> {
+            let e = *self
+                .escapes
+                .get(pos.esc as usize)
+                .ok_or("escape column overrun")?;
+            pos.esc += 1;
+            Ok(e)
+        };
+        for (i, (&ix, &meta)) in self.site.iter().zip(&self.meta).enumerate() {
+            let ix = match ix {
+                SITE_ESC => match escape(&mut pos)? {
+                    e if e >= SITE_ESC as u32 => e as usize,
+                    e => return Err(format!("instruction {i}: escaped site {e} fits u16")),
+                },
+                ix => ix as usize,
+            };
+            let site = self
+                .sites
+                .get(ix)
+                .ok_or_else(|| format!("instruction {i}: site {ix} out of range"))?;
+            let base = pos.reg;
+            match meta & DST_MASK {
+                DST_NONE => {}
+                DST_NEXT if base != Reg::NONE.0 => pos.reg = base + 1,
+                DST_ESC => match escape(&mut pos)? {
+                    d if d == base || d == Reg::NONE.0 => {
+                        return Err(format!("instruction {i}: non-canonical destination"))
+                    }
+                    d => pos.reg = d + 1,
+                },
+                _ => return Err(format!("instruction {i}: bad destination mode")),
+            }
+            for k in 0..3 {
+                if meta & (1 << (SRC_SHIFT + k)) == 0 {
+                    continue;
+                }
+                let d = *self
+                    .srcs
+                    .get(pos.src as usize)
+                    .ok_or("source column overrun")?;
+                pos.src += 1;
+                if d == SRC_ESC {
+                    let r = escape(&mut pos)?;
+                    if r == Reg::NONE.0 || src_distance(base, r).is_some() {
+                        return Err(format!("instruction {i}: non-canonical source escape"));
+                    }
+                } else if d as u32 > base {
+                    return Err(format!(
+                        "instruction {i}: register distance {d} exceeds base {base}"
+                    ));
+                }
+            }
+            if site.mem.is_some() {
+                pos.addr += 1;
+            }
+            if site.branch.is_none() && meta & (TAKEN | BACKWARD | TARGET) != 0 {
+                return Err(format!("instruction {i}: branch bits on a non-branch site"));
+            }
+            if meta & TARGET != 0 {
+                pos.target += 1;
+            }
+        }
+        if pos.src != self.srcs.len() as u64
+            || pos.esc != self.escapes.len() as u64
+            || pos.addr != self.addrs.len() as u64
+            || pos.target != self.targets.len() as u64
+        {
+            return Err("columns disagree with the instructions' counts".into());
+        }
+        if self.targets.contains(&0) {
+            return Err("zero target stored explicitly".into());
+        }
+        Ok(pos.reg)
+    }
+}
+
+/// The entry of `column` at `*ix`, advancing `*ix` past it.
+#[inline(always)]
+fn take<T: Copy>(column: &[T], ix: &mut u64) -> T {
+    let v = column[*ix as usize];
+    *ix += 1;
+    v
+}
+
+/// The `u16` distance that names source `r` from register base `base`,
+/// when `r` is one of the 65,535 registers allocated just before it.
+fn src_distance(base: u32, r: u32) -> Option<u16> {
+    if r < base {
+        u16::try_from(base - r).ok()
+    } else {
+        None
     }
 }
 
@@ -399,7 +685,8 @@ impl Recorder {
     }
 
     /// The captured stream, or `None` when the capture was poisoned.
-    pub fn finish(self) -> Option<Recorded> {
+    pub fn finish(mut self) -> Option<Recorded> {
+        self.buf.shrink_to_fit();
         (!self.poisoned).then_some(self.buf)
     }
 }
@@ -627,17 +914,21 @@ mod tests {
             assert_eq!(end, cur);
             assert_eq!(out.0.len(), whole.0.len());
         }
-        // A side-table cursor ahead of the instruction cursor is
-        // structurally impossible.
+        // A column cursor ahead of what the instructions before it
+        // could consume is structurally impossible.
         assert!(!rec.cursor_in_bounds(ReplayCursor {
             inst: 1,
-            mem: 2,
-            branch: 0
+            addr: 2,
+            ..ReplayCursor::start()
+        }));
+        assert!(!rec.cursor_in_bounds(ReplayCursor {
+            inst: 1,
+            src: 4,
+            ..ReplayCursor::start()
         }));
         assert!(!rec.cursor_in_bounds(ReplayCursor {
             inst: u64::MAX,
-            mem: 0,
-            branch: 0
+            ..ReplayCursor::start()
         }));
     }
 

@@ -1,12 +1,14 @@
 //! Property tests for the record/replay engine: an arbitrary dynamic
 //! instruction stream survives record → encode → decode → replay
-//! exactly, and any single-byte corruption of the encoding is caught.
+//! exactly, replay resumes exactly from any checkpointed cursor, and
+//! any single-byte corruption of the encoding is caught, as is a frame
+//! whose checksum holds but whose indices do not.
 
 use visim_cpu::SimSink;
 use visim_isa::{BranchInfo, BranchKind, Inst, MemKind, MemRef, Op, Reg};
-use visim_trace::Recorded;
+use visim_trace::{Checkpoint, Recorded, ReplayCursor};
 use visim_util::prop::{self, Config};
-use visim_util::prop_assert;
+use visim_util::{fnv1a64, prop_assert};
 
 /// A sink that stores every pushed instruction.
 #[derive(Default)]
@@ -166,4 +168,171 @@ fn any_single_byte_flip_is_rejected() {
             Ok(())
         },
     );
+}
+
+/// A stream shaped like the emitter's — a few static pcs, destinations
+/// allocated in sequence, sources mostly recent producers — with every
+/// shape the compact encoding must escape mixed in: destinations out of
+/// sequence or absent, one pc executing several ops, sources far back,
+/// ahead of the sequence or arbitrary, `Reg::NONE` in any slot, zero
+/// and non-zero branch targets.
+fn gen_shaped(rng: &mut visim_util::Rng) -> Vec<Spec> {
+    let pcs: Vec<u64> = (0..rng.gen_range(1u32..6)).map(|_| rng.u64()).collect();
+    let mut next = if rng.bool() { 0 } else { rng.u32() };
+    (0..rng.gen_range(0u32..400))
+        .map(|_| {
+            let src = |rng: &mut visim_util::Rng| match rng.gen_range(0u32..10) {
+                0 | 1 => Reg::NONE.0,
+                2 => next.wrapping_sub(rng.gen_range(256u32..200_000)),
+                3 => rng.u32(),
+                4 => next.wrapping_add(rng.gen_range(0u32..3)),
+                _ => next.wrapping_sub(rng.gen_range(1u32..256)),
+            };
+            let srcs = [src(rng), src(rng), src(rng)];
+            let dst = match rng.gen_range(0u32..10) {
+                0 => Reg::NONE.0,
+                1 => rng.u32(),
+                _ => next,
+            };
+            if dst != Reg::NONE.0 {
+                next = dst.wrapping_add(1);
+            }
+            let target = if rng.bool() { 0 } else { rng.u64() };
+            (
+                rng.u8(),
+                pcs[rng.gen_range(0..pcs.len() as u32) as usize],
+                dst,
+                srcs,
+                (rng.bool(), rng.u64(), rng.u8() % 3 * 4, rng.u8()),
+                (rng.bool(), rng.u8(), rng.bool(), rng.bool(), target),
+            )
+        })
+        .collect()
+}
+
+fn record(stream: &[Inst]) -> Recorded {
+    let mut rec = Recorded::new();
+    for &i in stream {
+        rec.push(i);
+    }
+    rec
+}
+
+#[test]
+fn emitter_shaped_streams_round_trip_through_every_escape() {
+    prop::check(Config::cases(128), gen_shaped, |specs| {
+        let stream: Vec<Inst> = specs.iter().map(inst_of).collect();
+        let rec = record(&stream);
+        let mut out = Collect::default();
+        rec.replay(&mut out);
+        prop_assert!(out.0 == stream, "record -> replay differs");
+        let decoded =
+            Recorded::decode(&rec.encode("k"), "k").map_err(|e| format!("decode failed: {e}"))?;
+        prop_assert!(decoded == rec, "encode -> decode differs");
+        let mut out = Collect::default();
+        decoded.replay(&mut out);
+        prop_assert!(out.0 == stream, "decoded replay differs");
+        Ok(())
+    });
+}
+
+#[test]
+fn site_indices_past_u16_escape_losslessly() {
+    let stream: Vec<Inst> = (0..70_000u64)
+        .map(|pc| Inst::compute(Op::IntAlu, pc, Reg(pc as u32), [Reg::NONE; 3]))
+        .collect();
+    let rec = record(&stream);
+    let decoded = Recorded::decode(&rec.encode("k"), "k").expect("decodes");
+    let mut out = Collect::default();
+    decoded.replay(&mut out);
+    assert!(out.0 == stream);
+}
+
+/// Replay resumed from a cursor that went through a checkpoint frame —
+/// one every `period` instructions, as a sampled run takes them —
+/// reproduces the rest of the whole-stream replay exactly.
+#[test]
+fn replay_from_every_checkpointed_cursor_matches_the_whole_stream() {
+    prop::check(
+        Config::cases(64),
+        |rng| (gen_shaped(rng), rng.gen_range(1u32..40) as u64),
+        |(specs, period)| {
+            let stream: Vec<Inst> = specs.iter().map(inst_of).collect();
+            let rec = record(&stream);
+            let mut cursor = ReplayCursor::start();
+            let mut prefix = Collect::default();
+            loop {
+                let frame = Checkpoint {
+                    cursor,
+                    state: vec![],
+                }
+                .encode("ck");
+                let ck = Checkpoint::decode_for(&frame, "ck", &rec)
+                    .map_err(|e| format!("checkpoint at {}: {e}", cursor.inst()))?;
+                let mut rest = Collect::default();
+                let end = rec.replay_span(ck.cursor, u64::MAX, &mut rest);
+                prop_assert!(end.inst() == stream.len() as u64, "replay ends early");
+                prop_assert!(
+                    rest.0[..] == stream[cursor.inst() as usize..],
+                    "replay from instruction {} differs",
+                    cursor.inst()
+                );
+                if cursor.inst() == stream.len() as u64 {
+                    break;
+                }
+                cursor = rec.replay_span(cursor, *period, &mut prefix);
+            }
+            prop_assert!(prefix.0 == stream, "chained spans differ");
+            Ok(())
+        },
+    );
+}
+
+/// Re-seal an edited encoding with a fresh checksum.
+fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+    let body = bytes.len() - 8;
+    let sum = fnv1a64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// Offsets into an encoding of key `key` (see `Recorded::encode`): the
+/// site-index column and the source-distance column.
+fn columns(bytes: &[u8], key: &str) -> (usize, usize) {
+    let counts = 12 + key.len();
+    let count = |i: usize| {
+        let at = counts + 8 * i;
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+    };
+    let (n_sites, n_inst) = (count(0), count(1));
+    let site_col = counts + 6 * 8 + 12 * n_sites;
+    (site_col, site_col + 3 * n_inst)
+}
+
+#[test]
+fn valid_checksum_with_out_of_range_indices_is_rejected() {
+    // Two sites; the second instruction reads the first one's
+    // destination at register distance 1 from base 1.
+    let rec = record(&[
+        Inst::compute(Op::IntAlu, 0x10, Reg(0), [Reg::NONE; 3]),
+        Inst::compute(Op::IntAlu, 0x14, Reg(1), [Reg(0), Reg::NONE, Reg::NONE]),
+    ]);
+    let good = rec.encode("k");
+    assert_eq!(Recorded::decode(&reseal(good.clone()), "k").unwrap(), rec);
+    let (site_col, src_col) = columns(&good, "k");
+
+    let mut bad = good.clone();
+    bad[site_col..site_col + 2].copy_from_slice(&2u16.to_le_bytes());
+    let err = Recorded::decode(&reseal(bad), "k").unwrap_err();
+    assert!(err.contains("site 2 out of range"), "{err}");
+
+    let mut bad = good.clone();
+    bad[src_col..src_col + 2].copy_from_slice(&2u16.to_le_bytes());
+    let err = Recorded::decode(&reseal(bad), "k").unwrap_err();
+    assert!(err.contains("register distance 2 exceeds base 1"), "{err}");
+
+    // An escaped site index that points past the table.
+    let mut bad = good;
+    bad[site_col..site_col + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+    assert!(Recorded::decode(&reseal(bad), "k").is_err());
 }

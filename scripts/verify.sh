@@ -91,6 +91,12 @@ for bin in fig1 sweep_l1; do
     "$OLDPWD/target/release/$bin" tiny > "../$bin.direct.txt")
   diff "$replay_dir/$bin.cached.txt" "$replay_dir/$bin.direct.txt"
 done
+# Two workers: cells sharing a stream race for its recording (one
+# records, the other waits) and each stream is released after its last
+# cell; neither may change the output.
+(cd "$replay_dir/cached" && VISIM_JOBS=2 \
+  "$OLDPWD/target/release/fig1" tiny --no-store > "../fig1.jobs2.txt")
+diff "$replay_dir/fig1.jobs2.txt" "$replay_dir/fig1.direct.txt"
 # A corrupted on-disk trace must be purged and re-recorded, not fail
 # the run or change its output.
 victim=$(ls "$tdir"/*.vtrc | head -1)
