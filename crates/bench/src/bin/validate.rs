@@ -33,7 +33,7 @@
 //! The bands hold at both `tiny` and `study` workload sizes (measured:
 //! ILP geomean 2.86/2.88, VIS 1.89/2.01, prefetch 1.58/1.96, overhead
 //! 0.406/0.405 at study/tiny), so the gate runs on tiny artifacts in
-//! `scripts/verify.sh` and on study artifacts in `scripts/bench.sh`.
+//! `scripts/verify.sh` and on study artifacts in `scripts/regen.sh`.
 //!
 //! A `"status": "failed"` cell is reported as **CRASH** (the simulation
 //! died) and an out-of-band aggregate as **DRIFT** (the simulation ran

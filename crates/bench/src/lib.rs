@@ -86,8 +86,6 @@ pub fn usage(bin: &str, about: &str) -> String {
          \x20 VISIM_STORE_DIR       result-store directory (flag takes precedence)\n\
          \x20 VISIM_FAULT           inject deterministic faults, e.g. cell.transient:conv:0 (see EXPERIMENTS.md)\n\
          \x20 VISIM_NO_TRACE_CACHE  set to 1 to disable the trace cache (same as the flag)\n\
-         \x20 VISIM_TRACE_DIR       directory for the on-disk trace spill (unset = memory only)\n\
-         \x20 VISIM_SPILL_EMIT_MBPS spill only streams emitting slower than this (default 200)\n\
          \x20 VISIM_SAMPLE          1 or W:P to enable sampled simulation (flag takes precedence)\n\
          \n\
          Output: text report on stdout, machine-readable twin under results/json/."
@@ -408,7 +406,7 @@ fn sanitize(label: &str) -> String {
 /// Write `bytes` to `path` atomically. Delegates to the workspace-wide
 /// write path ([`visim_util::atomic::write_atomic`]) so every durable
 /// artifact — JSON documents, partial-failure droppings, result-store
-/// cells, trace spills — lands through the same temp-file, `sync_all`,
+/// cells — lands through the same temp-file, `sync_all`,
 /// rename discipline. Readers (and concurrent writers of the same path)
 /// see either the old complete file or the new complete file, never a
 /// mix.
@@ -480,8 +478,6 @@ mod tests {
             "VISIM_STORE_DIR",
             "VISIM_FAULT",
             "VISIM_NO_TRACE_CACHE",
-            "VISIM_TRACE_DIR",
-            "VISIM_SPILL_EMIT_MBPS",
             "--sample",
             "VISIM_SAMPLE",
             "--manifest",

@@ -91,8 +91,7 @@ fn fig1_writes_a_full_results_document() {
     let always = "fault.injected retry.attempts retry.recovered retry.exhausted \
         store.hit store.miss store.writes store.corrupt_purged store.stale_purged \
         trace_cache.hits trace_cache.misses trace_cache.evictions trace_cache.released \
-        trace_cache.disk_loads trace_cache.disk_stores trace_cache.disk_purged \
-        trace_cache.spill_skipped trace_cache.resident_bytes trace_cache.resident_entries \
+        trace_cache.resident_bytes trace_cache.resident_entries \
         trace_cache.peak_resident_bytes pool.runs pool.jobs pool.workers";
     for name in always.split_whitespace() {
         assert!(

@@ -243,6 +243,13 @@ fn store_on_off_and_resume_agree() {
     assert_eq!(out_on.stdout, resumed.stdout, "resume changes the text");
     assert_eq!(scrubbed_json(&on), scrubbed_json(&off));
     assert_eq!(doc_counter(&on, "store.hit"), 72, "72 cells served");
+    // Cross-process reuse is the store's job: the warm second process
+    // records no stream at all.
+    assert_eq!(
+        doc_counter(&on, "trace_cache.misses"),
+        0,
+        "a fully-warm resume records a stream"
+    );
 }
 
 /// Deterministic failures are first-class store entries: a resumed run

@@ -286,13 +286,11 @@ fn obtain_stream(bench: Bench, size: &WorkloadSize, variant: Variant) -> Result<
         trace_cache::Lookup::Miss(recording) => recording,
     };
     let mut recorder = Recorder::new(trace_cache::budget_bytes());
-    let t0 = Instant::now();
     catch_workload(bench.name(), || bench.run(&mut recorder, size, variant))?;
-    let emit = t0.elapsed();
     match recorder.finish() {
         Some(rec) => {
             let rec = Arc::new(rec);
-            recording.store(&rec, emit);
+            recording.store(&rec);
             Ok(Stream::Replay {
                 rec,
                 cache_hit: false,

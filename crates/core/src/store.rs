@@ -5,7 +5,7 @@
 //! one file under the store directory and served back on a resumed run,
 //! so a crashed study loses at most the cells in flight — not the hours
 //! of finished simulation behind them. The design follows the
-//! trace-cache's on-disk discipline (`.vtrc`): versioned framing, a
+//! checkpoint framing in `visim-trace` (`VCKP`): versioned framing, a
 //! trailing FNV-1a checksum, and purge-and-recompute on any validation
 //! failure — never trust, never crash.
 //!

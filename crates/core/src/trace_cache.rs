@@ -5,8 +5,9 @@
 //! *consumes* it. The experiment runners therefore record each stream
 //! once (`visim_trace::Recorder`) and replay it into every pipeline
 //! configuration that needs it; this module is the shared, keyed store
-//! that makes the "once" hold across cells, figure sections, and — via
-//! an optional on-disk spill — across processes.
+//! that makes the "once" hold across cells and figure sections. It is
+//! memory-only: across processes, the result store's `--resume` reuses
+//! finished cells, so a warm second process records no stream at all.
 //!
 //! * **Keying.** [`key_for`] derives `"<bench>.<variant bits>.<fnv1a64
 //!   of the workload geometry's Debug form>"`. Anything that can change
@@ -43,28 +44,6 @@
 //! * **Opt-out.** `VISIM_NO_TRACE_CACHE=1` (or `--no-trace-cache`)
 //!   disables the cache entirely; every cell then emits directly, and
 //!   output must be byte-identical either way.
-//! * **Disk spill.** When `VISIM_TRACE_DIR` names a directory, stores
-//!   also write `<dir>/<key>.vtrc` (versioned + checksummed, see
-//!   `visim_trace::Recorded::encode`) and lookups fall back to it, so a
-//!   second process starts warm. A file that fails validation is
-//!   deleted and re-recorded — corruption degrades to a cache miss,
-//!   never to a wrong result.
-//! * **Spill policy.** A disk spill only pays off when re-*emitting*
-//!   the stream costs more than reading and decoding it back. Most of
-//!   the twelve workloads emit at ~1 GB/s of (version 1, verbatim)
-//!   encoded stream — far
-//!   faster than a disk round-trip — so spilling them is pure
-//!   overhead (measured: the study-size sweep binaries spent ~12 s
-//!   writing and ~5 s reloading 450 MB of traces to save under 1 s of
-//!   emission, making the warm pass *slower* than the cold one).
-//!   [`Recording::store`] therefore spills only streams whose measured emission
-//!   rate falls below `VISIM_SPILL_EMIT_MBPS` (default 200 MB/s —
-//!   i.e. the workload regenerates its stream slower than a disk read
-//!   could): skipped spills count in `trace_cache.spill_skipped`. Set
-//!   the threshold huge to force every stream to disk (the verify
-//!   gates do, to exercise the corruption path) or to `0` to never
-//!   spill. The policy shifts only wall clock and `trace_cache.*`
-//!   counters — never results.
 //!
 //! Results never depend on cache state: a replayed stream pushes
 //! bit-identical `Inst` values in the original order, so hit, miss,
@@ -88,14 +67,8 @@ use crate::bench::WorkloadSize;
 
 /// Set to `1` to disable the trace cache (every cell emits directly).
 pub const NO_TRACE_CACHE_ENV: &str = "VISIM_NO_TRACE_CACHE";
-/// Directory for the on-disk spill; unset means memory-only.
-pub const TRACE_DIR_ENV: &str = "VISIM_TRACE_DIR";
-/// Emission-rate threshold (MB/s) below which a stream is worth
-/// spilling to disk; see the module doc's spill policy.
-pub const SPILL_EMIT_MBPS_ENV: &str = "VISIM_SPILL_EMIT_MBPS";
 
 const DEFAULT_BUDGET_MB: u64 = 1024;
-const DEFAULT_SPILL_EMIT_MBPS: u64 = 200;
 
 // CLI overrides, set by the binaries' shared arg parser before any
 // simulation runs (they take precedence over the environment).
@@ -126,10 +99,6 @@ pub fn budget_bytes() -> usize {
     usize::try_from(mb.saturating_mul(1 << 20)).unwrap_or(usize::MAX)
 }
 
-fn disk_dir() -> Option<String> {
-    std::env::var(TRACE_DIR_ENV).ok().filter(|d| !d.is_empty())
-}
-
 /// The cache key for a cell, or `None` when the cache is disabled.
 /// Everything the emitted stream depends on is folded in: benchmark,
 /// variant bits, and the full workload geometry (seed included).
@@ -148,10 +117,6 @@ pub fn key_for(bench: &str, size: &WorkloadSize, variant: Variant) -> Option<Str
 const HITS: &str = "trace_cache.hits";
 const MISSES: &str = "trace_cache.misses";
 const EVICTIONS: &str = "trace_cache.evictions";
-const DISK_LOADS: &str = "trace_cache.disk_loads";
-const DISK_STORES: &str = "trace_cache.disk_stores";
-const DISK_PURGED: &str = "trace_cache.disk_purged";
-const SPILL_SKIPPED: &str = "trace_cache.spill_skipped";
 const RESIDENT_BYTES: &str = "trace_cache.resident_bytes";
 const RESIDENT_ENTRIES: &str = "trace_cache.resident_entries";
 const RELEASED: &str = "trace_cache.released";
@@ -159,15 +124,11 @@ const PEAK_RESIDENT_BYTES: &str = "trace_cache.peak_resident_bytes";
 
 /// The cache's counters and resident-set gauges in the process-wide
 /// metrics sink, declared in every run's metrics block.
-pub const COUNTERS: [&str; 11] = [
+pub const COUNTERS: [&str; 7] = [
     HITS,
     MISSES,
     EVICTIONS,
     RELEASED,
-    DISK_LOADS,
-    DISK_STORES,
-    DISK_PURGED,
-    SPILL_SKIPPED,
     RESIDENT_BYTES,
     RESIDENT_ENTRIES,
     PEAK_RESIDENT_BYTES,
@@ -185,7 +146,7 @@ struct Lru {
     peak: usize,
     /// Per key: registered [`Consumer`]s not yet dropped.
     consumers: HashMap<String, usize>,
-    /// Keys some worker is recording (or loading from disk) right now.
+    /// Keys some worker is recording right now.
     in_flight: HashSet<String>,
 }
 
@@ -213,31 +174,16 @@ impl Lru {
             return 0;
         }
         self.drop_resident(&id);
-        let evicted = self.pre_evict(bytes, budget);
-        self.bytes += bytes;
-        self.peak = self.peak.max(self.bytes);
-        self.map.insert(id.clone(), rec);
-        self.order.push(id);
-        evicted
-    }
-
-    /// Evict cold entries until `incoming` more bytes would fit in
-    /// `budget`, returning the eviction count. [`Lru::insert`] evicts
-    /// through here; [`lookup`] also calls it *before* an
-    /// expensive disk load rather than after it: dropping the cold
-    /// streams first hands their pages back to the OS, so the fresh
-    /// multi-hundred-MB allocations the load is about to make fault in
-    /// against a small resident set. (On virtualized hosts with
-    /// on-demand paging, first-touch cost grows with resident set
-    /// size — loading the biggest stream at ~1 GB RSS measured ~3x
-    /// slower than the same load into a lean process.)
-    fn pre_evict(&mut self, incoming: usize, budget: usize) -> u64 {
         let mut evicted = 0;
-        while !self.order.is_empty() && self.bytes + incoming > budget {
+        while !self.order.is_empty() && self.bytes + bytes > budget {
             let cold = self.order.remove(0);
             self.drop_resident(&cold);
             evicted += 1;
         }
+        self.bytes += bytes;
+        self.peak = self.peak.max(self.bytes);
+        self.map.insert(id.clone(), rec);
+        self.order.push(id);
         evicted
     }
 
@@ -285,14 +231,6 @@ fn lock() -> MutexGuard<'static, Lru> {
     cache().lru.lock().expect("trace cache lock")
 }
 
-/// Resize the resident LRU through `f` (an insert or a pre-eviction)
-/// and [`publish`] what it evicted, under the lock.
-fn resize(counter: &str, f: impl FnOnce(&mut Lru) -> u64) {
-    let mut lru = lock();
-    let n = f(&mut lru);
-    publish(&lru, counter, n);
-}
-
 /// Add `n` to `counter` and set the resident gauges. Callers hold the
 /// lock, so the gauges follow every change in order.
 fn publish(lru: &Lru, counter: &str, n: u64) {
@@ -338,7 +276,7 @@ pub(crate) fn is_resident(id: &str) -> bool {
 
 /// The outcome of [`lookup`].
 pub enum Lookup {
-    /// The stream, from memory or the on-disk spill.
+    /// The resident stream.
     Hit(Arc<Recorded>),
     /// Not cached: the caller records it and hands it to
     /// [`Recording::store`].
@@ -360,9 +298,8 @@ impl Drop for Recording {
     }
 }
 
-/// Look up a stream: resident store first, then the on-disk spill.
-/// While another worker records the same key, wait for it. Counts one
-/// hit or one miss.
+/// Look up a resident stream. While another worker records the same
+/// key, wait for it. Counts one hit or one miss.
 pub fn lookup(id: &str) -> Lookup {
     let mut lru = lock();
     loop {
@@ -376,125 +313,19 @@ pub fn lookup(id: &str) -> Lookup {
         lru = cache().recorded.wait(lru).expect("trace cache lock");
     }
     lru.in_flight.insert(id.to_string());
-    drop(lru);
-    let claim = Recording(id.to_string());
-    if let Some(dir) = disk_dir() {
-        // Make room *before* reading: the decoded stream lands in
-        // roughly 1.5x its encoded bytes of fresh allocations, and
-        // first-touching them is far cheaper against a small resident
-        // set (see [`Lru::pre_evict`]). An over-estimate only evicts a
-        // stream the insert below would have evicted anyway.
-        if let Ok(md) = std::fs::metadata(disk_path(&dir, id)) {
-            let estimate = usize::try_from(md.len())
-                .unwrap_or(usize::MAX)
-                .saturating_mul(3)
-                / 2;
-            resize(EVICTIONS, |lru| lru.pre_evict(estimate, budget_bytes()));
-        }
-        if let Some(rec) = disk_load(&dir, id) {
-            let rec = Arc::new(rec);
-            resize(EVICTIONS, |lru| {
-                lru.insert(id.to_string(), rec.clone(), budget_bytes())
-            });
-            live::global().add(HITS, 1);
-            live::global().add(DISK_LOADS, 1);
-            return Lookup::Hit(rec);
-        }
-    }
     live::global().add(MISSES, 1);
-    Lookup::Miss(claim)
+    Lookup::Miss(Recording(id.to_string()))
 }
 
 impl Recording {
-    /// Store the freshly captured stream: into the resident LRU and —
-    /// when `VISIM_TRACE_DIR` is set *and* the stream is expensive
-    /// enough to regenerate that a disk round-trip can win (see
-    /// [`spill_worthwhile`]) — onto disk. `emit` is the measured wall
-    /// clock of the recording pass. Waiting workers resume as soon as
-    /// the stream is resident, before any spill.
-    pub fn store(self, rec: &Arc<Recorded>, emit: std::time::Duration) {
-        let id = self.0.clone();
-        resize(EVICTIONS, |lru| {
-            lru.insert(id.clone(), rec.clone(), budget_bytes())
-        });
-        drop(self);
-        if let Some(dir) = disk_dir() {
-            if !spill_worthwhile(rec.approx_bytes(), emit, spill_emit_mbps()) {
-                live::global().add(SPILL_SKIPPED, 1);
-                return;
-            }
-            if disk_store(&dir, &id, rec).is_ok() {
-                live::global().add(DISK_STORES, 1);
-            }
-            // A failed spill (full disk, permissions) is silently a
-            // memory-only cache — never a simulation failure.
-        }
+    /// Store the freshly captured stream into the resident LRU. Dropping
+    /// `self` afterwards wakes the workers waiting for it.
+    pub fn store(self, rec: &Arc<Recorded>) {
+        let mut lru = lock();
+        let evicted = lru.insert(self.0.clone(), rec.clone(), budget_bytes());
+        publish(&lru, EVICTIONS, evicted);
+        drop(lru);
     }
-}
-
-/// The configured emission-rate threshold in MB/s (default 200).
-fn spill_emit_mbps() -> u64 {
-    std::env::var(SPILL_EMIT_MBPS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(DEFAULT_SPILL_EMIT_MBPS)
-}
-
-/// Is a stream of `bytes` encoded bytes, recorded in `emit` wall
-/// clock, worth spilling to disk? Only when the workload regenerates
-/// it *slower* than `threshold_mbps` — i.e. re-emission would cost
-/// more than a disk read of the same bytes. Fast emitters (most of the
-/// kernel workloads run at ~1 GB/s of encoded stream) are cheaper to
-/// re-record than to reload, so spilling them only burns I/O.
-fn spill_worthwhile(bytes: usize, emit: std::time::Duration, threshold_mbps: u64) -> bool {
-    let micros = emit.as_micros().max(1) as u64;
-    // bytes/micros == MB/s (both are factors of 10^6).
-    let emit_mbps = bytes as u64 / micros;
-    emit_mbps < threshold_mbps
-}
-
-fn disk_path(dir: &str, id: &str) -> std::path::PathBuf {
-    std::path::Path::new(dir).join(format!("{id}.vtrc"))
-}
-
-/// Load and validate `<dir>/<id>.vtrc`. Any failure (missing file,
-/// bad magic/version/key, checksum mismatch) returns `None`; a file
-/// that exists but fails validation is *purged* so the slot is
-/// re-recorded cleanly instead of erroring on every run.
-fn disk_load(dir: &str, id: &str) -> Option<Recorded> {
-    let path = disk_path(dir, id);
-    let bytes = std::fs::read(&path).ok()?;
-    match Recorded::decode(&bytes, id) {
-        Ok(rec) => Some(rec),
-        Err(reason) => {
-            if std::fs::remove_file(&path).is_ok() {
-                live::global().add(DISK_PURGED, 1);
-                eprintln!("trace cache: purged stale {} ({reason})", path.display());
-            }
-            None
-        }
-    }
-}
-
-/// Write `<dir>/<id>.vtrc` atomically via the workspace's shared
-/// temp-file + rename path
-/// ([`visim_util::atomic::write_atomic_unsynced`]), so a concurrent
-/// reader sees either the complete old file or the complete new one. The
-/// `spill.corrupt` fault point flips one byte mid-payload before the
-/// write — the framing checksum then rejects the spill on reload and
-/// [`disk_load`] purges it, which is the degradation the fault gate
-/// proves out.
-fn disk_store(dir: &str, id: &str, rec: &Recorded) -> std::io::Result<()> {
-    let mut bytes = rec.encode(id);
-    if visim_util::fault::fires("spill.corrupt", id) {
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-    }
-    // Unsynced on purpose: the spill is a cache whose reader validates
-    // a checksum and purges damage, so a crash-torn file degrades to a
-    // miss — and `sync_all` on hundreds of MB of traces dominated the
-    // cold pass of the sweep binaries.
-    visim_util::atomic::write_atomic_unsynced(disk_path(dir, id), &bytes)
 }
 
 #[cfg(test)]
@@ -566,51 +397,6 @@ mod tests {
         assert_eq!(lru.bytes, stream_of(10).approx_bytes());
         assert_eq!(lru.peak, 2 * stream_of(10).approx_bytes());
         assert_eq!(lru.order, ["b"]);
-    }
-
-    #[test]
-    fn disk_round_trip_and_corruption_purge() {
-        let dir = std::env::temp_dir().join(format!("visim-tc-test-{}", std::process::id()));
-        let dir = dir.to_str().unwrap().to_string();
-        let rec = stream_of(50);
-        disk_store(&dir, "k1", &rec).expect("spill");
-        let back = disk_load(&dir, "k1").expect("reload");
-        assert_eq!(back.len(), 50);
-        // Wrong id: validation fails and the (misnamed) file is purged.
-        std::fs::rename(disk_path(&dir, "k1"), disk_path(&dir, "k2")).unwrap();
-        assert!(disk_load(&dir, "k2").is_none());
-        assert!(!disk_path(&dir, "k2").exists(), "invalid file purged");
-        // Corrupt bytes: same treatment.
-        disk_store(&dir, "k3", &rec).expect("spill");
-        let p = disk_path(&dir, "k3");
-        let mut bytes = std::fs::read(&p).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&p, &bytes).unwrap();
-        assert!(disk_load(&dir, "k3").is_none());
-        assert!(!p.exists(), "corrupt file purged");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn spill_policy_keeps_slow_emitters_and_skips_fast_ones() {
-        use std::time::Duration;
-        let mb = 1 << 20;
-        // 100 MB emitted in 1 s = 100 MB/s: below the 200 MB/s default
-        // threshold, re-emission is slow, spilling wins.
-        assert!(spill_worthwhile(100 * mb, Duration::from_secs(1), 200));
-        // The same bytes in 100 ms = 1 GB/s: re-emission beats any
-        // disk read, skip the spill.
-        assert!(!spill_worthwhile(100 * mb, Duration::from_millis(100), 200));
-        // Threshold 0 never spills; a huge threshold always does.
-        assert!(!spill_worthwhile(100 * mb, Duration::from_secs(60), 0));
-        assert!(spill_worthwhile(
-            100 * mb,
-            Duration::from_micros(1),
-            u64::MAX
-        ));
-        // A zero-duration emit cannot divide by zero.
-        assert!(!spill_worthwhile(mb, Duration::ZERO, 200));
     }
 
     #[test]

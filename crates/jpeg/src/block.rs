@@ -669,7 +669,7 @@ pub fn idct_store_vis<S: SimSink>(
 }
 
 /// Packed (MediaLib-style) inverse DCT + level shift + saturating store
-/// of an intra block: spills the raster coefficients to the context's
+/// of an intra block: writes the raster coefficients to the context's
 /// scratch block, runs two lane-wise 16-bit islow passes with a merge
 /// transpose between, then packs `(v + 1024) / 8` — i.e.
 /// `clamp(pixel + 128)` — straight into the plane.

@@ -13,7 +13,7 @@
 //! This module lives in `visim-obs` (the dependency-graph leaf) so the
 //! cpu, mem, util, and core crates can all reach it. Framing (magic,
 //! version, checksum) is the *caller's* job — see `visim::store` —
-//! mirroring the `.vtrc` discipline in `visim-trace`.
+//! mirroring the `VCKP` checkpoint framing in `visim-trace`.
 //!
 //! All integers are little-endian. Strings and vectors are
 //! length-prefixed with a `u32`. Decoding is fail-safe: every read

@@ -25,9 +25,9 @@
 //!   `VISIM_QUIET`) shared by the binaries' progress heartbeat and the
 //!   daemon's diagnostics;
 //! * [`schema`] — the versioned result schemas (`visim-results-v2`,
-//!   `visim-bench-runtime-v6`, `visim-trace-v1`,
-//!   `visim-serve-timeline-v1`): one place that names and versions
-//!   every machine-readable output format the repo produces;
+//!   `visim-trace-v1`, `visim-serve-timeline-v1`): one place that names
+//!   and versions every machine-readable output format the repo
+//!   produces;
 //! * [`trace`] — cycle-level event tracing: a bounded ring of
 //!   instruction lifecycle spans, instant events, and per-cycle
 //!   stall-cause samples, with a Chrome trace-event / Perfetto JSON

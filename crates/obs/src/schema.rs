@@ -7,19 +7,6 @@
 //!   documents under `results/json/<name>.json` and the per-failure
 //!   artifacts under `results/partial/<name>.<benchmark>.json` (v2
 //!   added the sampled-simulation cell counters, `cell.sampling.*`);
-//! * [`BENCH_RUNTIME_SCHEMA`] (`visim-bench-runtime-v6`) — the
-//!   wall-clock harness output `BENCH_runtime.json` written by
-//!   `scripts/bench.sh` (v2 added `git_rev` and the fidelity summary;
-//!   v3 added the warm-trace-cache second pass: per-binary
-//!   `seconds_warm`/`exit_warm` and the `total_seconds_warm` total;
-//!   v4 added the sampled third pass: `seconds_sampled`/`exit_sampled`,
-//!   `total_seconds_sampled`, and the exact-vs-sampled suite speedup;
-//!   v5 added the warm-hit serve pass: `serve_cells`,
-//!   `serve_seconds_warm`, and `requests_per_sec_warm` — the
-//!   visim-serve daemon answering an already-stored manifest;
-//!   v6 added the warm serving-latency distribution from the daemon's
-//!   live telemetry: `serve_p50_ms_warm`/`serve_p99_ms_warm`, the
-//!   hit-path per-request latency percentiles);
 //! * [`TRACE_SCHEMA`] (`visim-trace-v1`) — the Chrome trace-event /
 //!   Perfetto files under `results/trace/` written by `pipetrace`
 //!   (schema tag carried in the file's `otherData`); the serve
@@ -67,9 +54,6 @@ use crate::metrics::Registry;
 
 /// Schema tag for the figure/sweep/ablation result documents.
 pub const RESULTS_SCHEMA: &str = "visim-results-v2";
-
-/// Schema tag for `BENCH_runtime.json` (`scripts/bench.sh`).
-pub const BENCH_RUNTIME_SCHEMA: &str = "visim-bench-runtime-v6";
 
 /// Schema tag for the Chrome trace-event files written by `pipetrace`.
 pub const TRACE_SCHEMA: &str = "visim-trace-v1";

@@ -5,11 +5,10 @@
 //! each window boundary the warming engine's architectural state —
 //! cache tags/recency, MSHR-visible misses, predictor tables — is
 //! serialized together with the [`ReplayCursor`] naming where in the
-//! stream the window starts. The frame rides the same
-//! versioned + key-echoed + FNV-checksummed envelope as the `.vtrc`
-//! trace encode, so a window job can validate its checkpoint
-//! independently: any window is replayable on its own, which is what
-//! lets one benchmark's windows fan out across a worker pool.
+//! stream the window starts. The `VCKP` frame is versioned, echoes its
+//! key and ends in an FNV-1a checksum, so a window job can validate its
+//! checkpoint independently: any window is replayable on its own, which
+//! is what lets one benchmark's windows fan out across a worker pool.
 //!
 //! The architectural blob itself is opaque at this layer; the CPU crate
 //! owns its layout (`visim_cpu::WarmingSink::checkpoint` produces it,
@@ -18,7 +17,7 @@
 
 use visim_util::fnv1a64;
 
-use crate::record::{Cursor, Recorded, ReplayCursor};
+use crate::record::{Recorded, ReplayCursor};
 
 /// Version tag of the checkpoint frame. Bump whenever the byte layout
 /// changes; decoders reject other versions.
@@ -40,8 +39,7 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Serialize with the magic/version header, the caller's `key`
-    /// (echoed and verified on decode, like the trace encode), and a
-    /// trailing FNV-1a checksum.
+    /// (echoed and verified on decode), and a trailing FNV-1a checksum.
     pub fn encode(&self, key: &str) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.state.len() + key.len() + 64);
         out.extend_from_slice(MAGIC);
@@ -124,6 +122,32 @@ impl Checkpoint {
             ));
         }
         Ok(ck)
+    }
+}
+
+/// Byte-slice reader for [`Checkpoint::decode`].
+struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        let end = self.pos.checked_add(n).ok_or("offset overflow")?;
+        if end > self.buf.len() {
+            return Err("unexpected end of data".into());
+        }
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(s)
+    }
+
+    fn u32(&mut self) -> Result<u32, String> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4B")))
+    }
+
+    fn u64(&mut self) -> Result<u64, String> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
     }
 }
 

@@ -41,5 +41,5 @@ mod value;
 pub use checkpoint::{Checkpoint, CKPT_FORMAT_VERSION};
 pub use memimg::MemImage;
 pub use program::{Cond, Program};
-pub use record::{Recorded, Recorder, ReplayCursor, TRACE_FORMAT_VERSION};
+pub use record::{Recorded, Recorder, ReplayCursor};
 pub use value::{VVal, Val};

@@ -45,9 +45,10 @@
 //! original order, which is what makes replay-vs-direct byte-identity
 //! hold by construction: the pipeline cannot distinguish the two paths.
 //!
-//! The buffer also round-trips through a versioned, checksummed binary
-//! encoding ([`Recorded::encode`] / [`Recorded::decode`]) so a
-//! process-spanning cache can spill streams to disk.
+//! A stream lives only in memory. What does cross a process boundary
+//! is a [`ReplayCursor`] inside an architectural checkpoint
+//! ([`crate::Checkpoint`], `VCKP` framing), restored against a stream
+//! recorded afresh.
 //!
 //! [`Program`]: crate::Program
 
@@ -56,16 +57,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use visim_cpu::SimSink;
 use visim_isa::{BranchInfo, BranchKind, Inst, MemKind, MemRef, Op, Reg};
-use visim_util::fnv1a64;
-
-/// Version tag of the on-disk encoding. Bump whenever the byte layout
-/// (or the meaning of any field) changes; decoders reject other
-/// versions, so stale cache files are re-recorded instead of
-/// misinterpreted.
-pub const TRACE_FORMAT_VERSION: u32 = 2;
-
-/// Magic prefix of an encoded trace.
-const MAGIC: &[u8; 4] = b"VTRC";
 
 /// The static part of an instruction: everything one emitter call site
 /// fixes. `mem` is the reference's `(size, kind)`.
@@ -387,254 +378,6 @@ impl Recorded {
             && cursor.addr <= self.addrs.len() as u64
             && cursor.target <= self.targets.len() as u64
     }
-
-    /// Serialize with a magic/version header, the caller's `key`
-    /// (verified on decode so a renamed file cannot masquerade as a
-    /// different stream), and a trailing FNV-1a checksum.
-    ///
-    /// Layout after the key: six little-endian `u64` counts (sites,
-    /// instructions, sources, escapes, addresses, targets), then the
-    /// columns in that order — each site as `pc: u64`, op code, memory
-    /// code (0 = none, else 1 + kind), memory size, branch code (0 =
-    /// none, else 1 + kind); the instructions' `u16` site indices, then
-    /// their meta bytes; the `u16` source distances; the `u32` escapes;
-    /// the `u64` addresses; the `u64` targets.
-    pub fn encode(&self, key: &str) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.approx_bytes() + key.len() + 80);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        out.extend_from_slice(key.as_bytes());
-        for n in [
-            self.sites.len(),
-            self.len(),
-            self.srcs.len(),
-            self.escapes.len(),
-            self.addrs.len(),
-            self.targets.len(),
-        ] {
-            out.extend_from_slice(&(n as u64).to_le_bytes());
-        }
-        for s in &self.sites {
-            out.extend_from_slice(&s.pc.to_le_bytes());
-            out.push(op_code(s.op));
-            let (mem_code, size) = s
-                .mem
-                .map_or((0, 0), |(size, kind)| (1 + mem_kind_code(kind), size));
-            out.extend_from_slice(&[mem_code, size]);
-            out.push(s.branch.map_or(0, |k| 1 + branch_kind_code(k)));
-        }
-        for &ix in &self.site {
-            out.extend_from_slice(&ix.to_le_bytes());
-        }
-        out.extend_from_slice(&self.meta);
-        for &d in &self.srcs {
-            out.extend_from_slice(&d.to_le_bytes());
-        }
-        for &e in &self.escapes {
-            out.extend_from_slice(&e.to_le_bytes());
-        }
-        for &v in self.addrs.iter().chain(&self.targets) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        let sum = fnv1a64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    /// Decode a stream previously produced by [`Recorded::encode`] for
-    /// the same `key`, verifying the checksum, magic, version, key,
-    /// exact length, every code, and — in one walk over the
-    /// instructions — that every site index and register distance is in
-    /// range and every column is consumed exactly. Only the canonical
-    /// encoding [`Recorded::push`] produces is accepted. Any failure is
-    /// an `Err` so the cache can discard the file and fall back to
-    /// re-recording.
-    pub fn decode(bytes: &[u8], key: &str) -> Result<Recorded, String> {
-        if bytes.len() < 8 + 8 {
-            return Err("truncated header".into());
-        }
-        let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8-byte checksum"));
-        if fnv1a64(body) != stored {
-            return Err("checksum mismatch".into());
-        }
-        let mut c = Cursor { buf: body, pos: 0 };
-        if c.take(4)? != MAGIC {
-            return Err("bad magic".into());
-        }
-        let version = c.u32()?;
-        if version != TRACE_FORMAT_VERSION {
-            return Err(format!(
-                "version {version} != expected {TRACE_FORMAT_VERSION}"
-            ));
-        }
-        let key_len = c.u32()? as usize;
-        if c.take(key_len)? != key.as_bytes() {
-            return Err("key mismatch".into());
-        }
-        let mut counts = [0usize; 6];
-        for n in &mut counts {
-            *n = usize::try_from(c.u64()?).map_err(|_| "count overflow")?;
-        }
-        let [n_sites, n_inst, n_src, n_esc, n_addr, n_target] = counts;
-        // Exact-length check up front so corrupt counts cannot trigger
-        // huge allocations or misaligned reads below.
-        let expect = [
-            (n_sites, 12),
-            (n_inst, 3),
-            (n_src, 2),
-            (n_esc, 4),
-            (n_addr, 8),
-            (n_target, 8),
-        ]
-        .iter()
-        .try_fold(c.pos, |acc, &(n, w)| acc.checked_add(n.checked_mul(w)?))
-        .ok_or("length overflow")?;
-        if expect != body.len() {
-            return Err(format!(
-                "payload length {} != expected {expect}",
-                body.len()
-            ));
-        }
-        // Column-at-a-time decode: the exact-length check above fixes
-        // every column's extent, so each one is a contiguous slice
-        // consumed with `chunks_exact` instead of a per-element cursor.
-        let rest = &body[c.pos..];
-        let (sites_b, rest) = rest.split_at(12 * n_sites);
-        let (site_b, rest) = rest.split_at(2 * n_inst);
-        let (meta_b, rest) = rest.split_at(n_inst);
-        let (srcs_b, rest) = rest.split_at(2 * n_src);
-        let (esc_b, rest) = rest.split_at(4 * n_esc);
-        let (addrs_b, targets_b) = rest.split_at(8 * n_addr);
-
-        let u16s = |b: &[u8]| -> Vec<u16> {
-            b.chunks_exact(2)
-                .map(|w| u16::from_le_bytes([w[0], w[1]]))
-                .collect()
-        };
-        let u64s = |b: &[u8]| -> Vec<u64> {
-            b.chunks_exact(8)
-                .map(|w| u64::from_le_bytes(w.try_into().expect("8B")))
-                .collect()
-        };
-        let mut rec = Recorded {
-            site: u16s(site_b),
-            meta: meta_b.to_vec(),
-            srcs: u16s(srcs_b),
-            escapes: esc_b
-                .chunks_exact(4)
-                .map(|w| u32::from_le_bytes(w.try_into().expect("4B")))
-                .collect(),
-            addrs: u64s(addrs_b),
-            targets: u64s(targets_b),
-            ..Recorded::default()
-        };
-        for w in sites_b.chunks_exact(12) {
-            let mem = match w[9] {
-                0 if w[10] == 0 => None,
-                0 => return Err("memory size on a site without memory".into()),
-                code => Some((w[10], mem_kind_from_code(code - 1)?)),
-            };
-            let branch = match w[11] {
-                0 => None,
-                code => Some(branch_kind_from_code(code - 1)?),
-            };
-            let site = Site {
-                pc: u64::from_le_bytes(w[0..8].try_into().expect("8B")),
-                op: op_from_code(w[8])?,
-                mem,
-                branch,
-            };
-            let before = rec.sites.len();
-            rec.intern(site);
-            if rec.sites.len() == before {
-                return Err("duplicate site".into());
-            }
-        }
-        rec.reg = rec.validate()?;
-        Ok(rec)
-    }
-
-    /// Walk a decoded stream the way replay will, checking every index
-    /// against its column and every field for its canonical encoding.
-    /// Returns the register base after the last instruction.
-    fn validate(&self) -> Result<u32, String> {
-        let mut pos = ReplayCursor::start();
-        let escape = |pos: &mut ReplayCursor| -> Result<u32, String> {
-            let e = *self
-                .escapes
-                .get(pos.esc as usize)
-                .ok_or("escape column overrun")?;
-            pos.esc += 1;
-            Ok(e)
-        };
-        for (i, (&ix, &meta)) in self.site.iter().zip(&self.meta).enumerate() {
-            let ix = match ix {
-                SITE_ESC => match escape(&mut pos)? {
-                    e if e >= SITE_ESC as u32 => e as usize,
-                    e => return Err(format!("instruction {i}: escaped site {e} fits u16")),
-                },
-                ix => ix as usize,
-            };
-            let site = self
-                .sites
-                .get(ix)
-                .ok_or_else(|| format!("instruction {i}: site {ix} out of range"))?;
-            let base = pos.reg;
-            match meta & DST_MASK {
-                DST_NONE => {}
-                DST_NEXT if base != Reg::NONE.0 => pos.reg = base + 1,
-                DST_ESC => match escape(&mut pos)? {
-                    d if d == base || d == Reg::NONE.0 => {
-                        return Err(format!("instruction {i}: non-canonical destination"))
-                    }
-                    d => pos.reg = d + 1,
-                },
-                _ => return Err(format!("instruction {i}: bad destination mode")),
-            }
-            for k in 0..3 {
-                if meta & (1 << (SRC_SHIFT + k)) == 0 {
-                    continue;
-                }
-                let d = *self
-                    .srcs
-                    .get(pos.src as usize)
-                    .ok_or("source column overrun")?;
-                pos.src += 1;
-                if d == SRC_ESC {
-                    let r = escape(&mut pos)?;
-                    if r == Reg::NONE.0 || src_distance(base, r).is_some() {
-                        return Err(format!("instruction {i}: non-canonical source escape"));
-                    }
-                } else if d as u32 > base {
-                    return Err(format!(
-                        "instruction {i}: register distance {d} exceeds base {base}"
-                    ));
-                }
-            }
-            if site.mem.is_some() {
-                pos.addr += 1;
-            }
-            if site.branch.is_none() && meta & (TAKEN | BACKWARD | TARGET) != 0 {
-                return Err(format!("instruction {i}: branch bits on a non-branch site"));
-            }
-            if meta & TARGET != 0 {
-                pos.target += 1;
-            }
-        }
-        if pos.src != self.srcs.len() as u64
-            || pos.esc != self.escapes.len() as u64
-            || pos.addr != self.addrs.len() as u64
-            || pos.target != self.targets.len() as u64
-        {
-            return Err("columns disagree with the instructions' counts".into());
-        }
-        if self.targets.contains(&0) {
-            return Err("zero target stored explicitly".into());
-        }
-        Ok(pos.reg)
-    }
 }
 
 /// The entry of `column` at `*ix`, advancing `*ix` past it.
@@ -702,123 +445,6 @@ impl SimSink for Recorder {
             self.buf = Recorded::new();
         }
     }
-}
-
-/// Byte-slice reader used by [`Recorded::decode`] and the checkpoint
-/// decoder.
-pub(crate) struct Cursor<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or("offset overflow")?;
-        if end > self.buf.len() {
-            return Err("unexpected end of data".into());
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4B")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
-    }
-}
-
-/// Every [`Op`], in the stable order of the on-disk encoding. The
-/// position in this table *is* the wire code; append only, never
-/// reorder (bump [`TRACE_FORMAT_VERSION`] if the set changes).
-const OP_TABLE: [Op; 26] = [
-    Op::IntAlu,
-    Op::IntMul,
-    Op::IntDiv,
-    Op::FpOp,
-    Op::FpMove,
-    Op::FpConv,
-    Op::FpDiv,
-    Op::Branch,
-    Op::Jump,
-    Op::Call,
-    Op::Ret,
-    Op::Load,
-    Op::Store,
-    Op::Prefetch,
-    Op::VisAdd,
-    Op::VisLogic,
-    Op::VisAlign,
-    Op::VisEdge,
-    Op::VisCmp,
-    Op::VisMul,
-    Op::VisPack,
-    Op::VisExpand,
-    Op::VisMerge,
-    Op::VisPdist,
-    Op::VisArray,
-    Op::VisGsr,
-];
-
-fn op_code(op: Op) -> u8 {
-    OP_TABLE
-        .iter()
-        .position(|&o| o == op)
-        .expect("every Op is in OP_TABLE") as u8
-}
-
-fn op_from_code(code: u8) -> Result<Op, String> {
-    OP_TABLE
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| format!("bad op code {code}"))
-}
-
-const MEM_KIND_TABLE: [MemKind; 6] = [
-    MemKind::Load,
-    MemKind::Store,
-    MemKind::Prefetch,
-    MemKind::PartialStore,
-    MemKind::BlockLoad,
-    MemKind::BlockStore,
-];
-
-fn mem_kind_code(kind: MemKind) -> u8 {
-    MEM_KIND_TABLE
-        .iter()
-        .position(|&k| k == kind)
-        .expect("every MemKind is in MEM_KIND_TABLE") as u8
-}
-
-fn mem_kind_from_code(code: u8) -> Result<MemKind, String> {
-    MEM_KIND_TABLE
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| format!("bad mem kind {code}"))
-}
-
-const BRANCH_KIND_TABLE: [BranchKind; 4] = [
-    BranchKind::Cond,
-    BranchKind::Jump,
-    BranchKind::Call,
-    BranchKind::Ret,
-];
-
-fn branch_kind_code(kind: BranchKind) -> u8 {
-    BRANCH_KIND_TABLE
-        .iter()
-        .position(|&k| k == kind)
-        .expect("every BranchKind is in BRANCH_KIND_TABLE") as u8
-}
-
-fn branch_kind_from_code(code: u8) -> Result<BranchKind, String> {
-    BRANCH_KIND_TABLE
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| format!("bad branch kind {code}"))
 }
 
 #[cfg(test)]
@@ -933,57 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trips() {
-        let mut rec = Recorded::new();
-        for &i in &sample_stream() {
-            rec.push(i);
-        }
-        let bytes = rec.encode("conv.v-.abc");
-        let back = Recorded::decode(&bytes, "conv.v-.abc").expect("decodes");
-        assert_eq!(back, rec);
-    }
-
-    #[test]
-    fn decode_rejects_corruption_wrong_key_and_wrong_version() {
-        let mut rec = Recorded::new();
-        for &i in &sample_stream() {
-            rec.push(i);
-        }
-        let good = rec.encode("k");
-        assert!(Recorded::decode(&good, "other").is_err(), "key mismatch");
-        for truncate_at in [0, 3, 10, good.len() - 1] {
-            assert!(
-                Recorded::decode(&good[..truncate_at], "k").is_err(),
-                "truncation at {truncate_at}"
-            );
-        }
-        // Flip one byte anywhere: the checksum must catch it.
-        for ix in [4, 20, good.len() / 2, good.len() - 2] {
-            let mut bad = good.clone();
-            bad[ix] ^= 0x40;
-            assert!(Recorded::decode(&bad, "k").is_err(), "flip at {ix}");
-        }
-    }
-
-    #[test]
-    fn every_code_table_round_trips() {
-        for (ix, &op) in OP_TABLE.iter().enumerate() {
-            assert_eq!(op_code(op), ix as u8);
-            assert_eq!(op_from_code(ix as u8).unwrap(), op);
-        }
-        assert!(op_from_code(OP_TABLE.len() as u8).is_err());
-        for (ix, &k) in MEM_KIND_TABLE.iter().enumerate() {
-            assert_eq!(mem_kind_from_code(mem_kind_code(k)).unwrap(), k);
-            assert_eq!(ix as u8, mem_kind_code(k));
-        }
-        assert!(mem_kind_from_code(MEM_KIND_TABLE.len() as u8).is_err());
-        for &k in &BRANCH_KIND_TABLE {
-            assert_eq!(branch_kind_from_code(branch_kind_code(k)).unwrap(), k);
-        }
-        assert!(branch_kind_from_code(BRANCH_KIND_TABLE.len() as u8).is_err());
-    }
-
-    #[test]
     fn recorder_poisons_past_its_budget_and_drops_the_buffer() {
         let mut r = Recorder::new(200);
         for i in 0..100 {
@@ -999,13 +574,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_stream_encodes_and_replays() {
+    fn empty_stream_replays() {
         let rec = Recorded::new();
-        let bytes = rec.encode("empty");
-        let back = Recorded::decode(&bytes, "empty").unwrap();
-        assert!(back.is_empty());
+        assert!(rec.is_empty());
         let mut out = Collect::default();
-        back.replay(&mut out);
+        rec.replay(&mut out);
         assert!(out.0.is_empty());
     }
 }

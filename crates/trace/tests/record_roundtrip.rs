@@ -1,14 +1,12 @@
 //! Property tests for the record/replay engine: an arbitrary dynamic
-//! instruction stream survives record → encode → decode → replay
-//! exactly, replay resumes exactly from any checkpointed cursor, and
-//! any single-byte corruption of the encoding is caught, as is a frame
-//! whose checksum holds but whose indices do not.
+//! instruction stream survives record → replay exactly, and replay
+//! resumes exactly from any checkpointed cursor.
 
 use visim_cpu::SimSink;
 use visim_isa::{BranchInfo, BranchKind, Inst, MemKind, MemRef, Op, Reg};
 use visim_trace::{Checkpoint, Recorded, ReplayCursor};
 use visim_util::prop::{self, Config};
-use visim_util::{fnv1a64, prop_assert};
+use visim_util::prop_assert;
 
 /// A sink that stores every pushed instruction.
 #[derive(Default)]
@@ -114,7 +112,7 @@ fn gen_spec(rng: &mut visim_util::Rng) -> Spec {
 }
 
 #[test]
-fn record_encode_decode_replay_round_trips_any_stream() {
+fn record_replay_round_trips_any_stream() {
     prop::check(
         Config::cases(64),
         |rng| {
@@ -127,43 +125,11 @@ fn record_encode_decode_replay_round_trips_any_stream() {
             for &i in &stream {
                 rec.push(i);
             }
-            let bytes = rec.encode("prop-key");
-            let decoded =
-                Recorded::decode(&bytes, "prop-key").map_err(|e| format!("decode failed: {e}"))?;
             let mut out = Collect::default();
-            decoded.replay(&mut out);
+            rec.replay(&mut out);
             prop_assert!(
                 out.0 == stream,
                 "replayed stream differs from the recorded one"
-            );
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn any_single_byte_flip_is_rejected() {
-    prop::check(
-        Config::cases(64),
-        |rng| {
-            let specs: Vec<Spec> = (0..rng.gen_range(1u32..40))
-                .map(|_| gen_spec(rng))
-                .collect();
-            let flip = rng.u64();
-            (specs, flip)
-        },
-        |(specs, flip)| {
-            let mut rec = Recorded::new();
-            for spec in specs {
-                rec.push(inst_of(spec));
-            }
-            let mut bytes = rec.encode("prop-key");
-            let ix = (*flip as usize) % bytes.len();
-            bytes[ix] ^= 1;
-            prop_assert!(
-                Recorded::decode(&bytes, "prop-key").is_err(),
-                "corruption at byte {} went undetected",
-                ix
             );
             Ok(())
         },
@@ -226,12 +192,6 @@ fn emitter_shaped_streams_round_trip_through_every_escape() {
         let mut out = Collect::default();
         rec.replay(&mut out);
         prop_assert!(out.0 == stream, "record -> replay differs");
-        let decoded =
-            Recorded::decode(&rec.encode("k"), "k").map_err(|e| format!("decode failed: {e}"))?;
-        prop_assert!(decoded == rec, "encode -> decode differs");
-        let mut out = Collect::default();
-        decoded.replay(&mut out);
-        prop_assert!(out.0 == stream, "decoded replay differs");
         Ok(())
     });
 }
@@ -242,9 +202,8 @@ fn site_indices_past_u16_escape_losslessly() {
         .map(|pc| Inst::compute(Op::IntAlu, pc, Reg(pc as u32), [Reg::NONE; 3]))
         .collect();
     let rec = record(&stream);
-    let decoded = Recorded::decode(&rec.encode("k"), "k").expect("decodes");
     let mut out = Collect::default();
-    decoded.replay(&mut out);
+    rec.replay(&mut out);
     assert!(out.0 == stream);
 }
 
@@ -286,53 +245,4 @@ fn replay_from_every_checkpointed_cursor_matches_the_whole_stream() {
             Ok(())
         },
     );
-}
-
-/// Re-seal an edited encoding with a fresh checksum.
-fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
-    let body = bytes.len() - 8;
-    let sum = fnv1a64(&bytes[..body]);
-    bytes[body..].copy_from_slice(&sum.to_le_bytes());
-    bytes
-}
-
-/// Offsets into an encoding of key `key` (see `Recorded::encode`): the
-/// site-index column and the source-distance column.
-fn columns(bytes: &[u8], key: &str) -> (usize, usize) {
-    let counts = 12 + key.len();
-    let count = |i: usize| {
-        let at = counts + 8 * i;
-        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
-    };
-    let (n_sites, n_inst) = (count(0), count(1));
-    let site_col = counts + 6 * 8 + 12 * n_sites;
-    (site_col, site_col + 3 * n_inst)
-}
-
-#[test]
-fn valid_checksum_with_out_of_range_indices_is_rejected() {
-    // Two sites; the second instruction reads the first one's
-    // destination at register distance 1 from base 1.
-    let rec = record(&[
-        Inst::compute(Op::IntAlu, 0x10, Reg(0), [Reg::NONE; 3]),
-        Inst::compute(Op::IntAlu, 0x14, Reg(1), [Reg(0), Reg::NONE, Reg::NONE]),
-    ]);
-    let good = rec.encode("k");
-    assert_eq!(Recorded::decode(&reseal(good.clone()), "k").unwrap(), rec);
-    let (site_col, src_col) = columns(&good, "k");
-
-    let mut bad = good.clone();
-    bad[site_col..site_col + 2].copy_from_slice(&2u16.to_le_bytes());
-    let err = Recorded::decode(&reseal(bad), "k").unwrap_err();
-    assert!(err.contains("site 2 out of range"), "{err}");
-
-    let mut bad = good.clone();
-    bad[src_col..src_col + 2].copy_from_slice(&2u16.to_le_bytes());
-    let err = Recorded::decode(&reseal(bad), "k").unwrap_err();
-    assert!(err.contains("register distance 2 exceeds base 1"), "{err}");
-
-    // An escaped site index that points past the table.
-    let mut bad = good;
-    bad[site_col..site_col + 2].copy_from_slice(&u16::MAX.to_le_bytes());
-    assert!(Recorded::decode(&reseal(bad), "k").is_err());
 }

@@ -1,6 +1,6 @@
 //! Atomic file writes: the single write path every durable artifact
-//! uses (result-store cells, trace-cache spills, JSON artifacts,
-//! `results/partial/` failure droppings).
+//! uses (result-store cells, JSON artifacts, `results/partial/`
+//! failure droppings).
 //!
 //! A plain `fs::write` can tear under SIGKILL or a concurrent writer;
 //! writing a process-unique temp file, syncing it, and renaming it into
@@ -24,22 +24,7 @@ static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// path) see either the old complete file or the new complete file,
 /// never a mix.
 pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
-    write_via_temp(path.as_ref(), bytes, true)
-}
-
-/// [`write_atomic`] without the `sync_all`: same temp-file + rename
-/// discipline (readers never see a mix), but the data may still be in
-/// the page cache when the call returns. Correct only for *cache*
-/// files whose readers validate a checksum and treat a damaged file as
-/// a miss — a crash can leave a torn or empty file behind, it just
-/// cannot produce a wrong result. Durable artifacts (result-store
-/// cells, JSON outputs) must keep using [`write_atomic`]: skipping the
-/// sync there would let a crash silently lose completed work.
-pub fn write_atomic_unsynced(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
-    write_via_temp(path.as_ref(), bytes, false)
-}
-
-fn write_via_temp(path: &Path, bytes: &[u8], sync: bool) -> std::io::Result<()> {
+    let path = path.as_ref();
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
@@ -52,10 +37,7 @@ fn write_via_temp(path: &Path, bytes: &[u8], sync: bool) -> std::io::Result<()> 
     let written = (|| {
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(bytes)?;
-        if sync {
-            f.sync_all()?;
-        }
-        Ok(())
+        f.sync_all()
     })();
     if let Err(e) = written {
         std::fs::remove_file(&tmp).ok();
@@ -87,17 +69,6 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn unsynced_variant_shares_the_rename_discipline() {
-        let dir = scratch("unsynced");
-        let path = dir.join("cache/stream.vtrc");
-        write_atomic_unsynced(&path, b"payload").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"payload");
-        write_atomic_unsynced(&path, b"replaced").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"replaced");
         std::fs::remove_dir_all(&dir).ok();
     }
 

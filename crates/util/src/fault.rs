@@ -1,18 +1,18 @@
 //! Deterministic seeded fault injection (`VISIM_FAULT`).
 //!
-//! The durability layer — result store, trace-cache spill, per-cell
-//! retry — is only trustworthy if its failure paths are exercised, so
-//! this module lets a run inject faults at named points:
+//! The durability layer — result store, per-cell retry — is only
+//! trustworthy if its failure paths are exercised, so this module lets
+//! a run inject faults at named points:
 //!
 //! ```text
 //! VISIM_FAULT=<point>:<spec>[,<point>:<spec>...]
 //! ```
 //!
-//! * `store.write.torn:1/8`  — a hash-rate spec `m/n`: the point fires
+//! * `store.write.torn:1/8`   — a hash-rate spec `m/n`: the point fires
 //!   for a key when `fnv1a64("<point>|<key>|<seed>") % n < m`.
-//! * `spill.corrupt:seed7`   — `seed<K>`: rate 1/2 under seed `K`
+//! * `store.write.torn:seed7` — `seed<K>`: rate 1/2 under seed `K`
 //!   (reseeding picks a different deterministic victim set).
-//! * `cell.panic:conv`       — anything else is a substring match
+//! * `cell.panic:conv`         — anything else is a substring match
 //!   against the key (here: every cell whose benchmark name contains
 //!   `conv` panics).
 //!
@@ -167,9 +167,9 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_rule("spill.corrupt:seed7").unwrap(),
+            parse_rule("store.write.torn:seed7").unwrap(),
             Rule {
-                point: "spill.corrupt".into(),
+                point: "store.write.torn".into(),
                 spec: Spec::Rate {
                     m: 1,
                     n: 2,

@@ -13,17 +13,17 @@
 //! * [`bench`] — a wall-clock microbenchmark runner (replaces
 //!   `criterion`) for `harness = false` bench targets;
 //! * [`atomic`] — temp-file + `sync_all` + rename writes, the single
-//!   write path every durable artifact (result-store cells, trace
-//!   spills, JSON artifacts, partial-failure droppings) lands through;
+//!   write path every durable artifact (result-store cells, JSON
+//!   artifacts, partial-failure droppings) lands through;
 //! * [`error`] — [`SimError`], the typed fault model threaded through
 //!   the pipeline watchdog, the memory-model invariant checks and the
 //!   experiment runners;
 //! * [`fault`] — the deterministic seeded fault-injection harness
-//!   (`VISIM_FAULT=<point>:<spec>`) exercising the store, spill, and
+//!   (`VISIM_FAULT=<point>:<spec>`) exercising the store and
 //!   worker-pool failure paths;
 //! * [`hash`] — stable 64-bit FNV-1a hashing for digests that must
-//!   agree across processes and builds (trace-cache keys, on-disk
-//!   trace checksums);
+//!   agree across processes and builds (trace-cache keys, result-store
+//!   and checkpoint checksums);
 //! * [`pool`] — a scoped worker pool with a bounded job queue (replaces
 //!   `rayon`) for the parallel experiment executor; it also records
 //!   per-job queue-wait and run wall-clock plus queue-depth samples,
