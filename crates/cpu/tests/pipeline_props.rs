@@ -245,6 +245,27 @@ fn statistics_are_pinned_on_fixed_streams() {
                 ..CpuConfig::ooo_4way()
             },
         ),
+        (
+            "ooo_4way/window100",
+            CpuConfig {
+                window: 100,
+                ..CpuConfig::ooo_4way()
+            },
+        ),
+        (
+            "ooo_4way/window200",
+            CpuConfig {
+                window: 200,
+                ..CpuConfig::ooo_4way()
+            },
+        ),
+        (
+            "inorder_4way/blocking_loads",
+            CpuConfig {
+                blocking_loads: true,
+                ..CpuConfig::inorder_4way()
+            },
+        ),
     ];
     let digests: Vec<(&str, u64)> = configs
         .iter()
@@ -264,6 +285,9 @@ fn statistics_are_pinned_on_fixed_streams() {
         ("ooo_4way/window16", 0x713d_2c6a_bd72_78e8),
         ("ooo_4way/window128", 0x02ed_223f_03d4_bcb0),
         ("ooo_4way/blocking_loads", 0x1bfc_d916_f010_9949),
+        ("ooo_4way/window100", 0x8e81_0464_ca4a_502c),
+        ("ooo_4way/window200", 0x4c59_794b_5512_dd0b),
+        ("inorder_4way/blocking_loads", 0xf045_81ec_2e3e_994c),
     ];
     assert_eq!(digests, pinned, "pipeline statistics changed");
 }
