@@ -10,6 +10,9 @@
 //!   round-trip through the `visim-obs` parser, and the trace-derived
 //!   attribution must equal the pipeline's aggregate Figure 1
 //!   breakdown cycle for cycle;
+//! * a lifecycle check on every machine — each retired instruction's
+//!   span is ordered fetch ≤ dispatch ≤ issue ≤ complete ≤ retire, and
+//!   span sequence numbers are consecutive;
 //! * a zero-cost check — a traced run must produce the exact same
 //!   [`Summary`] serialization as an untraced run.
 
@@ -20,7 +23,7 @@ use visim::bench::{Bench, WorkloadSize};
 use visim::config::Arch;
 use visim::experiment::{run_spec, try_run_traced};
 use visim::manifest::CellSpec;
-use visim_obs::trace::{Attribution, InstSpan, InstantKind, TraceRing, TraceStall};
+use visim_obs::trace::{Attribution, InstSpan, InstantKind, TraceEvent, TraceRing, TraceStall};
 use visim_obs::Json;
 use visim_util::prop::{self, Config};
 use visim_util::{prop_assert, prop_assert_eq};
@@ -253,4 +256,41 @@ fn tracing_does_not_perturb_the_simulation() {
         traced.cpu.attribution(),
         "aggregates stay exact through heavy eviction"
     );
+}
+
+#[test]
+fn traced_spans_are_ordered_and_consecutive_on_every_machine() {
+    let size = tiny();
+    for arch in Arch::all() {
+        let (summary, trace) = try_run_traced(
+            Bench::Blend,
+            arch,
+            None,
+            &size,
+            Variant::VIS,
+            TraceRing::new(1 << 18),
+        )
+        .expect("traced run succeeds");
+        assert_eq!(trace.dropped, 0, "{arch:?}: tiny run fits the ring");
+        let spans: Vec<&InstSpan> = trace
+            .events
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::Span(s) => Some(s),
+                _ => None,
+            })
+            .collect();
+        // Every instruction retires exactly once, in program order.
+        assert_eq!(spans.len() as u64, summary.cpu.retired, "{arch:?}");
+        for (k, s) in spans.iter().enumerate() {
+            assert_eq!(s.seq, k as u64, "{arch:?}: span sequence numbers");
+            assert!(
+                s.fetch <= s.dispatch
+                    && s.dispatch <= s.issue
+                    && s.issue <= s.complete
+                    && s.complete <= s.retire,
+                "{arch:?}: lifecycle out of order: {s:?}"
+            );
+        }
+    }
 }

@@ -17,8 +17,8 @@ cargo build --release --offline --workspace
 echo "== tests (workspace, offline) =="
 cargo test --workspace --offline -q
 
-echo "== clippy (workspace, offline) =="
-cargo clippy --workspace --offline -- -D warnings
+echo "== clippy (workspace, all targets, offline) =="
+cargo clippy --workspace --offline --all-targets -- -D warnings
 
 echo "== formatting =="
 cargo fmt --check
