@@ -414,7 +414,13 @@ pub struct Recorder {
 
 impl Recorder {
     /// A recorder that gives up past `budget_bytes` of resident stream.
+    ///
+    /// Its columns grow to many MB and are freed when the stream is
+    /// released, so it keeps such blocks out of the brk heap
+    /// ([`visim_util::heap`]), where freed stream memory could stay
+    /// resident.
     pub fn new(budget_bytes: usize) -> Self {
+        visim_util::heap::keep_large_blocks_mapped();
         Recorder {
             buf: Recorded::new(),
             budget: budget_bytes,

@@ -29,6 +29,9 @@
 //!   per-job queue-wait and run wall-clock plus queue-depth samples,
 //!   exported into a `visim_obs` metrics registry for the JSON result
 //!   artifacts;
+//! * [`heap`] — the process-wide heap policy that keeps large,
+//!   short-lived buffers (trace-stream columns) in their own mappings so
+//!   that freeing them returns the memory;
 //! * [`hermetic_command`] — a subprocess that inherits none of the
 //!   caller's `VISIM_*` knobs, for end-to-end tests of the binaries.
 
@@ -37,6 +40,7 @@ pub mod bench;
 pub mod error;
 pub mod fault;
 pub mod hash;
+pub mod heap;
 pub mod pool;
 pub mod prop;
 pub mod rng;
