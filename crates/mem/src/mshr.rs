@@ -103,6 +103,11 @@ impl MshrFile {
         }
     }
 
+    /// Whether an invariant violation is waiting to be taken.
+    pub fn has_violation(&self) -> bool {
+        self.violation.is_some()
+    }
+
     /// Take the first invariant violation observed, if any.
     pub fn take_violation(&mut self) -> Option<String> {
         self.violation.take()

@@ -306,3 +306,16 @@ fn stats_accessors_are_consistent() {
     assert_eq!(hist.iter().sum::<u64>(), t, "histogram covers all time");
     assert!(m.inflight_misses(t + 10_000) == 0);
 }
+
+#[test]
+fn take_fault_reports_the_first_fault_once() {
+    let mut m = MemSystem::new(MemConfig::default());
+    m.access(load(0x1_0000), 0).unwrap();
+    assert!(m.take_fault().is_none(), "a clean system has no fault");
+    // Two straddling accesses: the first is the one reported.
+    let _ = m.access(Request::new(0x2_003c, 8, MemKind::Load), 1);
+    let _ = m.access(Request::new(0x3_003c, 8, MemKind::Load), 2);
+    let fault = m.take_fault().expect("straddle recorded").to_string();
+    assert!(fault.contains("addr: 131132"), "{fault}"); // 0x2_003c
+    assert!(m.take_fault().is_none(), "a fault is taken once");
+}
