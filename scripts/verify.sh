@@ -75,10 +75,11 @@ done
 echo "== replay-equivalence gate (tiny) =="
 # The trace cache records each dynamic instruction stream once and
 # replays it per configuration; text output must be byte-identical to
-# direct emission. Run cached vs direct and diff the reports.
+# direct emission. Run cached vs direct and diff the reports. ablation
+# sweeps the window size, so each of its machines has its own ring size.
 replay_dir="$fidelity_dir/replay"
 mkdir -p "$replay_dir/cached" "$replay_dir/direct"
-for bin in fig1 sweep_l1; do
+for bin in fig1 sweep_l1 ablation; do
   (cd "$replay_dir/cached" && "$OLDPWD/target/release/$bin" tiny \
     > "../$bin.cached.txt")
   (cd "$replay_dir/direct" && VISIM_NO_TRACE_CACHE=1 \
