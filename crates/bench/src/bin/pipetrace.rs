@@ -24,11 +24,12 @@ use media_kernels::Variant;
 use visim::artifact;
 use visim::bench::{Bench, WorkloadSize};
 use visim::config::Arch;
-use visim::experiment::{run_parallel, try_run_traced};
-use visim_bench::{write_atomic, Report};
+use visim::ctx::{self, RunCtx};
+use visim_bench::{heartbeat, Report};
 use visim_cpu::Summary;
 use visim_obs::trace::{Trace, TraceRing};
 use visim_obs::{schema, Json};
+use visim_util::atomic::write_atomic;
 use visim_util::SimError;
 
 /// The six main configurations of Figure 1, by CLI name.
@@ -67,6 +68,7 @@ fn usage() -> String {
          \x20 --cycles A..B   keep only events in the half-open cycle window [A, B)\n\
          \x20                 (attribution aggregates always cover the whole run)\n\
          \x20 --out PATH      trace file destination (single-run mode)\n\
+         \x20 --no-trace-cache, --trace-cache-mb N   as for the figure binaries\n\
          \n\
          Sizes default to tiny (traces are per-cycle; study/paper files get large).\n\
          Benchmarks: {}\n\
@@ -90,6 +92,7 @@ struct Cli {
     size: WorkloadSize,
     cycles: Option<(u64, u64)>,
     out: Option<String>,
+    ctx: RunCtx,
 }
 
 fn parse_bench(name: &str) -> Option<Bench> {
@@ -116,10 +119,10 @@ fn parse_cli() -> Cli {
         size: WorkloadSize::tiny(),
         cycles: None,
         out: None,
+        ctx: RunCtx::default(),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    let parsed = ctx::parse_args(std::env::args().skip(1), "results/store", |arg, args| {
+        match arg {
             "--help" | "-h" => {
                 println!("{}", usage());
                 std::process::exit(0);
@@ -155,8 +158,13 @@ fn parse_cli() -> Cli {
                     die_usage(&format!("unknown config '{other}', expected one of 1way|4way|ooo|1way-vis|4way-vis|ooo-vis"))
                 }));
             }
-            other => die_usage(&format!("unexpected argument '{other}'")),
+            other => return Err(format!("unexpected argument '{other}'")),
         }
+        Ok(())
+    });
+    cli.ctx = parsed.unwrap_or_else(|e| die_usage(&e));
+    if cli.ctx.sample.is_some() {
+        die_usage("--sample does not apply: pipetrace traces exact runs");
     }
     cli
 }
@@ -237,7 +245,10 @@ fn run_single(cli: &Cli) -> ! {
     if let Some((start, end)) = cli.cycles {
         ring.set_window(start, end);
     }
-    let (summary, trace) = match try_run_traced(bench, arch, None, &cli.size, variant, ring) {
+    let (summary, trace) = match cli
+        .ctx
+        .try_run_traced(bench, arch, None, &cli.size, variant, ring)
+    {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("pipetrace: {}: {e}", bench.name());
@@ -311,14 +322,17 @@ fn run_attribution(cli: &Cli) -> ! {
     }
     // Report first: its wall clock covers the simulations and the
     // progress heartbeat observes the pool below.
-    let mut out = Report::new("pipetrace", cli.size_label);
-    let results = run_parallel(
+    let mut ctx = cli.ctx.clone();
+    ctx.progress = heartbeat("pipetrace");
+    let mut out = Report::new("pipetrace", cli.size_label, ctx.jobs);
+    let results = ctx.run_parallel(
         cells
             .iter()
             .map(|&(bench, _, arch, vis)| {
                 let variant = if vis { Variant::VIS } else { Variant::SCALAR };
                 // Capacity 0: no event storage, exact aggregates only.
-                move || try_run_traced(bench, arch, None, size, variant, TraceRing::new(0))
+                let ctx = &ctx;
+                move || ctx.try_run_traced(bench, arch, None, size, variant, TraceRing::new(0))
             })
             .collect(),
     );

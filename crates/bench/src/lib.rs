@@ -18,10 +18,11 @@
 //! the process exits nonzero.
 //!
 //! All simulation binaries run their (benchmark × configuration) cells
-//! on the experiment worker pool: `VISIM_JOBS=N` selects the worker
-//! count, `VISIM_JOBS=1` is the serial reference path, and unset (or
-//! `0`) auto-detects one worker per core. Output is byte-identical for
-//! any worker count.
+//! on the experiment worker pool of their run context
+//! (`visim::ctx::RunCtx`, built once by [`parse_cli`]): `VISIM_JOBS=N`
+//! selects the worker count, `VISIM_JOBS=1` is the serial reference
+//! path, and unset (or `0`) auto-detects one worker per core. Output is
+//! byte-identical for any worker count.
 //!
 //! Every binary is also crash-safe: finished cells persist in the
 //! content-addressed result store (`results/store/` by default, see
@@ -34,18 +35,15 @@ pub mod render;
 
 use std::io::IsTerminal as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use visim::bench::WorkloadSize;
+use visim::ctx::{ProgressObserver, RunCtx};
 use visim_obs::schema::{self, ResultsDoc};
 use visim_obs::Json;
+use visim_util::atomic::write_atomic;
 use visim_util::SimError;
-
-/// Environment variable that silences the stderr progress heartbeat
-/// when set to `1` (it is also suppressed whenever stderr is not a
-/// terminal). Shared with the structured logger
-/// ([`visim_obs::log::QUIET_ENV`]): one knob silences both.
-pub const QUIET_ENV: &str = visim_obs::log::QUIET_ENV;
 
 /// The usage text for a figure/table binary named `bin` whose one-line
 /// purpose is `about`.
@@ -79,89 +77,69 @@ pub fn usage(bin: &str, about: &str) -> String {
          \x20 --sample W:P         explicit window/period in instructions (e.g. 8000:160000)\n\
          \n\
          Environment:\n\
-         \x20 VISIM_JOBS            worker count (1 = serial reference path; unset/0 = one per core)\n\
-         \x20 VISIM_QUIET           set to 1 to silence the stderr progress heartbeat and logs\n\
-         \x20 VISIM_LOG             stderr log level: debug|info|warn|error (default info)\n\
-         \x20 VISIM_NO_STORE        set to 1 to disable the result store (same as --no-store)\n\
-         \x20 VISIM_STORE_DIR       result-store directory (flag takes precedence)\n\
-         \x20 VISIM_FAULT           inject deterministic faults, e.g. cell.transient:conv:0 (see EXPERIMENTS.md)\n\
-         \x20 VISIM_NO_TRACE_CACHE  set to 1 to disable the trace cache (same as the flag)\n\
-         \x20 VISIM_SAMPLE          1 or W:P to enable sampled simulation (flag takes precedence)\n\
+         \x20 VISIM_JOBS   worker count (1 = serial reference path; unset/0 = one per core)\n\
+         \x20 VISIM_QUIET  set to 1 to silence the stderr progress heartbeat and logs\n\
+         \x20 VISIM_LOG    stderr log level: debug|info|warn|error (default info)\n\
+         \x20 VISIM_FAULT  inject deterministic faults, e.g. cell.transient:conv:0 (see EXPERIMENTS.md)\n\
          \n\
          Output: text report on stdout, machine-readable twin under results/json/."
     )
 }
 
+/// The parsed command line of a figure/table binary.
+pub struct Cli {
+    /// The size label (`tiny|study|paper`; the JSON artifact's `"size"`).
+    pub size_label: &'static str,
+    /// The workload geometry it names.
+    pub size: WorkloadSize,
+    /// The `--manifest F` override of the built-in manifest.
+    pub manifest: Option<String>,
+    /// How the cells run ([`visim::ctx::parse_args`]), with the store at
+    /// `results/store` unless a flag says otherwise.
+    pub ctx: RunCtx,
+}
+
 /// Parse the common CLI of a figure/table binary: an optional size
-/// argument (defaults to `study`), the trace-cache flags
-/// (`--no-trace-cache`, `--trace-cache-mb N` — applied to the
-/// process-wide [`visim::trace_cache`] before any simulation runs),
-/// the result-store flags (`--resume`, `--no-store`, `--store-dir D` —
-/// applied to [`visim::store`]), plus `--help`/`-h`. Installs
-/// `results/store` as the default store directory, which is why only
-/// the binaries (never library unit tests) persist cells. Returns the
-/// size label alongside the geometry (the label goes into the JSON
-/// artifact's `"size"` member). Unknown or malformed arguments print
-/// the usage text to stderr and exit 2.
-pub fn parse_size_args(bin: &str, about: &str) -> (&'static str, WorkloadSize) {
-    visim::store::set_default_dir("results/store");
-    let bad = |msg: String| -> ! {
-        eprintln!("{msg}");
-        eprintln!("\n{}", usage(bin, about));
-        std::process::exit(2);
-    };
+/// argument (defaults to `study`), `--manifest F`, `--help`/`-h`, and
+/// the run-context flags [`visim::ctx::parse_args`] handles. Unknown or
+/// malformed arguments print the usage text to stderr and exit 2.
+pub fn parse_cli(bin: &str, about: &str) -> Cli {
     let mut picked: Option<(&'static str, WorkloadSize)> = None;
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    let mut manifest = None;
+    let parsed = visim::ctx::parse_args(std::env::args().skip(1), "results/store", |arg, args| {
+        match arg {
             "--help" | "-h" => {
                 println!("{}", usage(bin, about));
                 std::process::exit(0);
             }
-            "--resume" => visim::store::set_cli_resume(),
-            "--no-store" => visim::store::set_cli_disabled(),
-            "--store-dir" => match args.next() {
-                Some(d) if !d.is_empty() && !d.starts_with('-') => {
-                    visim::store::set_cli_dir(&d);
-                }
-                _ => bad("--store-dir expects a directory path".into()),
-            },
-            "--no-trace-cache" => visim::trace_cache::set_cli_disabled(),
-            "--manifest" => match args.next() {
-                Some(p) if !p.is_empty() && !p.starts_with('-') => {
-                    visim::manifest::set_cli_path(&p);
-                }
-                _ => bad("--manifest expects a manifest file path".into()),
-            },
-            "--sample" => {
-                // An optional W:P geometry may follow; a size word or
-                // another flag means the default geometry.
-                let spec = match args.peek() {
-                    Some(next) if next.contains(':') => args.next().unwrap(),
-                    _ => "1".to_string(),
-                };
-                match visim::sampling::parse_spec(&spec) {
-                    Ok(cfg) => visim::sampling::set_cli(Some(cfg)),
-                    Err(e) => bad(format!("--sample: {e}")),
-                }
-            }
-            "--trace-cache-mb" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(mb) if mb >= 1 => visim::trace_cache::set_cli_budget_mb(mb),
-                _ => bad("--trace-cache-mb expects a positive integer (megabytes)".into()),
-            },
+            "--manifest" => manifest = Some(visim::ctx::path_value(args, "--manifest")?),
             "tiny" | "study" | "paper" if picked.is_none() => {
-                picked = Some(match arg.as_str() {
+                picked = Some(match arg {
                     "tiny" => ("tiny", WorkloadSize::tiny()),
                     "paper" => ("paper", WorkloadSize::paper()),
                     _ => ("study", WorkloadSize::study()),
                 });
             }
-            other => bad(format!(
-                "unknown argument '{other}', expected tiny|study|paper or a --flag"
-            )),
+            other => {
+                return Err(format!(
+                    "unknown argument '{other}', expected tiny|study|paper or a --flag"
+                ))
+            }
         }
+        Ok(())
+    });
+    let ctx = parsed.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        eprintln!("\n{}", usage(bin, about));
+        std::process::exit(2);
+    });
+    let (size_label, size) = picked.unwrap_or(("study", WorkloadSize::study()));
+    Cli {
+        size_label,
+        size,
+        manifest,
+        ctx,
     }
-    picked.unwrap_or(("study", WorkloadSize::study()))
 }
 
 /// Render one heartbeat message: completed cells out of the total, plus
@@ -192,18 +170,20 @@ const HEARTBEAT_WARMUP_MS: u64 = 2_000;
 /// Heartbeat rate limit: at most one line per second after warm-up.
 const HEARTBEAT_PERIOD_MS: u64 = 1_000;
 
-/// Install the stderr progress heartbeat for the binary named `label`:
-/// after every completed worker-pool cell (and past a short warm-up) it
-/// prints a rate-limited `label: N/M cells done, ETA ~Xs` line. The
-/// observer only sees completion counts, so simulation output is
-/// unaffected; it is a no-op when [`heartbeat_enabled`] says so.
-fn install_heartbeat(label: String) {
+/// The stderr progress heartbeat for the binary named `label`, for a
+/// run context's progress observer: after every completed worker-pool
+/// cell (and past a short warm-up) it prints a rate-limited
+/// `label: N/M cells done, ETA ~Xs` line. The observer only sees
+/// completion counts, so simulation output is unaffected; `None` when
+/// [`heartbeat_enabled`] says so.
+pub fn heartbeat(label: &str) -> Option<ProgressObserver> {
     if !heartbeat_enabled() {
-        return;
+        return None;
     }
+    let label = label.to_string();
     let started = Instant::now();
     let last_ms = AtomicU64::new(0);
-    visim::experiment::set_progress_observer(Some(Box::new(move |done, total, _run_ns| {
+    Some(Arc::new(move |done, total, _run_ns| {
         let elapsed = started.elapsed();
         let now_ms = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
         if now_ms < HEARTBEAT_WARMUP_MS {
@@ -225,12 +205,7 @@ fn install_heartbeat(label: String) {
             &label,
             &format_heartbeat(done, total, elapsed.as_secs_f64()),
         );
-    })));
-}
-
-/// Print a titled section.
-pub fn section(title: &str) {
-    println!("\n=== {title} ===\n");
+    }))
 }
 
 /// Accumulating report writer for the simulation binaries.
@@ -261,15 +236,15 @@ pub struct Report {
 impl Report {
     /// A report for the experiment named `name` (used for the partial
     /// file and the JSON artifact; historically the binary name, now
-    /// the manifest name) at workload size `size_label`.
-    pub fn new(name: &str, size_label: &str) -> Self {
-        install_heartbeat(name.to_string());
+    /// the manifest name) at workload size `size_label`, run on `jobs`
+    /// workers.
+    pub fn new(name: &str, size_label: &str, jobs: usize) -> Self {
         Report {
             name: name.to_string(),
             buf: String::new(),
             failures: Vec::new(),
             artifacts: true,
-            doc: ResultsDoc::new(name, size_label, visim::experiment::jobs()),
+            doc: ResultsDoc::new(name, size_label, jobs),
             started: Instant::now(),
         }
     }
@@ -288,7 +263,7 @@ impl Report {
         self.buf.push_str(s);
     }
 
-    /// Append a titled section, in the same format as [`section`].
+    /// Append a titled section.
     pub fn section(&mut self, title: &str) {
         self.line(format!("\n=== {title} ===\n"));
     }
@@ -317,7 +292,7 @@ impl Report {
         if self.artifacts {
             let detail = format!("{}: {label}: ERROR: {err}\n", self.name);
             if let Err(e) = write_atomic(
-                &format!("results/partial/{}.{}.txt", self.name, sanitize(label)),
+                format!("results/partial/{}.{}.txt", self.name, sanitize(label)),
                 detail.as_bytes(),
             ) {
                 eprintln!("could not write per-benchmark failure artifact: {e}");
@@ -330,7 +305,7 @@ impl Report {
             let mut text = artifact.to_pretty();
             text.push('\n');
             if let Err(e) = write_atomic(
-                &format!("results/partial/{}.{}.json", self.name, sanitize(label)),
+                format!("results/partial/{}.{}.json", self.name, sanitize(label)),
                 text.as_bytes(),
             ) {
                 eprintln!("could not write per-benchmark failure JSON artifact: {e}");
@@ -403,17 +378,6 @@ fn sanitize(label: &str) -> String {
         .collect()
 }
 
-/// Write `bytes` to `path` atomically. Delegates to the workspace-wide
-/// write path ([`visim_util::atomic::write_atomic`]) so every durable
-/// artifact — JSON documents, partial-failure droppings, result-store
-/// cells — lands through the same temp-file, `sync_all`,
-/// rename discipline. Readers (and concurrent writers of the same path)
-/// see either the old complete file or the new complete file, never a
-/// mix.
-pub fn write_atomic(path: &str, bytes: &[u8]) -> std::io::Result<()> {
-    visim_util::atomic::write_atomic(path, bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,7 +393,7 @@ mod tests {
 
     #[test]
     fn report_accumulates_failures() {
-        let mut r = Report::new("test", "tiny");
+        let mut r = Report::new("test", "tiny", 1);
         r.artifacts = false; // keep unit tests out of the working tree
         r.line("hello");
         r.push("table\n");
@@ -474,12 +438,8 @@ mod tests {
             "--resume",
             "--no-store",
             "--store-dir",
-            "VISIM_NO_STORE",
-            "VISIM_STORE_DIR",
             "VISIM_FAULT",
-            "VISIM_NO_TRACE_CACHE",
             "--sample",
-            "VISIM_SAMPLE",
             "--manifest",
         ] {
             assert!(u.contains(needle), "usage misses {needle}: {u}");

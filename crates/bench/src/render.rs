@@ -2,7 +2,7 @@
 //!
 //! Each binary reduces to `render::manifest_main("<name>")`: load the
 //! built-in manifest (or the `--manifest <path>` override), parse the
-//! shared CLI, execute the grid through `experiment::run_manifest`, and
+//! shared CLI, execute the grid through `RunCtx::run_manifest`, and
 //! render the outcome. Rendering is keyed by grid *kind* — table
 //! layouts, headline ratios, and in-text statistics are presentation,
 //! so they live here, while the manifest carries the data axes. The
@@ -11,12 +11,12 @@
 
 use visim::artifact;
 use visim::bench::WorkloadSize;
-use visim::experiment::{run_manifest, ManifestOutcome};
+use visim::experiment::ManifestOutcome;
 use visim::manifest::{Grid, Manifest, SweepCache};
 use visim::report;
 use visim_obs::Json;
 
-use crate::{parse_size_args, Report};
+use crate::{heartbeat, parse_cli, Report};
 
 /// Entry point for a figure/table binary: parse the CLI, load the
 /// manifest (built-in `bin`, or the `--manifest` override), run it, and
@@ -24,9 +24,9 @@ use crate::{parse_size_args, Report};
 pub fn manifest_main(bin: &'static str) -> ! {
     let builtin =
         Manifest::builtin(bin).unwrap_or_else(|| panic!("no built-in manifest named {bin:?}"));
-    let (size_label, size) = parse_size_args(bin, &builtin.about);
-    let m = match visim::manifest::cli_path() {
-        Some(path) => match Manifest::load_file(&path) {
+    let cli = parse_cli(bin, &builtin.about);
+    let m = match &cli.manifest {
+        Some(path) => match Manifest::load_file(path) {
             Ok(m) => m,
             Err(e) => {
                 eprintln!("--manifest {path}: {e}");
@@ -35,8 +35,10 @@ pub fn manifest_main(bin: &'static str) -> ! {
         },
         None => builtin,
     };
-    let mut out = Report::new(&m.name, size_label);
-    let outcome = run_manifest(&m, &size);
+    let (size, mut ctx) = (cli.size, cli.ctx);
+    ctx.progress = heartbeat(&m.name);
+    let mut out = Report::new(&m.name, cli.size_label, ctx.jobs);
+    let outcome = ctx.run_manifest(&m, &size);
     match outcome {
         ManifestOutcome::Fig1(results) => render_fig1(&mut out, &m, &size, results),
         ManifestOutcome::Fig2(results) => render_fig2(&mut out, &m, results),

@@ -1,5 +1,5 @@
 //! Manifest-engine determinism: every figure binary is now a thin
-//! invocation of `visim::experiment::run_manifest` over its embedded
+//! invocation of `visim::RunCtx::run_manifest` over its embedded
 //! manifest, so (a) each binary must render byte-identically whether
 //! one worker or eight executed the grid, and (b) `--manifest F`
 //! pointing at a copy of the embedded manifest must reproduce the

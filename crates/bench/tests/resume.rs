@@ -13,6 +13,8 @@ use std::time::{Duration, Instant};
 use visim_obs::Json;
 use visim_util::hermetic_command;
 
+mod common;
+
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("visim-resume-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -39,15 +41,11 @@ fn run_fig1(dir: &Path, args: &[&str], envs: &[(&str, &str)]) -> Output {
     fig1_cmd(dir, args, envs).output().expect("fig1 runs")
 }
 
-/// Load `results/json/fig1.json` from `dir` and drop every run-varying
-/// member: the document's `wall_seconds`, `jobs`, and run-level
-/// `metrics` (pool timings, store/retry/fault counters), plus each
-/// cell's `cell.*` counters. Everything that remains is simulation
-/// output and must be identical however (and in how many processes)
-/// the run was executed.
+/// `results/json/fig1.json` from `dir`, scrubbed of every run-varying
+/// member ([`common::scrub_doc`]).
 fn scrubbed_json(dir: &Path) -> Json {
     let text = std::fs::read_to_string(dir.join("results/json/fig1.json")).unwrap();
-    scrub_doc(Json::parse(&text).unwrap())
+    common::scrub_doc(Json::parse(&text).unwrap(), &|_| false)
 }
 
 fn doc_counter(dir: &Path, name: &str) -> u64 {
@@ -59,75 +57,6 @@ fn doc_counter(dir: &Path, name: &str) -> u64 {
         .and_then(|c| c.get(name))
         .and_then(Json::as_u64)
         .unwrap_or_else(|| panic!("doc metrics counter {name} present"))
-}
-
-fn scrub_doc(doc: Json) -> Json {
-    let Json::Obj(members) = doc else {
-        panic!("results doc is an object")
-    };
-    Json::Obj(
-        members
-            .into_iter()
-            .filter(|(k, _)| k != "wall_seconds" && k != "metrics" && k != "jobs")
-            .map(|(k, v)| {
-                if k == "cells" {
-                    let Json::Arr(cells) = v else {
-                        panic!("cells is an array")
-                    };
-                    (k, Json::Arr(cells.into_iter().map(scrub_cell).collect()))
-                } else {
-                    (k, v)
-                }
-            })
-            .collect(),
-    )
-}
-
-fn scrub_cell(cell: Json) -> Json {
-    let Json::Obj(members) = cell else {
-        return cell;
-    };
-    Json::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| {
-                if k == "metrics" {
-                    (k, scrub_cell_metrics(v))
-                } else {
-                    (k, v)
-                }
-            })
-            .collect(),
-    )
-}
-
-fn scrub_cell_metrics(metrics: Json) -> Json {
-    let Json::Obj(members) = metrics else {
-        return metrics;
-    };
-    Json::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| {
-                if k == "counters" {
-                    let Json::Obj(counters) = v else {
-                        return (k, v);
-                    };
-                    (
-                        k,
-                        Json::Obj(
-                            counters
-                                .into_iter()
-                                .filter(|(name, _)| !name.starts_with("cell."))
-                                .collect(),
-                        ),
-                    )
-                } else {
-                    (k, v)
-                }
-            })
-            .collect(),
-    )
 }
 
 /// Count the `.vcell` entries currently in `dir`'s store.

@@ -12,6 +12,8 @@ use std::process::Output;
 use visim_obs::Json;
 use visim_util::hermetic_command;
 
+mod common;
+
 /// Small enough that every tiny-size stream yields several windows.
 const GEOMETRY: &str = "200:1000";
 
@@ -65,87 +67,22 @@ fn sampling_modes(dir: &Path) -> Vec<u64> {
         .collect()
 }
 
-/// Drop run-varying members (wall clock, jobs, run metrics) and each
-/// cell's wall-clock-bearing `cell.emit_micros`/`cell.simulate_micros`
-/// counters — but KEEP the `cell.sampling.*` counters: they are part of
-/// the simulation output and must themselves be deterministic.
+/// The document scrubbed of run-varying members
+/// ([`common::scrub_doc`]) — but KEEPING the `cell.sampling.*`
+/// counters: they are part of the simulation output and must
+/// themselves be deterministic.
 fn scrubbed(dir: &Path) -> Json {
-    let Json::Obj(members) = doc(dir) else {
-        panic!("results doc is an object")
-    };
-    Json::Obj(
-        members
-            .into_iter()
-            .filter(|(k, _)| k != "wall_seconds" && k != "metrics" && k != "jobs")
-            .map(|(k, v)| {
-                if k != "cells" {
-                    return (k, v);
-                }
-                let Json::Arr(cells) = v else {
-                    panic!("cells is an array")
-                };
-                (k, Json::Arr(cells.into_iter().map(scrub_cell).collect()))
-            })
-            .collect(),
-    )
-}
-
-fn scrub_cell(cell: Json) -> Json {
-    let Json::Obj(members) = cell else {
-        return cell;
-    };
-    Json::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| {
-                if k != "metrics" {
-                    return (k, v);
-                }
-                let Json::Obj(metrics) = v else {
-                    return (k, v);
-                };
-                (
-                    k,
-                    Json::Obj(
-                        metrics
-                            .into_iter()
-                            .map(|(mk, mv)| {
-                                if mk != "counters" {
-                                    return (mk, mv);
-                                }
-                                let Json::Obj(counters) = mv else {
-                                    return (mk, mv);
-                                };
-                                (
-                                    mk,
-                                    Json::Obj(
-                                        counters
-                                            .into_iter()
-                                            .filter(|(name, _)| {
-                                                name.starts_with("cell.sampling.")
-                                                    || !name.starts_with("cell.")
-                                            })
-                                            .collect(),
-                                    ),
-                                )
-                            })
-                            .collect(),
-                    ),
-                )
-            })
-            .collect(),
-    )
+    common::scrub_doc(doc(dir), &|name| name.starts_with("cell.sampling."))
 }
 
 /// Sampled output — including every `cell.sampling.*` counter — is
 /// byte-identical across worker counts (window fan-out included) and
-/// across repeated runs, and the env knob agrees with the CLI flag.
+/// across repeated runs.
 #[test]
 fn sampled_runs_are_deterministic_across_jobs_and_repeats() {
     let serial = scratch_dir("jobs1");
     let par = scratch_dir("jobs8");
     let rep = scratch_dir("jobs8-rep");
-    let env = scratch_dir("env");
     let out_serial = run_fig1(&serial, &["--sample", GEOMETRY, "--no-store"], &[]);
     let out_par = run_fig1(
         &par,
@@ -157,16 +94,10 @@ fn sampled_runs_are_deterministic_across_jobs_and_repeats() {
         &["--sample", GEOMETRY, "--no-store"],
         &[("VISIM_JOBS", "8")],
     );
-    let out_env = run_fig1(
-        &env,
-        &["--no-store"],
-        &[("VISIM_SAMPLE", GEOMETRY), ("VISIM_JOBS", "8")],
-    );
     for (label, out) in [
         ("serial", &out_serial),
         ("jobs8", &out_par),
         ("repeat", &out_rep),
-        ("env", &out_env),
     ] {
         assert!(
             out.status.success(),
@@ -176,11 +107,9 @@ fn sampled_runs_are_deterministic_across_jobs_and_repeats() {
     }
     assert_eq!(out_serial.stdout, out_par.stdout, "jobs 1 vs 8 diverge");
     assert_eq!(out_par.stdout, out_rep.stdout, "repeat diverges");
-    assert_eq!(out_par.stdout, out_env.stdout, "env vs flag diverge");
     let reference = scrubbed(&serial);
     assert_eq!(reference, scrubbed(&par), "jobs 1 vs 8 JSON diverges");
     assert_eq!(reference, scrubbed(&rep), "repeat JSON diverges");
-    assert_eq!(reference, scrubbed(&env), "env vs flag JSON diverges");
 
     // The run actually sampled: every cell declares a mode, and the
     // majority were estimated from windows rather than falling back.

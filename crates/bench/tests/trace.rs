@@ -6,7 +6,7 @@
 //!   attribution aggregates must stay exact no matter how many events
 //!   the ring dropped;
 //! * an integration test running a real benchmark under
-//!   [`visim::experiment::try_run_traced`] — the exported JSON must
+//!   [`visim::RunCtx::try_run_traced`] — the exported JSON must
 //!   round-trip through the `visim-obs` parser, and the trace-derived
 //!   attribution must equal the pipeline's aggregate Figure 1
 //!   breakdown cycle for cycle;
@@ -21,12 +21,22 @@ use std::collections::BTreeMap;
 use media_kernels::Variant;
 use visim::bench::{Bench, WorkloadSize};
 use visim::config::Arch;
-use visim::experiment::{run_spec, try_run_traced};
 use visim::manifest::CellSpec;
-use visim_obs::trace::{Attribution, InstSpan, InstantKind, TraceEvent, TraceRing, TraceStall};
+use visim::RunCtx;
+use visim_cpu::Summary;
+use visim_obs::trace::{
+    Attribution, InstSpan, InstantKind, Trace, TraceEvent, TraceRing, TraceStall,
+};
 use visim_obs::Json;
 use visim_util::prop::{self, Config};
 use visim_util::{prop_assert, prop_assert_eq};
+
+/// One traced run of `bench` at the tiny size.
+fn traced(bench: Bench, arch: Arch, variant: Variant, ring: TraceRing) -> (Summary, Trace) {
+    RunCtx::default()
+        .try_run_traced(bench, arch, None, &tiny(), variant, ring)
+        .expect("traced run succeeds")
+}
 
 fn tiny() -> WorkloadSize {
     let mut s = WorkloadSize::tiny();
@@ -166,16 +176,12 @@ fn ring_eviction_preserves_pairing_and_exact_attribution() {
 
 #[test]
 fn traced_tiny_run_round_trips_and_matches_aggregate() {
-    let size = tiny();
-    let (summary, trace) = try_run_traced(
+    let (summary, trace) = traced(
         Bench::Blend,
         Arch::Ooo4,
-        None,
-        &size,
         Variant::VIS,
         TraceRing::new(1 << 18),
-    )
-    .expect("traced run succeeds");
+    );
     assert!(!trace.events.is_empty(), "a real run records events");
     assert_eq!(trace.dropped, 0, "tiny run fits the ring");
     // The trace-derived attribution equals the aggregate Figure 1
@@ -231,19 +237,17 @@ fn tracing_does_not_perturb_the_simulation() {
         mem: Default::default(),
         variant: Variant::SCALAR,
     };
-    let plain = run_spec(&spec, &size)
+    let plain = RunCtx::default()
+        .run_spec(&spec, &size)
         .expect("plain run succeeds")
         .0
         .into_summary();
-    let (traced, trace) = try_run_traced(
+    let (traced, trace) = traced(
         Bench::Conv,
         Arch::InOrder4,
-        None,
-        &size,
         Variant::SCALAR,
         TraceRing::new(256),
-    )
-    .expect("traced run succeeds");
+    );
     assert_eq!(plain.cycles(), traced.cycles());
     assert_eq!(
         scrub_cell_counters(plain.to_json()).to_compact(),
@@ -260,17 +264,8 @@ fn tracing_does_not_perturb_the_simulation() {
 
 #[test]
 fn traced_spans_are_ordered_and_consecutive_on_every_machine() {
-    let size = tiny();
     for arch in Arch::all() {
-        let (summary, trace) = try_run_traced(
-            Bench::Blend,
-            arch,
-            None,
-            &size,
-            Variant::VIS,
-            TraceRing::new(1 << 18),
-        )
-        .expect("traced run succeeds");
+        let (summary, trace) = traced(Bench::Blend, arch, Variant::VIS, TraceRing::new(1 << 18));
         assert_eq!(trace.dropped, 0, "{arch:?}: tiny run fits the ring");
         let spans: Vec<&InstSpan> = trace
             .events

@@ -174,8 +174,9 @@ pub fn counted_cell(name: &str, config: Json, stats: &CpuStats) -> Json {
 mod tests {
     use super::*;
     use crate::bench::WorkloadSize;
-    use crate::experiment::{self, CellOutput};
+    use crate::experiment::CellOutput;
     use crate::manifest::CellSpec;
+    use crate::RunCtx;
     use media_kernels::Variant;
 
     /// Run one cell at a miniature size.
@@ -184,7 +185,10 @@ mod tests {
         size.image_w = 32;
         size.image_h = 32;
         size.dotprod_n = 512;
-        experiment::run_spec(&spec, &size).expect("cell runs").0
+        RunCtx::default()
+            .run_spec(&spec, &size)
+            .expect("cell runs")
+            .0
     }
 
     #[test]

@@ -2,23 +2,24 @@
 //!
 //! Every number the paper reports is one (benchmark × machine ×
 //! variant) simulation cell. [`Manifest::cells`] expands an experiment
-//! grid into [`CellSpec`]s, and [`run_spec`] is the one way to run a
-//! cell: it consults the content-addressed result store, injects the
-//! `cell.panic`/`cell.transient` faults, retries transient failures,
-//! and persists the outcome. [`run_manifest`] is the figure binaries'
-//! view of the same path: it runs a manifest's cells as one worker-pool
-//! batch and folds them into figure-shaped rows, where a benchmark whose
-//! cell fails becomes an error row while the others keep their bars.
+//! grid into [`CellSpec`]s, and [`RunCtx::run_spec`] is the one way to
+//! run a cell: it consults the content-addressed result store, injects
+//! the `cell.panic`/`cell.transient` faults, retries transient failures,
+//! and persists the outcome. [`RunCtx::run_manifest`] is the figure
+//! binaries' view of the same path: it runs a manifest's cells as one
+//! worker-pool batch and folds them into figure-shaped rows, where a
+//! benchmark whose cell fails becomes an error row while the others
+//! keep their bars.
 //!
 //! # Parallel execution
 //!
 //! The full result set is ~100+ independent cycle-level simulations
 //! (Figure 1 alone is 12 benchmarks × 6 configurations). Every cell is
 //! a pure function of its inputs, so cells fan out over a worker pool
-//! ([`run_parallel`]) and the results come back in deterministic input
-//! order: output is bit-identical for any worker count. `VISIM_JOBS`
-//! selects the worker count (`1` = the serial reference path, no
-//! threads at all; unset/`0` = one worker per available core).
+//! ([`RunCtx::run_parallel`]) and the results come back in deterministic
+//! input order: output is bit-identical for any worker count. The run
+//! context's `jobs` is the worker count (`1` = the serial reference
+//! path, no threads at all).
 //!
 //! Pool batch stats, retry counters and every cell's store-lookup and
 //! simulate phase timings go to the process-wide metrics sink
@@ -28,7 +29,7 @@
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use media_kernels::Variant;
@@ -46,49 +47,12 @@ use media_kernels::KernelId;
 
 use crate::bench::{Bench, WorkloadSize};
 use crate::config::Arch;
+use crate::ctx::{self, RunCtx};
 use crate::kernels14::{self, KernelCell};
 use crate::manifest::{CellSpec, Grid, Manifest, SweepCache};
 use crate::sampling::{self, SampleConfig};
-use crate::store;
+use crate::store::{self, CellKey};
 use crate::trace_cache;
-
-/// Environment variable selecting the experiment-executor worker count.
-/// `1` forces the serial reference path; `0` or unset auto-detects one
-/// worker per available core.
-pub const JOBS_ENV: &str = "VISIM_JOBS";
-
-/// The configured worker count: `VISIM_JOBS` if set to a positive
-/// integer, otherwise one worker per available core.
-pub fn jobs() -> usize {
-    match std::env::var(JOBS_ENV) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => default_jobs(),
-        },
-        Err(_) => default_jobs(),
-    }
-}
-
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// A process-wide progress callback, called as `(done, total, run_ns)`
-/// after every completed [`run_parallel`] job. See
-/// [`set_progress_observer`].
-pub type ProgressObserver = Box<dyn Fn(usize, usize, u64) + Send + Sync>;
-
-static PROGRESS: Mutex<Option<ProgressObserver>> = Mutex::new(None);
-
-/// Install (or, with `None`, remove) the process-wide progress
-/// observer. The figure binaries install a stderr heartbeat here; the
-/// observer only ever sees completion counts and job latencies, so it
-/// cannot influence results.
-pub fn set_progress_observer(obs: Option<ProgressObserver>) {
-    *PROGRESS.lock().expect("progress observer lock") = obs;
-}
 
 /// Snapshot and reset the process-wide metrics sink: `pool.*`,
 /// `serve.phase.*`, `trace_cache.*`, `store.*`, `fault.*`, `retry.*`
@@ -101,35 +65,6 @@ pub fn drain_pool_metrics() -> Registry {
     sink.declare(&RETRY_COUNTERS);
     sink.declare(&[fault::INJECTED_TOTAL]);
     sink.drain()
-}
-
-/// Run independent experiment jobs on the worker pool ([`jobs`] workers)
-/// and return the results in input order. Each job must be a pure
-/// function of its captures; the result vector is then independent of
-/// the worker count, which is what makes `VISIM_JOBS=1` and
-/// `VISIM_JOBS=8` produce byte-identical figures. Each batch's per-job
-/// wall-clock and queue timings fold into the metrics sink once
-/// ([`drain_pool_metrics`]); they never influence the results.
-pub fn run_parallel<T, F>(work: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    // An empty batch is not a pool run: it leaves no trace in the
-    // metrics (the `tables` manifest has no cells).
-    if work.is_empty() {
-        return Vec::new();
-    }
-    let observer = |done: usize, total: usize, run_ns: u64| {
-        if let Some(obs) = PROGRESS.lock().expect("progress observer lock").as_ref() {
-            obs(done, total, run_ns);
-        }
-    };
-    let (results, stats) = pool::run_ordered_timed_observed(jobs(), work, Some(&observer));
-    let mut batch = Registry::new();
-    stats.export(&mut batch);
-    live::global().merge(&batch);
-    results
 }
 
 /// Per-cell retry policy: a cell whose attempt fails with a
@@ -175,29 +110,32 @@ fn with_retry<T>(mut attempt_fn: impl FnMut(u32) -> Result<T, SimError>) -> Resu
     }
 }
 
-/// The crash-safety wrapper every store-eligible cell runs through.
+/// The crash-safety wrapper every cell runs through.
 ///
-/// On a resume run, a valid store entry under `key` short-circuits the
-/// simulation entirely — including entries with `status: failed`, whose
-/// recorded deterministic error is re-raised so a resumed run renders
-/// the same error row without re-running a known failure. Otherwise the
-/// cell computes under the retry policy (with the `cell.transient`
-/// fault point armed per attempt) and the outcome — success or
-/// deterministic failure, never a transient one — is persisted
-/// atomically. The flag is `true` when the result came from the store.
+/// Without a store in `ctx`, the cell just computes. On a resume run, a
+/// valid store entry under `key` short-circuits the simulation entirely
+/// — including entries with `status: failed`, whose recorded
+/// deterministic error is re-raised so a resumed run renders the same
+/// error row without re-running a known failure. Otherwise the cell
+/// computes under the retry policy, with the `cell.transient` fault
+/// point armed per attempt and the `cell.panic` point and panic recovery
+/// around `compute` (`tag` names the benchmark or driver), and the
+/// outcome — success or deterministic failure, never a transient one —
+/// is persisted atomically. The flag is `true` when the result came from the store.
 /// The store lookup (on resume) and the computation are timed into the
 /// sink's `serve.phase.store_lookup_ns` and `serve.phase.simulate_ns`.
 fn run_cell<T: Clone>(
-    key: Option<store::CellKey>,
+    ctx: &RunCtx,
+    key: CellKey,
     tag: &str,
     compute: impl Fn() -> Result<T, SimError>,
     to_entry: impl Fn(&T) -> store::Entry,
     from_entry: impl Fn(store::Entry) -> Option<T>,
 ) -> Result<(T, bool), SimError> {
     let sink = live::global();
-    if let Some(key) = key.as_ref().filter(|_| store::resume()) {
+    if let Some(store) = ctx.store.as_ref().filter(|s| s.resume) {
         let t0 = Instant::now();
-        let loaded = store::load(key);
+        let loaded = store.load(&key);
         sink.observe_latency_ns(
             live_names::PHASE_STORE_LOOKUP,
             t0.elapsed().as_nanos() as u64,
@@ -215,13 +153,17 @@ fn run_cell<T: Clone>(
     let t1 = Instant::now();
     let result = with_retry(|attempt| {
         fault::trip_transient("cell.transient", &format!("{tag}:{attempt}"))?;
-        compute()
+        catch_workload(tag, || {
+            injected_panic(tag);
+            compute()
+        })
+        .and_then(|r| r)
     });
     sink.observe_latency_ns(live_names::PHASE_SIMULATE, t1.elapsed().as_nanos() as u64);
-    if let Some(key) = &key {
+    if let Some(store) = &ctx.store {
         match &result {
-            Ok(v) => store::save(key, &to_entry(v)),
-            Err(e) if !e.is_transient() => store::save(key, &store::Entry::Failed(e.clone())),
+            Ok(v) => store.save(&key, &to_entry(v)),
+            Err(e) if !e.is_transient() => store.save(&key, &store::Entry::Failed(e.clone())),
             Err(_) => {}
         }
     }
@@ -265,17 +207,23 @@ enum Stream {
 }
 
 /// Obtain the cell's instruction stream, consulting and feeding the
-/// process-wide [`trace_cache`]. The stream depends only on
-/// (benchmark, size, variant) — never on the machine configuration —
-/// which is what lets one capture serve every architecture and cache
-/// size. On a miss, the stream is captured through a pure
-/// [`Recorder`] (no timing model attached); emission faults surface
-/// here exactly as they would on the direct path, because emission is
-/// deterministic.
-fn obtain_stream(bench: Bench, size: &WorkloadSize, variant: Variant) -> Result<Stream, SimError> {
-    let Some(key) = trace_cache::key_for(bench.name(), size, variant) else {
+/// process-wide [`trace_cache`] within the run's trace budget. The
+/// stream depends only on (benchmark, size, variant) — never on the
+/// machine configuration — which is what lets one capture serve every
+/// architecture and cache size. On a miss, the stream is captured
+/// through a pure [`Recorder`] (no timing model attached); emission
+/// faults surface here exactly as they would on the direct path,
+/// because emission is deterministic.
+fn obtain_stream(
+    ctx: &RunCtx,
+    bench: Bench,
+    size: &WorkloadSize,
+    variant: Variant,
+) -> Result<Stream, SimError> {
+    let Some(budget) = ctx.trace_budget else {
         return Ok(Stream::Direct);
     };
+    let key = trace_cache::key_for(bench.name(), size, variant);
     let recording = match trace_cache::lookup(&key) {
         trace_cache::Lookup::Hit(rec) => {
             return Ok(Stream::Replay {
@@ -285,12 +233,12 @@ fn obtain_stream(bench: Bench, size: &WorkloadSize, variant: Variant) -> Result<
         }
         trace_cache::Lookup::Miss(recording) => recording,
     };
-    let mut recorder = Recorder::new(trace_cache::budget_bytes());
+    let mut recorder = Recorder::new(budget);
     catch_workload(bench.name(), || bench.run(&mut recorder, size, variant))?;
     match recorder.finish() {
         Some(rec) => {
             let rec = Arc::new(rec);
-            recording.store(&rec);
+            recording.store(&rec, budget);
             Ok(Stream::Replay {
                 rec,
                 cache_hit: false,
@@ -389,29 +337,36 @@ fn sampled_exact_fallback(
     Ok(summary)
 }
 
-/// One timed cell under SMARTS-style sampling: a functional-warming
-/// pass over the recorded stream serializes an architectural checkpoint
-/// ([`Checkpoint`]) at every window boundary, the detailed windows fan
-/// out across the worker pool (each job independently validates its
-/// checkpoint frame, restores it into a fresh pipeline, and replays
-/// just its window span), and [`visim_cpu::extrapolate`] combines the
-/// warming pass's exact functional totals with the windows' cycle
-/// measurements into the full-run estimate.
+/// Simulate one timed cell from its stream: exactly, or, when the run
+/// samples (`ctx.sample`), under SMARTS-style sampling. There a
+/// functional-warming pass over the recorded stream serializes an
+/// architectural checkpoint ([`Checkpoint`]) at every window boundary,
+/// the detailed windows fan out across the worker pool (each job
+/// independently validates its checkpoint frame, restores it into a
+/// fresh pipeline, and replays just its window span), and
+/// [`visim_cpu::extrapolate`] combines the warming pass's exact
+/// functional totals with the windows' cycle measurements into the
+/// full-run estimate.
 ///
 /// The sampled result is deterministic for any worker count: windows
 /// are scheduled from instruction indices alone, the pool returns
 /// results in input order, and extrapolation is integer arithmetic over
 /// those ordered summaries. Anything that prevents sampling degrades to
 /// [`sampled_exact_fallback`] rather than failing the cell.
-fn run_sampled(
+fn simulate(
+    ctx: &RunCtx,
     bench: Bench,
     cpu: &CpuConfig,
     mem: &MemConfig,
     size: &WorkloadSize,
     variant: Variant,
     stream: &Stream,
-    scfg: SampleConfig,
 ) -> Result<Summary, SimError> {
+    let Some(scfg) = ctx.sample else {
+        let mut pipe = Pipeline::new(cpu.clone(), mem.clone());
+        feed(bench, size, variant, stream, &mut pipe)?;
+        return pipe.try_finish();
+    };
     // Windows address dynamic instruction indices, so sampling needs a
     // recorded stream; direct emission (cache disabled or over budget)
     // falls back to exact.
@@ -493,7 +448,7 @@ fn run_sampled(
         })
         .collect();
     let mut windows = Vec::with_capacity(starts.len());
-    for w in pool::run_ordered(jobs(), window_jobs) {
+    for w in pool::run_ordered(ctx.jobs, window_jobs) {
         windows.push(w?);
     }
 
@@ -516,26 +471,47 @@ fn run_sampled(
     }
 }
 
-fn timed_entry(s: &Summary) -> store::Entry {
-    store::Entry::Timed(Box::new(s.clone()))
+/// A store-aware detailed-timing cell (see [`run_cell`]), stamped with
+/// whether it came from the store.
+pub(crate) fn stored_timed(
+    ctx: &RunCtx,
+    key: CellKey,
+    tag: &str,
+    compute: impl Fn() -> Result<Summary, SimError>,
+) -> Result<(Summary, bool), SimError> {
+    let (mut summary, from_store) = run_cell(
+        ctx,
+        key,
+        tag,
+        compute,
+        |s| store::Entry::Timed(Box::new(s.clone())),
+        |entry| match entry {
+            store::Entry::Timed(s) => Some(*s),
+            _ => None,
+        },
+    )?;
+    summary.metrics.set("cell.store_hit", u64::from(from_store));
+    Ok((summary, from_store))
 }
 
-fn summary_of(entry: store::Entry) -> Option<Summary> {
-    match entry {
-        store::Entry::Timed(s) => Some(*s),
-        _ => None,
-    }
-}
-
-fn counted_entry(c: &CpuStats) -> store::Entry {
-    store::Entry::Counted(c.clone())
-}
-
-fn counts_of(entry: store::Entry) -> Option<CpuStats> {
-    match entry {
-        store::Entry::Counted(c) => Some(c),
-        _ => None,
-    }
+/// The counting counterpart of [`stored_timed`].
+pub(crate) fn stored_counted(
+    ctx: &RunCtx,
+    key: CellKey,
+    tag: &str,
+    compute: impl Fn() -> Result<CpuStats, SimError>,
+) -> Result<(CpuStats, bool), SimError> {
+    run_cell(
+        ctx,
+        key,
+        tag,
+        compute,
+        |c| store::Entry::Counted(c.clone()),
+        |entry| match entry {
+            store::Entry::Counted(c) => Some(c),
+            _ => None,
+        },
+    )
 }
 
 /// One benchmark through the detailed timing model: the body of a
@@ -544,150 +520,39 @@ fn counts_of(entry: store::Entry) -> Option<CpuStats> {
 /// emission either way. Workload panics, invariant violations, and
 /// watchdog aborts surface as errors.
 fn timed_cell(
+    ctx: &RunCtx,
     bench: Bench,
     cpu: &CpuConfig,
     mem: &MemConfig,
     size: &WorkloadSize,
     variant: Variant,
 ) -> Result<(Summary, bool), SimError> {
-    let key = store::timed_key(bench.name(), cpu, mem, size, variant);
-    let (mut summary, from_store) = run_cell(
-        key,
-        bench.name(),
-        || {
-            catch_workload(bench.name(), || injected_panic(bench.name()))?;
-            let t0 = Instant::now();
-            let stream = obtain_stream(bench, size, variant)?;
-            let emit = t0.elapsed();
-            let t1 = Instant::now();
-            let mut summary = match sampling::config() {
-                Some(scfg) => run_sampled(bench, cpu, mem, size, variant, &stream, scfg)?,
-                None => {
-                    let mut pipe = Pipeline::new(cpu.clone(), mem.clone());
-                    feed(bench, size, variant, &stream, &mut pipe)?;
-                    pipe.try_finish()?
-                }
-            };
-            stamp_cell_metrics(&mut summary.metrics, emit, t1.elapsed(), &stream);
-            Ok(summary)
-        },
-        timed_entry,
-        summary_of,
-    )?;
-    summary.metrics.set("cell.store_hit", u64::from(from_store));
-    Ok((summary, from_store))
+    let key = CellKey::timed(bench.name(), cpu, mem, size, variant, ctx.sample);
+    stored_timed(ctx, key, bench.name(), || {
+        let t0 = Instant::now();
+        let stream = obtain_stream(ctx, bench, size, variant)?;
+        let emit = t0.elapsed();
+        let t1 = Instant::now();
+        let mut summary = simulate(ctx, bench, cpu, mem, size, variant, &stream)?;
+        stamp_cell_metrics(&mut summary.metrics, emit, t1.elapsed(), &stream);
+        Ok(summary)
+    })
 }
 
 /// One benchmark through the functional counter: the body of a
 /// [`CellSpec::Counted`] cell (fast; the instruction-mix experiments).
 fn counted_cell(
+    ctx: &RunCtx,
     bench: Bench,
     size: &WorkloadSize,
     variant: Variant,
 ) -> Result<(CpuStats, bool), SimError> {
-    let key = store::counted_key(bench.name(), size, variant);
-    run_cell(
-        key,
-        bench.name(),
-        || {
-            let mut sink = CountingSink::new();
-            catch_workload(bench.name(), || {
-                injected_panic(bench.name());
-                bench.run(&mut sink, size, variant)
-            })?;
-            Ok(sink.finish())
-        },
-        counted_entry,
-        counts_of,
-    )
-}
-
-/// Run a driver outside the [`Bench`] registry under the `cell.panic`
-/// fault point, converting its panics into `SimError::Workload`.
-fn catch_custom<T>(tag: &str, compute: &impl Fn() -> Result<T, SimError>) -> Result<T, SimError> {
-    catch_workload(tag, || {
-        injected_panic(tag);
-        compute()
+    let key = CellKey::counted(bench.name(), size, variant);
+    stored_counted(ctx, key, bench.name(), || {
+        let mut sink = CountingSink::new();
+        bench.run(&mut sink, size, variant);
+        Ok(sink.finish())
     })
-    .and_then(|r| r)
-}
-
-/// A store-aware detailed-timing run for drivers outside the [`Bench`]
-/// registry (the appendix kernel sweep). `tag` must identify the
-/// workload and code variant; the machine configuration and workload
-/// geometry are folded into the content address here. `compute` gets
-/// the full crash-safety treatment: resume lookup, the
-/// `cell.panic`/`cell.transient` fault points, bounded retry, and an
-/// atomic store write of the outcome.
-pub(crate) fn custom_timed(
-    tag: &str,
-    cpu: &CpuConfig,
-    mem: &MemConfig,
-    size: &WorkloadSize,
-    compute: impl Fn() -> Result<Summary, SimError>,
-) -> Result<(Summary, bool), SimError> {
-    let key = store::custom_timed_key(tag, cpu, mem, size);
-    let (mut summary, from_store) = run_cell(
-        key,
-        tag,
-        || catch_custom(tag, &compute),
-        timed_entry,
-        summary_of,
-    )?;
-    summary.metrics.set("cell.store_hit", u64::from(from_store));
-    Ok((summary, from_store))
-}
-
-/// The counting counterpart of [`custom_timed`].
-pub(crate) fn custom_counted(
-    tag: &str,
-    size: &WorkloadSize,
-    compute: impl Fn() -> Result<CpuStats, SimError>,
-) -> Result<(CpuStats, bool), SimError> {
-    let key = store::custom_counted_key(tag, size);
-    run_cell(
-        key,
-        tag,
-        || catch_custom(tag, &compute),
-        counted_entry,
-        counts_of,
-    )
-}
-
-/// Run one benchmark through the detailed timing model with
-/// cycle-level tracing attached, returning both the summary and the
-/// recorded [`Trace`]. The caller configures the ring (capacity, cycle
-/// window) before passing it in; the simulation result is identical to
-/// the same [`CellSpec::Timed`] cell under [`run_spec`] — tracing only
-/// observes. The `cell.panic` fault point is armed; the result store is
-/// not consulted.
-pub fn try_run_traced(
-    bench: Bench,
-    arch: Arch,
-    mem: Option<MemConfig>,
-    size: &WorkloadSize,
-    variant: Variant,
-    ring: TraceRing,
-) -> Result<(Summary, Trace), SimError> {
-    catch_workload(bench.name(), || injected_panic(bench.name()))?;
-    let t0 = Instant::now();
-    let stream = obtain_stream(bench, size, variant)?;
-    let emit = t0.elapsed();
-    let t1 = Instant::now();
-    let ring = Rc::new(RefCell::new(ring));
-    let mut sink = Traced::new(
-        Pipeline::new(arch.cpu(), mem.unwrap_or_default()),
-        ring.clone(),
-    );
-    feed(bench, size, variant, &stream, &mut sink)?;
-    let mut summary = sink.into_inner().try_finish()?;
-    stamp_cell_metrics(&mut summary.metrics, emit, t1.elapsed(), &stream);
-    // `try_finish` consumed the pipeline, dropping every clone the
-    // tracer hooks held; this handle is now the sole owner.
-    let ring = Rc::try_unwrap(ring)
-        .expect("pipeline dropped; sole ring owner")
-        .into_inner();
-    Ok((summary, ring.into_trace()))
 }
 
 /// What one cell produced, by [`CellSpec`] kind. The large payloads are
@@ -730,28 +595,6 @@ impl CellOutput {
             CellOutput::Kernel(k) => *k,
             _ => panic!("not a kernel cell"),
         }
-    }
-}
-
-/// Run one cell — the single executor behind the figure binaries
-/// ([`run_manifest`]) and the serve daemon. A valid result-store entry
-/// is served without simulating (on resume runs); otherwise the cell
-/// simulates under the fault points and retry policy, and its outcome
-/// is persisted. Returns the output and whether it came from the store.
-pub fn run_spec(spec: &CellSpec, size: &WorkloadSize) -> Result<(CellOutput, bool), SimError> {
-    match spec {
-        CellSpec::Timed {
-            bench,
-            cpu,
-            mem,
-            variant,
-            ..
-        } => timed_cell(*bench, cpu, mem, size, *variant)
-            .map(|(s, hit)| (CellOutput::Timed(Box::new(s)), hit)),
-        CellSpec::Counted { bench, variant, .. } => counted_cell(*bench, size, *variant)
-            .map(|(c, hit)| (CellOutput::Counted(Box::new(c)), hit)),
-        CellSpec::Kernel { kernel, .. } => kernels14::kernel_cell(*kernel, size)
-            .map(|(k, hit)| (CellOutput::Kernel(Box::new(k)), hit)),
     }
 }
 
@@ -828,11 +671,108 @@ pub enum ManifestOutcome {
     Kernels14(Vec<(KernelId, Result<KernelCell, SimError>)>),
 }
 
-/// Execute a manifest: run its cells ([`Manifest::cells`]) through
-/// [`run_spec`] as one worker-pool batch, then fold the results into
-/// the grid-shaped outcome for rendering.
+/// Run `m` under the process default (see [`crate::ctx`]; the
+/// benchmark harness's entry point).
 pub fn run_manifest(m: &Manifest, size: &WorkloadSize) -> ManifestOutcome {
-    fold(&m.grid, run_cells(&m.cells(), size))
+    ctx::process_default().run_manifest(m, size)
+}
+
+impl RunCtx {
+    /// Run independent experiment jobs on the worker pool (`self.jobs`
+    /// workers) and return the results in input order. Each job must be
+    /// a pure function of its captures; the result vector is then
+    /// independent of the worker count, which is what makes 1 and 8
+    /// workers produce byte-identical figures. The progress observer
+    /// sees every completion. Each batch's per-job wall-clock and queue
+    /// timings fold into the metrics sink once ([`drain_pool_metrics`]);
+    /// they never influence the results.
+    pub fn run_parallel<T, F>(&self, work: Vec<F>) -> Vec<T>
+    where
+        T: Send,
+        F: FnOnce() -> T + Send,
+    {
+        // An empty batch is not a pool run: it leaves no trace in the
+        // metrics (the `tables` manifest has no cells).
+        if work.is_empty() {
+            return Vec::new();
+        }
+        let observer = self.progress.as_deref().map(|obs| obs as _);
+        let (results, stats) = pool::run_ordered_timed_observed(self.jobs, work, observer);
+        let mut batch = Registry::new();
+        stats.export(&mut batch);
+        live::global().merge(&batch);
+        results
+    }
+
+    /// Run one cell — the single executor behind the figure binaries
+    /// ([`Self::run_manifest`]) and the serve daemon. A valid result-store entry
+    /// is served without simulating (on resume runs); otherwise the cell
+    /// simulates under the fault points and retry policy, and its outcome
+    /// is persisted. Returns the output and whether it came from the store.
+    pub fn run_spec(
+        &self,
+        spec: &CellSpec,
+        size: &WorkloadSize,
+    ) -> Result<(CellOutput, bool), SimError> {
+        match spec {
+            CellSpec::Timed {
+                bench,
+                cpu,
+                mem,
+                variant,
+                ..
+            } => timed_cell(self, *bench, cpu, mem, size, *variant)
+                .map(|(s, hit)| (CellOutput::Timed(Box::new(s)), hit)),
+            CellSpec::Counted { bench, variant, .. } => counted_cell(self, *bench, size, *variant)
+                .map(|(c, hit)| (CellOutput::Counted(Box::new(c)), hit)),
+            CellSpec::Kernel { kernel, .. } => kernels14::kernel_cell(self, *kernel, size)
+                .map(|(k, hit)| (CellOutput::Kernel(Box::new(k)), hit)),
+        }
+    }
+
+    /// Execute a manifest: run its cells ([`Manifest::cells`]) through
+    /// [`Self::run_spec`] as one worker-pool batch, then fold the results
+    /// into the grid-shaped outcome for rendering.
+    pub fn run_manifest(&self, m: &Manifest, size: &WorkloadSize) -> ManifestOutcome {
+        fold(&m.grid, run_cells(self, &m.cells(), size))
+    }
+
+    /// Run one benchmark through the detailed timing model with
+    /// cycle-level tracing attached, returning both the summary and the
+    /// recorded [`Trace`]. The caller configures the ring (capacity, cycle
+    /// window) before passing it in; the simulation result is identical to
+    /// the same [`CellSpec::Timed`] cell under [`Self::run_spec`] — tracing only
+    /// observes. The `cell.panic` fault point is armed; the result store is
+    /// not consulted.
+    pub fn try_run_traced(
+        &self,
+        bench: Bench,
+        arch: Arch,
+        mem: Option<MemConfig>,
+        size: &WorkloadSize,
+        variant: Variant,
+        ring: TraceRing,
+    ) -> Result<(Summary, Trace), SimError> {
+        catch_workload(bench.name(), || injected_panic(bench.name()))?;
+        let t0 = Instant::now();
+        let stream = obtain_stream(self, bench, size, variant)?;
+        let emit = t0.elapsed();
+        let t1 = Instant::now();
+        let ring = Rc::new(RefCell::new(ring));
+        let mut sink = Traced::new(
+            Pipeline::new(arch.cpu(), mem.unwrap_or_default()),
+            ring.clone(),
+        );
+        feed(bench, size, variant, &stream, &mut sink)?;
+        let mut summary = sink.into_inner().try_finish()?;
+        stamp_cell_metrics(&mut summary.metrics, emit, t1.elapsed(), &stream);
+        // `try_finish` consumed the pipeline, dropping every clone the
+        // tracer hooks held; this handle is now the sole owner.
+        let ring = Rc::try_unwrap(ring)
+            .expect("pipeline dropped; sole ring owner")
+            .into_inner();
+        Ok((summary, ring.into_trace()))
+    }
 }
 
 /// Run `cells` as one worker-pool batch, results in input order. Each
@@ -841,23 +781,27 @@ pub fn run_manifest(m: &Manifest, size: &WorkloadSize) -> ManifestOutcome {
 /// finishes — succeeded, failed or served from the store — so a
 /// recorded stream is released right after its last reader instead of
 /// lingering in the LRU.
-fn run_cells(cells: &[CellSpec], size: &WorkloadSize) -> Vec<Result<CellOutput, SimError>> {
+fn run_cells(
+    ctx: &RunCtx,
+    cells: &[CellSpec],
+    size: &WorkloadSize,
+) -> Vec<Result<CellOutput, SimError>> {
     let consumers: Vec<_> = cells
         .iter()
         .map(|spec| match spec {
-            CellSpec::Timed { bench, variant, .. } => {
-                trace_cache::key_for(bench.name(), size, *variant).map(trace_cache::Consumer::new)
-            }
+            CellSpec::Timed { bench, variant, .. } if ctx.trace_budget.is_some() => Some(
+                trace_cache::Consumer::new(trace_cache::key_for(bench.name(), size, *variant)),
+            ),
             _ => None,
         })
         .collect();
-    run_parallel(
+    ctx.run_parallel(
         cells
             .iter()
             .zip(consumers)
             .map(|(spec, consumer)| {
                 move || {
-                    let result = run_spec(spec, size).map(|(out, _)| out);
+                    let result = ctx.run_spec(spec, size).map(|(out, _)| out);
                     drop(consumer);
                     result
                 }
@@ -998,6 +942,10 @@ mod tests {
     }
 
     fn timed(bench: Bench, arch: Arch, variant: Variant) -> Summary {
+        timed_in(&RunCtx::default(), bench, arch, variant)
+    }
+
+    fn timed_in(ctx: &RunCtx, bench: Bench, arch: Arch, variant: Variant) -> Summary {
         let spec = CellSpec::Timed {
             label: format!(
                 "{}/{}/{}",
@@ -1010,7 +958,7 @@ mod tests {
             mem: MemConfig::default(),
             variant,
         };
-        run_spec(&spec, &tiny())
+        ctx.run_spec(&spec, &tiny())
             .expect("timed cell runs")
             .0
             .into_summary()
@@ -1084,12 +1032,13 @@ mod tests {
             variant: Variant::SCALAR,
         };
         let results = run_cells(
+            &RunCtx::default(),
             &[cell("ok", Arch::Ooo4.cpu()), cell("wedged", wedged)],
             &size,
         );
         assert!(results[0].is_ok());
         assert!(results[1].is_err(), "the wedged cell fails");
-        let key = trace_cache::key_for("addition", &size, Variant::SCALAR).unwrap();
+        let key = trace_cache::key_for("addition", &size, Variant::SCALAR);
         assert!(!trace_cache::is_resident(&key), "stream released");
     }
 
@@ -1098,9 +1047,9 @@ mod tests {
     /// and cuts the kernels' counts sharply.
     #[test]
     fn fig2_manifest_matches_per_cell_runs() {
-        let size = tiny();
+        let (ctx, size) = (RunCtx::default(), tiny());
         let m = Manifest::builtin("fig2").unwrap();
-        let ManifestOutcome::Fig2(rows) = run_manifest(&m, &size) else {
+        let ManifestOutcome::Fig2(rows) = ctx.run_manifest(&m, &size) else {
             panic!("fig2 manifest folds into Figure 2 rows");
         };
         assert_eq!(rows.len(), 12);
@@ -1108,7 +1057,7 @@ mod tests {
         for (bench, row) in rows {
             let r = row.unwrap();
             for (counts, what) in [(&r.base, "base"), (&r.vis, "vis")] {
-                let cell = run_spec(&cells.next().unwrap(), &size).unwrap().0;
+                let cell = ctx.run_spec(&cells.next().unwrap(), &size).unwrap().0;
                 let solo = cell.into_counts();
                 assert_eq!(counts.retired, solo.retired, "{bench:?} {what}");
                 assert_eq!(counts.mix, solo.mix, "{bench:?} {what} mix");
@@ -1249,30 +1198,30 @@ mod tests {
         assert_eq!((blend.vis.cycles(), blend.pf.cycles()), (7, 5));
     }
 
-    /// Sampling accuracy and telemetry, driven directly through
-    /// [`run_sampled`] (never via the process-wide configuration, which
-    /// would leak into concurrently running exact tests).
+    /// A context sampling at `scfg`; with `direct`, also without a
+    /// trace cache, so no cell stream can be windowed.
+    fn sampled_ctx(scfg: SampleConfig, direct: bool) -> RunCtx {
+        let ctx = RunCtx::default();
+        RunCtx {
+            sample: Some(scfg),
+            trace_budget: ctx.trace_budget.filter(|_| !direct),
+            ..ctx
+        }
+    }
+
+    /// Short enough for tiny streams.
+    const SHORT: SampleConfig = SampleConfig {
+        window: 500,
+        period: 2_000,
+    };
+
+    /// Sampling accuracy and telemetry. The sampled context runs beside
+    /// the exact ones of the other tests; nothing leaks between them.
     #[test]
     fn sampled_estimate_tracks_exact_cycles() {
-        let size = tiny();
         let exact = timed(Bench::Addition, Arch::Ooo4, Variant::SCALAR);
-        let stream = obtain_stream(Bench::Addition, &size, Variant::SCALAR).expect("stream");
-        let scfg = SampleConfig {
-            window: 500,
-            period: 2_000,
-        };
-        let cpu = Arch::Ooo4.cpu();
-        let mem = MemConfig::default();
-        let s = run_sampled(
-            Bench::Addition,
-            &cpu,
-            &mem,
-            &size,
-            Variant::SCALAR,
-            &stream,
-            scfg,
-        )
-        .expect("sampled run succeeds");
+        let ctx = sampled_ctx(SHORT, false);
+        let s = timed_in(&ctx, Bench::Addition, Arch::Ooo4, Variant::SCALAR);
         assert_eq!(
             s.metrics.counter("cell.sampling.mode"),
             sampling::MODE_SAMPLED
@@ -1306,16 +1255,7 @@ mod tests {
         assert!((b.total() - s.cycles() as f64).abs() < 1e-6);
 
         // Repeatability: the sampled estimate is deterministic.
-        let again = run_sampled(
-            Bench::Addition,
-            &cpu,
-            &mem,
-            &size,
-            Variant::SCALAR,
-            &stream,
-            scfg,
-        )
-        .expect("sampled rerun succeeds");
+        let again = timed_in(&ctx, Bench::Addition, Arch::Ooo4, Variant::SCALAR);
         assert_eq!(format!("{:?}", again.cpu), format!("{:?}", s.cpu));
     }
 
@@ -1323,59 +1263,20 @@ mod tests {
     /// for two windows) degrade to exact simulation and say so.
     #[test]
     fn unsampleable_cells_fall_back_to_exact() {
-        let size = tiny();
         let exact = timed(Bench::Addition, Arch::Ooo4, Variant::SCALAR);
-        let cpu = Arch::Ooo4.cpu();
-        let mem = MemConfig::default();
-        let scfg = SampleConfig {
-            window: 500,
-            period: 2_000,
-        };
-        let direct = run_sampled(
-            Bench::Addition,
-            &cpu,
-            &mem,
-            &size,
-            Variant::SCALAR,
-            &Stream::Direct,
-            scfg,
-        )
-        .expect("direct fallback runs");
-        assert_eq!(
-            direct.metrics.counter("cell.sampling.mode"),
-            sampling::MODE_EXACT_FALLBACK
-        );
-        assert_eq!(direct.metrics.counter("cell.sampling.windows"), 0);
-        assert_eq!(direct.cycles(), exact.cycles(), "fallback is exact");
-
-        let stream = obtain_stream(Bench::Addition, &size, Variant::SCALAR).expect("stream");
         let huge = SampleConfig {
             window: 1 << 40,
             period: 1 << 40,
         };
-        let short = run_sampled(
-            Bench::Addition,
-            &cpu,
-            &mem,
-            &size,
-            Variant::SCALAR,
-            &stream,
-            huge,
-        )
-        .expect("short-stream fallback runs");
-        assert_eq!(
-            short.metrics.counter("cell.sampling.mode"),
-            sampling::MODE_EXACT_FALLBACK
-        );
-        assert_eq!(short.cycles(), exact.cycles());
-    }
-
-    #[test]
-    fn jobs_env_parses_positive_integers_only() {
-        // `jobs()` falls back to auto-detect on garbage, so any value it
-        // returns is at least 1 (run_ordered would panic on 0 workers
-        // only via BoundedQueue::new, never from here).
-        assert!(jobs() >= 1);
+        for ctx in [sampled_ctx(SHORT, true), sampled_ctx(huge, false)] {
+            let s = timed_in(&ctx, Bench::Addition, Arch::Ooo4, Variant::SCALAR);
+            assert_eq!(
+                s.metrics.counter("cell.sampling.mode"),
+                sampling::MODE_EXACT_FALLBACK
+            );
+            assert_eq!(s.metrics.counter("cell.sampling.windows"), 0);
+            assert_eq!(s.cycles(), exact.cycles(), "fallback is exact");
+        }
     }
 
     fn transient() -> SimError {

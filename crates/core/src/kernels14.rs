@@ -6,7 +6,7 @@
 //! (§2.1.1); this module drives the whole family — including the
 //! VIS-inapplicable scatter/gather kernels. Both the `kernels14` figure
 //! binary and the `visim-serve` daemon run these cells through
-//! [`experiment::run_spec`].
+//! [`RunCtx::run_spec`].
 
 use media_image::synth;
 use media_kernels::{blend, conv, pointwise, reduce, simimg::SimImage, thresh, KernelId, Variant};
@@ -16,7 +16,9 @@ use visim_trace::Program;
 use visim_util::SimError;
 
 use crate::bench::WorkloadSize;
+use crate::ctx::RunCtx;
 use crate::experiment;
+use crate::store::CellKey;
 
 /// Emit one kernel's instruction stream into `p` over synthetic
 /// `w`×`h` inputs.
@@ -130,12 +132,15 @@ pub struct KernelCell {
 /// the registry-driven figures. The flag is `true` when all four runs
 /// were served from the result store.
 pub(crate) fn kernel_cell(
+    ctx: &RunCtx,
     k: KernelId,
     size: &WorkloadSize,
 ) -> Result<(KernelCell, bool), SimError> {
     let (w, h) = (size.image_w, size.image_h);
+    let tag = |vname: &str| format!("k14.{}.{vname}", k.name());
     let counted_run = |v: Variant, vname: &str| {
-        experiment::custom_counted(&format!("k14.{}.{vname}", k.name()), size, || {
+        let key = CellKey::custom_counted(&tag(vname), size);
+        experiment::stored_counted(ctx, key, &tag(vname), || {
             let mut sink = CountingSink::new();
             {
                 let mut p = Program::new(&mut sink);
@@ -149,20 +154,15 @@ pub(crate) fn kernel_cell(
     let cpu = CpuConfig::ooo_4way();
     let mem = MemConfig::default();
     let timed_run = |v: Variant, vname: &str| {
-        experiment::custom_timed(
-            &format!("k14.{}.{vname}", k.name()),
-            &cpu,
-            &mem,
-            size,
-            || {
-                let mut pipe = Pipeline::new(cpu.clone(), mem.clone());
-                {
-                    let mut p = Program::new(&mut pipe);
-                    drive(&mut p, k, w, h, v);
-                }
-                Ok(pipe.finish())
-            },
-        )
+        let key = CellKey::custom_timed(&tag(vname), &cpu, &mem, size, ctx.sample);
+        experiment::stored_timed(ctx, key, &tag(vname), || {
+            let mut pipe = Pipeline::new(cpu.clone(), mem.clone());
+            {
+                let mut p = Program::new(&mut pipe);
+                drive(&mut p, k, w, h, v);
+            }
+            Ok(pipe.finish())
+        })
     };
     let (timed_base, timed_base_hit) = timed_run(Variant::SCALAR, "base")?;
     let (timed_vis, timed_vis_hit) = timed_run(Variant::VIS, "vis")?;
@@ -184,14 +184,15 @@ mod tests {
         let mut size = WorkloadSize::tiny();
         size.image_w = 16;
         size.image_h = 16;
-        let (cell, from_store) = kernel_cell(KernelId::Addition, &size).expect("cell runs");
+        let (cell, from_store) =
+            kernel_cell(&RunCtx::default(), KernelId::Addition, &size).expect("cell runs");
         assert!(cell.base.retired > 0);
         assert!(
             cell.vis.retired < cell.base.retired,
             "VIS reduces instruction count on addition"
         );
         assert!(cell.timed_base.cycles() > cell.timed_vis.cycles());
-        // The store is disabled in unit tests (no default dir), so
+        // The default context has no store, so
         // nothing can have been served from it.
         assert!(!from_store);
     }

@@ -11,8 +11,11 @@
 //!   [`visim_cpu::SimSink`];
 //! * [`config`] — the architecture variations of Figure 1 and the
 //!   Table 2/3 machine parameters;
-//! * [`experiment`] — the one cell executor ([`experiment::run_spec`])
-//!   and the manifest engine ([`experiment::run_manifest`]) that folds
+//! * [`ctx`] — the run context ([`RunCtx`]): store, trace budget,
+//!   sampling, worker count and progress observer, built once from the
+//!   command line by [`ctx::parse_args`] and passed explicitly;
+//! * [`experiment`] — the one cell executor ([`RunCtx::run_spec`])
+//!   and the manifest engine ([`RunCtx::run_manifest`]) that folds
 //!   cells into every figure and table: Figure 1 (ILP × VIS
 //!   execution-time breakdowns), Figure 2 (dynamic instruction mix),
 //!   Figure 3 (software prefetching), and the §4.1 cache-size sweeps;
@@ -25,9 +28,8 @@
 //!   failures) persist atomically and are served back instead of
 //!   re-simulated;
 //! * [`sampling`] — SMARTS-style sampled-simulation configuration:
-//!   detailed windows + functional warming, opt-in via
-//!   `--sample`/`VISIM_SAMPLE`, with exact simulation the byte-stable
-//!   default;
+//!   detailed windows + functional warming, opt-in via `--sample`,
+//!   with exact simulation the byte-stable default;
 //! * [`manifest`] — declarative `visim-manifest-v1` experiment
 //!   descriptions (`results/manifests/*.json`): benchmarks, config
 //!   axes, variants and titles as data, expanded into cells by
@@ -41,8 +43,8 @@
 //! ```no_run
 //! use visim::bench::{Bench, WorkloadSize};
 //! use visim::config::Arch;
-//! use visim::experiment;
 //! use visim::manifest::CellSpec;
+//! use visim::RunCtx;
 //!
 //! let spec = CellSpec::Timed {
 //!     label: "addition/4-way ooo/vis".into(),
@@ -51,13 +53,14 @@
 //!     mem: Default::default(),
 //!     variant: media_kernels::Variant::VIS,
 //! };
-//! let (out, _from_store) = experiment::run_spec(&spec, &WorkloadSize::tiny()).unwrap();
+//! let (out, _from_store) = RunCtx::default().run_spec(&spec, &WorkloadSize::tiny()).unwrap();
 //! println!("addition/VIS: {} cycles", out.into_summary().cycles());
 //! ```
 
 pub mod artifact;
 pub mod bench;
 pub mod config;
+pub mod ctx;
 pub mod experiment;
 pub mod kernels14;
 pub mod manifest;
@@ -68,3 +71,4 @@ pub mod trace_cache;
 
 pub use bench::{Bench, WorkloadSize};
 pub use config::Arch;
+pub use ctx::RunCtx;

@@ -10,10 +10,10 @@
 //! built-in description at runtime.
 //!
 //! [`Manifest::cells`] is the only grid expansion: it turns a manifest
-//! into [`CellSpec`]s, which `experiment::run_spec` executes through
+//! into [`CellSpec`]s, which `RunCtx::run_spec` executes through
 //! the worker pool, content-addressed result store, trace cache, and
 //! sampling machinery. The figure binaries fold the cells into figure
-//! rows (`experiment::run_manifest`) and reduce to "load manifest, run
+//! rows (`RunCtx::run_manifest`) and reduce to "load manifest, run
 //! engine, render"; the `visim-serve` daemon streams the same cells one
 //! by one.
 //!
@@ -25,8 +25,6 @@
 //! carries the *what* (benchmarks, axes, values, titles), the renderer
 //! owns the *how it reads*, and the split is what keeps the output
 //! byte-identical to the hand-rolled drivers this module replaced.
-
-use std::sync::Mutex;
 
 use media_kernels::{KernelId, Variant};
 use visim_cpu::CpuConfig;
@@ -66,20 +64,6 @@ const BUILTINS: &[(&str, &str)] = &[
         include_str!("../../../results/manifests/kernels14.json"),
     ),
 ];
-
-// The `--manifest <path>` override, recorded by the binaries' shared
-// arg parser before the manifest is loaded.
-static CLI_PATH: Mutex<Option<String>> = Mutex::new(None);
-
-/// Record the `--manifest <path>` override for this process.
-pub fn set_cli_path(path: &str) {
-    *CLI_PATH.lock().expect("manifest path lock") = Some(path.to_string());
-}
-
-/// The `--manifest <path>` override, if one was given.
-pub fn cli_path() -> Option<String> {
-    CLI_PATH.lock().expect("manifest path lock").clone()
-}
 
 /// Which cache the §4.1 sweep varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -458,7 +442,7 @@ impl Manifest {
     /// specs, in grid order: per benchmark, every cell of its figure
     /// row (bars, sweep points, or base-then-VIS pairs) in bar order.
     /// This is the only grid expansion — the serve daemon schedules
-    /// these cells, and `experiment::run_manifest` runs them and folds
+    /// these cells, and `RunCtx::run_manifest` runs them and folds
     /// the results back into rows relying on this order.
     pub fn cells(&self) -> Vec<CellSpec> {
         let mut cells = Vec::new();
@@ -592,7 +576,7 @@ pub fn variant_label(v: Variant) -> &'static str {
 }
 
 /// One self-contained simulation cell of a manifest, executed by
-/// `experiment::run_spec`.
+/// `RunCtx::run_spec`.
 #[derive(Debug, Clone)]
 pub enum CellSpec {
     /// A detailed-timing cell.

@@ -3,22 +3,14 @@
 //! A sampled run replays the detailed cycle-accurate pipeline only for
 //! periodic windows of `window` instructions, one window every `period`
 //! instructions, and fast-forwards between them with the functional
-//! warming engine (`visim_cpu::WarmingSink`). The configuration lives
-//! here — one process-wide switch, exactly like the store and
-//! trace-cache knobs — because it must be visible both to the
-//! experiment engine (which schedules windows) and to the result store
-//! (whose content addresses must separate sampled estimates from exact
-//! measurements).
+//! warming engine (`visim_cpu::WarmingSink`). A run's geometry is its
+//! [`crate::ctx::RunCtx::sample`], which the experiment engine reads to
+//! schedule windows and passes to the result store's keys, so sampled
+//! estimates and exact measurements never share an entry.
 //!
 //! Off is the default: exact simulation stays byte-identical unless the
-//! user opts in via `--sample` or `VISIM_SAMPLE`.
-
-use std::sync::Mutex;
-
-/// Environment variable enabling sampled simulation: `1` for the
-/// default window/period, or `WINDOW:PERIOD` (e.g. `8000:160000`) for an
-/// explicit geometry. Empty or `0` means exact simulation.
-pub const SAMPLE_ENV: &str = "VISIM_SAMPLE";
+//! user opts in via `--sample` (`1` for the default geometry, or
+//! `WINDOW:PERIOD`, e.g. `8000:160000`).
 
 /// Default detailed-window length, in dynamic instructions. Sized so
 /// a window comfortably outlives the slowest microarchitectural
@@ -88,7 +80,7 @@ impl SampleConfig {
     }
 }
 
-/// Parse a `VISIM_SAMPLE`/`--sample` specification. `1` selects the
+/// Parse a `--sample` specification. `1` selects the
 /// default geometry; `WINDOW:PERIOD` an explicit one (both positive,
 /// window ≤ period); empty or `0` disables sampling.
 pub fn parse_spec(spec: &str) -> Result<Option<SampleConfig>, String> {
@@ -119,34 +111,11 @@ pub fn parse_spec(spec: &str) -> Result<Option<SampleConfig>, String> {
     }
 }
 
-/// CLI override (set by `--sample`); outranks the environment, like the
-/// store's CLI flags.
-static CLI: Mutex<Option<Option<SampleConfig>>> = Mutex::new(None);
-
-/// Install (or with `None` clear) the CLI-level sampling selection.
+/// Set the process default's sampling geometry; `None` and `Some(None)`
+/// both mean exact simulation (see [`crate::ctx`]; the benchmark
+/// harness's entry point).
 pub fn set_cli(cfg: Option<Option<SampleConfig>>) {
-    *CLI.lock().expect("sampling cli lock") = cfg;
-}
-
-/// The active sampling configuration: the CLI override if set, else
-/// `VISIM_SAMPLE`. `None` means exact simulation. A malformed
-/// environment value disables sampling (with a one-time warning) rather
-/// than silently sampling with a guessed geometry.
-pub fn config() -> Option<SampleConfig> {
-    if let Some(cli) = *CLI.lock().expect("sampling cli lock") {
-        return cli;
-    }
-    match std::env::var(SAMPLE_ENV) {
-        Ok(v) => match parse_spec(&v) {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| eprintln!("visim: ignoring {SAMPLE_ENV}: {e}"));
-                None
-            }
-        },
-        Err(_) => None,
-    }
+    crate::ctx::with_default(|c| c.sample = cfg.flatten());
 }
 
 #[cfg(test)]

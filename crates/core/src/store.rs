@@ -31,37 +31,26 @@
 //!   original error row byte-for-byte instead of re-running a known
 //!   failure. Transient (retryable) faults are never stored.
 //!
-//! The store is enabled whenever a directory is configured —
-//! `VISIM_STORE_DIR`, or the binaries' default `results/store` — and
-//! not disabled via `--no-store`/`VISIM_NO_STORE=1`. Reads happen only
-//! on resume (`--resume`, or [`set_cli_resume`], which the serve daemon
-//! calls); writes happen on every run, which is what makes any run
-//! crash-safe by default.
+//! A run has a store when its [`crate::ctx::RunCtx`] names one: the
+//! binaries default to `results/store`, `--store-dir D` moves it and
+//! `--no-store` drops it. Reads happen only on resume ([`Store::resume`]:
+//! `--resume`, and always in the serve daemon); writes happen on every
+//! run, which is what makes any run crash-safe by default.
 //!
 //! Hits, misses, writes and purges count into the process-wide metrics
 //! sink under [`COUNTERS`].
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 use media_kernels::Variant;
 use visim_cpu::{CpuConfig, CpuStats, Summary};
 use visim_mem::MemConfig;
 use visim_obs::codec::{ByteReader, ByteWriter};
 use visim_obs::live;
-use visim_obs::schema::RESULTS_SCHEMA;
+use visim_obs::schema::{git_rev_cached, RESULTS_SCHEMA};
 use visim_util::{fault, fnv1a64, SimError};
 
 use crate::bench::WorkloadSize;
-
-/// Directory holding the store (unset + no CLI default = disabled).
-pub const STORE_DIR_ENV: &str = "VISIM_STORE_DIR";
-/// Set to `1` to disable the store entirely (same as `--no-store`).
-pub const NO_STORE_ENV: &str = "VISIM_NO_STORE";
-/// Test hook: override the git revision recorded in (and expected of)
-/// store entries, so stale-entry handling is testable without rewriting
-/// history.
-pub const STORE_REV_ENV: &str = "VISIM_STORE_REV";
+use crate::ctx;
+use crate::sampling::SampleConfig;
 
 /// On-disk entry format version; bump on any layout change so old
 /// entries are purged as stale instead of misread.
@@ -69,73 +58,52 @@ pub const STORE_FORMAT_VERSION: u32 = 1;
 
 const MAGIC: &[u8; 4] = b"VSTR";
 
-// CLI overrides, set by the binaries' shared arg parser before any
-// simulation runs.
-static CLI_RESUME: AtomicBool = AtomicBool::new(false);
-static CLI_DISABLE: AtomicBool = AtomicBool::new(false);
-static CLI_DIR: Mutex<Option<String>> = Mutex::new(None);
-static DEFAULT_DIR: Mutex<Option<String>> = Mutex::new(None);
-
-/// Serve finished cells from the store this run (the `--resume` flag).
-pub fn set_cli_resume() {
-    CLI_RESUME.store(true, Ordering::Relaxed);
+/// A run's result store.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Store {
+    /// The directory holding one file per cell.
+    pub dir: String,
+    /// Serve finished cells back instead of simulating them again.
+    pub resume: bool,
 }
 
-/// Disable the store for this process (the `--no-store` flag).
-pub fn set_cli_disabled() {
-    CLI_DISABLE.store(true, Ordering::Relaxed);
-}
-
-/// Point the store at `dir` (the `--store-dir` flag; takes precedence
-/// over the environment).
+/// Point the process default's store at `dir`, without resume (see
+/// [`crate::ctx`]; the benchmark harness's entry point).
 pub fn set_cli_dir(dir: &str) {
-    *CLI_DIR.lock().expect("store dir lock") = Some(dir.to_string());
+    ctx::with_default(|c| {
+        c.store = Some(Store {
+            dir: dir.to_string(),
+            resume: false,
+        })
+    });
 }
 
-/// Install the directory used when neither the flag nor the
-/// environment names one. The figure binaries install
-/// `results/store` here; library users (and unit tests) that never
-/// call the arg parser keep the store disabled and the working tree
-/// untouched.
-pub fn set_default_dir(dir: &str) {
-    *DEFAULT_DIR.lock().expect("store dir lock") = Some(dir.to_string());
+/// [`CellKey::timed`] under the process default, or `None` without a
+/// store (the benchmark harness's entry point).
+pub fn timed_key(
+    bench: &str,
+    cpu: &CpuConfig,
+    mem: &MemConfig,
+    size: &WorkloadSize,
+    variant: Variant,
+) -> Option<CellKey> {
+    let c = ctx::process_default();
+    c.store
+        .map(|_| CellKey::timed(bench, cpu, mem, size, variant, c.sample))
 }
 
-/// The store directory: CLI flag, then `VISIM_STORE_DIR`, then the
-/// installed default. `None` disables the store.
-pub fn dir() -> Option<String> {
-    if let Some(d) = CLI_DIR.lock().expect("store dir lock").clone() {
-        return Some(d);
+/// [`Store::load`] on the process default's store (the benchmark
+/// harness's entry point).
+pub fn load(key: &CellKey) -> Option<Entry> {
+    ctx::process_default().store?.load(key)
+}
+
+/// [`Store::save`] on the process default's store (the benchmark
+/// harness's entry point).
+pub fn save(key: &CellKey, entry: &Entry) {
+    if let Some(store) = ctx::process_default().store {
+        store.save(key, entry);
     }
-    if let Ok(d) = std::env::var(STORE_DIR_ENV) {
-        if !d.is_empty() {
-            return Some(d);
-        }
-    }
-    DEFAULT_DIR.lock().expect("store dir lock").clone()
-}
-
-/// True when cells are persisted (a directory is configured and the
-/// store is not disabled).
-fn enabled() -> bool {
-    !CLI_DISABLE.load(Ordering::Relaxed)
-        && std::env::var(NO_STORE_ENV).as_deref() != Ok("1")
-        && dir().is_some()
-}
-
-/// True when finished cells are *served* from the store this run.
-pub fn resume() -> bool {
-    enabled() && CLI_RESUME.load(Ordering::Relaxed)
-}
-
-/// The code revision recorded in (and demanded of) store entries:
-/// [`STORE_REV_ENV`] when set (tests), otherwise the git revision.
-/// Cached — it forks a `git` process — and rendered once per run.
-fn recorded_rev() -> &'static str {
-    static REV: OnceLock<String> = OnceLock::new();
-    REV.get_or_init(|| {
-        std::env::var(STORE_REV_ENV).unwrap_or_else(|_| visim_obs::schema::git_rev())
-    })
 }
 
 /// What kind of payload a cell holds.
@@ -176,11 +144,6 @@ pub struct CellKey {
 }
 
 impl CellKey {
-    /// The payload kind this key addresses.
-    pub fn kind(&self) -> Kind {
-        self.kind
-    }
-
     /// The content hash of the identity text.
     pub fn hash(&self) -> u64 {
         fnv1a64(self.text.as_bytes())
@@ -225,90 +188,68 @@ fn variant_bits(variant: Variant) -> String {
     )
 }
 
-/// The active sampling geometry, folded into every timed cell's content
-/// address while sampling is enabled — including cells that end up
-/// falling back to exact simulation. Sampled estimates and exact
-/// measurements therefore never share a store entry in either
-/// direction, and neither do sampled runs of different geometries.
-fn sample_bits() -> String {
-    match crate::sampling::config() {
-        Some(cfg) => cfg.key_suffix(),
-        None => String::new(),
+impl CellKey {
+    /// The key for a detailed timing cell. Everything the result
+    /// depends on is folded in: benchmark, code variant, full workload
+    /// geometry (seed included), the complete machine configuration,
+    /// and the run's sampling geometry. The geometry is there even for
+    /// cells that fall back to exact simulation, so sampled estimates
+    /// and exact measurements never share a store entry in either
+    /// direction, and neither do runs of different geometries.
+    pub fn timed(
+        bench: &str,
+        cpu: &CpuConfig,
+        mem: &MemConfig,
+        size: &WorkloadSize,
+        variant: Variant,
+        sample: Option<SampleConfig>,
+    ) -> CellKey {
+        let tag = format!("{bench}|{}", variant_bits(variant));
+        CellKey {
+            label: bench.to_string(),
+            ..CellKey::custom_timed(&tag, cpu, mem, size, sample)
+        }
     }
-}
 
-/// The key for a detailed timing cell, or `None` when the store is
-/// disabled. Everything the result depends on is folded in: benchmark,
-/// code variant, full workload geometry (seed included), the complete
-/// machine configuration, and the sampling geometry if one is active.
-pub fn timed_key(
-    bench: &str,
-    cpu: &CpuConfig,
-    mem: &MemConfig,
-    size: &WorkloadSize,
-    variant: Variant,
-) -> Option<CellKey> {
-    if !enabled() {
-        return None;
+    /// The key for a functional counting cell (no machine configuration:
+    /// the counts depend only on the emitted stream).
+    pub fn counted(bench: &str, size: &WorkloadSize, variant: Variant) -> CellKey {
+        let tag = format!("{bench}|{}", variant_bits(variant));
+        CellKey {
+            label: bench.to_string(),
+            ..CellKey::custom_counted(&tag, size)
+        }
     }
-    Some(CellKey {
-        kind: Kind::Timed,
-        text: format!(
-            "timed|{bench}|{}|{size:?}|cpu={cpu:?}|mem={mem:?}{}",
-            variant_bits(variant),
-            sample_bits()
-        ),
-        label: bench.to_string(),
-    })
-}
 
-/// The key for a functional counting cell (no machine configuration —
-/// the counts depend only on the emitted stream), or `None` when the
-/// store is disabled.
-pub fn counted_key(bench: &str, size: &WorkloadSize, variant: Variant) -> Option<CellKey> {
-    if !enabled() {
-        return None;
+    /// A timed-cell key for a driver outside the [`crate::bench::Bench`]
+    /// registry (the appendix `kernels14` binary drives kernels
+    /// directly). `tag` must identify the workload and variant; machine
+    /// configuration, geometry and sampling are folded in here.
+    pub fn custom_timed(
+        tag: &str,
+        cpu: &CpuConfig,
+        mem: &MemConfig,
+        size: &WorkloadSize,
+        sample: Option<SampleConfig>,
+    ) -> CellKey {
+        CellKey {
+            kind: Kind::Timed,
+            text: format!(
+                "timed|{tag}|{size:?}|cpu={cpu:?}|mem={mem:?}{}",
+                sample.map(|cfg| cfg.key_suffix()).unwrap_or_default()
+            ),
+            label: tag.to_string(),
+        }
     }
-    Some(CellKey {
-        kind: Kind::Counted,
-        text: format!("counted|{bench}|{}|{size:?}", variant_bits(variant)),
-        label: bench.to_string(),
-    })
-}
 
-/// A timed-cell key for a driver outside the [`crate::bench::Bench`]
-/// registry (the appendix `kernels14` binary drives kernels directly).
-/// `tag` must identify the workload and variant; machine configuration
-/// and geometry are folded in here.
-pub fn custom_timed_key(
-    tag: &str,
-    cpu: &CpuConfig,
-    mem: &MemConfig,
-    size: &WorkloadSize,
-) -> Option<CellKey> {
-    if !enabled() {
-        return None;
+    /// A counted-cell key for a driver outside the benchmark registry.
+    pub fn custom_counted(tag: &str, size: &WorkloadSize) -> CellKey {
+        CellKey {
+            kind: Kind::Counted,
+            text: format!("counted|{tag}|{size:?}"),
+            label: tag.to_string(),
+        }
     }
-    Some(CellKey {
-        kind: Kind::Timed,
-        text: format!(
-            "timed|{tag}|{size:?}|cpu={cpu:?}|mem={mem:?}{}",
-            sample_bits()
-        ),
-        label: tag.to_string(),
-    })
-}
-
-/// A counted-cell key for a driver outside the benchmark registry.
-pub fn custom_counted_key(tag: &str, size: &WorkloadSize) -> Option<CellKey> {
-    if !enabled() {
-        return None;
-    }
-    Some(CellKey {
-        kind: Kind::Counted,
-        text: format!("counted|{tag}|{size:?}"),
-        label: tag.to_string(),
-    })
 }
 
 /// A stored cell: the completed payload, or the deterministic error the
@@ -354,7 +295,7 @@ pub const COUNTERS: [&str; 5] = [HIT, MISS, WRITES, CORRUPT_PURGED, STALE_PURGED
 pub struct RevStats {
     /// Results-schema tag the entries carry.
     pub schema: String,
-    /// Git revision (or [`STORE_REV_ENV`] override) that wrote them.
+    /// Git revision that wrote them.
     pub rev: String,
     /// Number of valid entries.
     pub entries: u64,
@@ -375,77 +316,6 @@ pub struct StoreStats {
     pub invalid: u64,
     /// Per-(schema, revision) breakdown, sorted for stable output.
     pub revs: Vec<RevStats>,
-}
-
-/// Scan the store directory and size up its contents per schema
-/// revision. Entries are checksum-validated (a torn file counts as
-/// `invalid`, not as an entry) but never purged — the scan only
-/// observes. Returns `None` when the store is disabled.
-pub fn stats() -> Option<StoreStats> {
-    let dir = dir().filter(|_| enabled())?;
-    let mut stats = StoreStats::default();
-    let mut by_rev: std::collections::BTreeMap<(String, String), (u64, u64)> =
-        std::collections::BTreeMap::new();
-    let entries = match std::fs::read_dir(&dir) {
-        Ok(e) => e,
-        // A store that was never written to is empty, not an error.
-        Err(_) => return Some(stats),
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("vcell") {
-            continue;
-        }
-        let Ok(bytes) = std::fs::read(&path) else {
-            stats.invalid += 1;
-            continue;
-        };
-        match entry_stamps(&bytes) {
-            Some((schema, rev)) => {
-                stats.entries += 1;
-                stats.bytes += bytes.len() as u64;
-                let slot = by_rev.entry((schema, rev)).or_insert((0, 0));
-                slot.0 += 1;
-                slot.1 += bytes.len() as u64;
-            }
-            None => stats.invalid += 1,
-        }
-    }
-    stats.revs = by_rev
-        .into_iter()
-        .map(|((schema, rev), (entries, bytes))| RevStats {
-            schema,
-            rev,
-            entries,
-            bytes,
-        })
-        .collect();
-    Some(stats)
-}
-
-/// A cheap store-size estimate: `(files, bytes)` over the `.vcell`
-/// entries, from directory metadata alone — no file is opened or
-/// checksummed, so this is safe to call on every flight-recorder tick
-/// (the full [`stats`] scan reads and validates every entry, which a
-/// once-per-second sampler must not). Counts torn/invalid files too;
-/// the periodic snapshot tolerates that imprecision, the shutdown
-/// artifact uses the exact scan. `None` when the store is disabled.
-pub fn quick_scan() -> Option<(u64, u64)> {
-    let dir = dir().filter(|_| enabled())?;
-    let (mut files, mut bytes) = (0u64, 0u64);
-    if let Ok(entries) = std::fs::read_dir(&dir) {
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("vcell") {
-                continue;
-            }
-            if let Ok(meta) = entry.metadata() {
-                files += 1;
-                bytes += meta.len();
-            }
-        }
-    }
-    Some((files, bytes))
 }
 
 /// Read the (schema, revision) stamps of one encoded entry, validating
@@ -557,57 +427,126 @@ fn decode_entry(bytes: &[u8], key: &CellKey, schema: &str, rev: &str) -> Result<
     Ok(entry)
 }
 
-/// Look up a finished cell. A present-but-invalid entry is purged
-/// (corrupt or stale, counted separately) and reported as a miss, so
-/// damage degrades to recomputation. Counts one hit or one miss.
-pub fn load(key: &CellKey) -> Option<Entry> {
-    let dir = dir()?;
-    let path = key.path(&dir);
-    let Ok(bytes) = std::fs::read(&path) else {
-        live::global().add(MISS, 1);
-        return None;
-    };
-    match decode_entry(&bytes, key, RESULTS_SCHEMA, recorded_rev()) {
-        Ok(entry) => {
-            live::global().add(HIT, 1);
-            Some(entry)
-        }
-        Err(reject) => {
-            let (counter, why) = match &reject {
-                Reject::Corrupt(why) => (CORRUPT_PURGED, why),
-                Reject::Stale(why) => (STALE_PURGED, why),
-            };
-            if std::fs::remove_file(&path).is_ok() {
-                live::global().add(counter, 1);
-                eprintln!("result store: purged {} ({why})", path.display());
+impl Store {
+    /// Scan the store directory and size up its contents per schema
+    /// revision. Entries are checksum-validated (a torn file counts as
+    /// `invalid`, not as an entry) but never purged — the scan only
+    /// observes.
+    pub fn stats(&self) -> StoreStats {
+        let mut stats = StoreStats::default();
+        let mut by_rev: std::collections::BTreeMap<(String, String), (u64, u64)> =
+            std::collections::BTreeMap::new();
+        let entries = match std::fs::read_dir(&self.dir) {
+            Ok(e) => e,
+            // A store that was never written to is empty, not an error.
+            Err(_) => return stats,
+        };
+        for entry in entries.flatten() {
+            let path = entry.path();
+            if path.extension().and_then(|e| e.to_str()) != Some("vcell") {
+                continue;
             }
-            live::global().add(MISS, 1);
-            None
+            let Ok(bytes) = std::fs::read(&path) else {
+                stats.invalid += 1;
+                continue;
+            };
+            match entry_stamps(&bytes) {
+                Some((schema, rev)) => {
+                    stats.entries += 1;
+                    stats.bytes += bytes.len() as u64;
+                    let slot = by_rev.entry((schema, rev)).or_insert((0, 0));
+                    slot.0 += 1;
+                    slot.1 += bytes.len() as u64;
+                }
+                None => stats.invalid += 1,
+            }
         }
+        stats.revs = by_rev
+            .into_iter()
+            .map(|((schema, rev), (entries, bytes))| RevStats {
+                schema,
+                rev,
+                entries,
+                bytes,
+            })
+            .collect();
+        stats
     }
-}
 
-/// Persist a finished cell atomically. The `store.write.torn` fault
-/// point deliberately bypasses the atomic path and truncates the entry
-/// mid-payload — the checksum then rejects it on the next load, which
-/// is exactly the property the fault gate proves. A failed write (full
-/// disk, permissions) silently degrades to a store-less run — cell
-/// durability is an optimization, never a correctness dependency.
-pub fn save(key: &CellKey, entry: &Entry) {
-    let Some(dir) = dir() else { return };
-    let bytes = encode_entry(key, entry, RESULTS_SCHEMA, recorded_rev());
-    let path = key.path(&dir);
-    if fault::fires("store.write.torn", &key.text) {
-        // A torn write: some prefix of the entry, landed non-atomically
-        // at the final path.
-        let cut = bytes.len() / 2;
-        if std::fs::create_dir_all(&dir).is_ok() {
-            std::fs::write(&path, &bytes[..cut]).ok();
+    /// A cheap store-size estimate: `(files, bytes)` over the `.vcell`
+    /// entries, from directory metadata alone — no file is opened or
+    /// checksummed, so this is safe to call on every flight-recorder tick
+    /// (the full [`Self::stats`] scan reads and validates every entry, which a
+    /// once-per-second sampler must not). Counts torn/invalid files too;
+    /// the periodic snapshot tolerates that imprecision, the shutdown
+    /// artifact uses the exact scan.
+    pub fn quick_scan(&self) -> (u64, u64) {
+        let (mut files, mut bytes) = (0u64, 0u64);
+        if let Ok(entries) = std::fs::read_dir(&self.dir) {
+            for entry in entries.flatten() {
+                let path = entry.path();
+                if path.extension().and_then(|e| e.to_str()) != Some("vcell") {
+                    continue;
+                }
+                if let Ok(meta) = entry.metadata() {
+                    files += 1;
+                    bytes += meta.len();
+                }
+            }
         }
-        return;
+        (files, bytes)
     }
-    if visim_util::atomic::write_atomic(&path, &bytes).is_ok() {
-        live::global().add(WRITES, 1);
+
+    /// Look up a finished cell. A present-but-invalid entry is purged
+    /// (corrupt or stale, counted separately) and reported as a miss, so
+    /// damage degrades to recomputation. Counts one hit or one miss.
+    pub fn load(&self, key: &CellKey) -> Option<Entry> {
+        let path = key.path(&self.dir);
+        let Ok(bytes) = std::fs::read(&path) else {
+            live::global().add(MISS, 1);
+            return None;
+        };
+        match decode_entry(&bytes, key, RESULTS_SCHEMA, git_rev_cached()) {
+            Ok(entry) => {
+                live::global().add(HIT, 1);
+                Some(entry)
+            }
+            Err(reject) => {
+                let (counter, why) = match &reject {
+                    Reject::Corrupt(why) => (CORRUPT_PURGED, why),
+                    Reject::Stale(why) => (STALE_PURGED, why),
+                };
+                if std::fs::remove_file(&path).is_ok() {
+                    live::global().add(counter, 1);
+                    eprintln!("result store: purged {} ({why})", path.display());
+                }
+                live::global().add(MISS, 1);
+                None
+            }
+        }
+    }
+
+    /// Persist a finished cell atomically. The `store.write.torn` fault
+    /// point deliberately bypasses the atomic path and truncates the entry
+    /// mid-payload — the checksum then rejects it on the next load, which
+    /// is exactly the property the fault gate proves. A failed write (full
+    /// disk, permissions) silently degrades to a store-less run — cell
+    /// durability is an optimization, never a correctness dependency.
+    pub fn save(&self, key: &CellKey, entry: &Entry) {
+        let bytes = encode_entry(key, entry, RESULTS_SCHEMA, git_rev_cached());
+        let path = key.path(&self.dir);
+        if fault::fires("store.write.torn", &key.text) {
+            // A torn write: some prefix of the entry, landed non-atomically
+            // at the final path.
+            let cut = bytes.len() / 2;
+            if std::fs::create_dir_all(&self.dir).is_ok() {
+                std::fs::write(&path, &bytes[..cut]).ok();
+            }
+            return;
+        }
+        if visim_util::atomic::write_atomic(&path, &bytes).is_ok() {
+            live::global().add(WRITES, 1);
+        }
     }
 }
 

@@ -13,7 +13,7 @@
 //!   of the workload geometry's Debug form>"`. Anything that can change
 //!   the emitted stream is in the key; anything that cannot (arch,
 //!   cache sizes, tracing) is not.
-//! * **Consumer-counted residency.** [`crate::experiment::run_manifest`]
+//! * **Consumer-counted residency.** [`crate::RunCtx::run_manifest`]
 //!   knows every cell of its batch up front, so before the batch starts
 //!   it registers one [`Consumer`] per timed cell under the cell's key;
 //!   each is dropped when its cell finishes — succeeded, failed, or
@@ -23,14 +23,15 @@
 //!   tracks the streams the running cells still need, not the budget:
 //!   a study-size `fig1 --no-store` at `VISIM_JOBS=1` peaks at one
 //!   stream. Nothing registers consumers for the serve daemon's direct
-//!   [`crate::experiment::run_spec`] calls, so its streams outlive a
+//!   [`crate::RunCtx::run_spec`] calls, so its streams outlive a
 //!   request under the LRU as before.
 //! * **Single flight.** The first worker to miss a key records it; a
 //!   worker that misses the same key meanwhile waits for that recording
 //!   ([`Recording`]) and then hits, so a stream is recorded once at any
 //!   worker count.
-//! * **Budget.** The resident set is LRU-bounded by `--trace-cache-mb`
-//!   (default 1024 MB). The same budget caps a single capture: a stream
+//! * **Budget.** The resident set is LRU-bounded by the run's
+//!   [`crate::ctx::RunCtx::trace_budget`] (`--trace-cache-mb`, default
+//!   1024 MB). The same budget caps a single capture: a stream
 //!   that outgrows it poisons its recorder and the cell falls back to
 //!   direct emission. The study suite's 36 distinct streams (81.5 M
 //!   instructions) take 605 MB in the compact form
@@ -41,9 +42,9 @@
 //!   paging, first-touch page-fault cost grows with resident set size,
 //!   and a measured study run with a 4 GB budget was slower end to end
 //!   than with 1 GB.
-//! * **Opt-out.** `VISIM_NO_TRACE_CACHE=1` (or `--no-trace-cache`)
-//!   disables the cache entirely; every cell then emits directly, and
-//!   output must be byte-identical either way.
+//! * **Opt-out.** A run without a budget (`--no-trace-cache`) does not
+//!   use the cache; every cell then emits directly, and output must be
+//!   byte-identical either way.
 //!
 //! Results never depend on cache state: a replayed stream pushes
 //! bit-identical `Inst` values in the original order, so hit, miss,
@@ -55,7 +56,6 @@
 //! are set wherever the resident set changes.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use media_kernels::Variant;
@@ -65,53 +65,22 @@ use visim_util::fnv1a64;
 
 use crate::bench::WorkloadSize;
 
-/// Set to `1` to disable the trace cache (every cell emits directly).
-pub const NO_TRACE_CACHE_ENV: &str = "VISIM_NO_TRACE_CACHE";
-
-const DEFAULT_BUDGET_MB: u64 = 1024;
-
-// CLI overrides, set by the binaries' shared arg parser before any
-// simulation runs (they take precedence over the environment).
-static CLI_DISABLE: AtomicBool = AtomicBool::new(false);
-static CLI_BUDGET_MB: Mutex<Option<u64>> = Mutex::new(None);
-
-/// Disable the cache for this process (the `--no-trace-cache` flag).
-pub fn set_cli_disabled() {
-    CLI_DISABLE.store(true, Ordering::Relaxed);
-}
-
-/// Override the resident budget (the `--trace-cache-mb N` flag).
-pub fn set_cli_budget_mb(mb: u64) {
-    *CLI_BUDGET_MB.lock().expect("trace budget lock") = Some(mb.max(1));
-}
-
-/// True when recording/replay may be used at all.
-pub fn enabled() -> bool {
-    !CLI_DISABLE.load(Ordering::Relaxed) && std::env::var(NO_TRACE_CACHE_ENV).as_deref() != Ok("1")
-}
-
-/// The resident budget in bytes (also the per-capture poison limit).
+/// The process default's trace budget in bytes, 0 without a cache (see
+/// [`crate::ctx`]; the benchmark harness's entry point).
 pub fn budget_bytes() -> usize {
-    let mb = CLI_BUDGET_MB
-        .lock()
-        .expect("trace budget lock")
-        .unwrap_or(DEFAULT_BUDGET_MB);
-    usize::try_from(mb.saturating_mul(1 << 20)).unwrap_or(usize::MAX)
+    crate::ctx::process_default().trace_budget.unwrap_or(0)
 }
 
-/// The cache key for a cell, or `None` when the cache is disabled.
-/// Everything the emitted stream depends on is folded in: benchmark,
-/// variant bits, and the full workload geometry (seed included).
-pub fn key_for(bench: &str, size: &WorkloadSize, variant: Variant) -> Option<String> {
-    if !enabled() {
-        return None;
-    }
-    Some(format!(
+/// The cache key for a cell. Everything the emitted stream depends on
+/// is folded in: benchmark, variant bits, and the full workload geometry
+/// (seed included).
+pub fn key_for(bench: &str, size: &WorkloadSize, variant: Variant) -> String {
+    format!(
         "{bench}.{}{}.{:016x}",
         if variant.vis { 'v' } else { 's' },
         if variant.prefetch { 'p' } else { '-' },
         fnv1a64(format!("{size:?}").as_bytes())
-    ))
+    )
 }
 
 const HITS: &str = "trace_cache.hits";
@@ -244,7 +213,7 @@ fn publish(lru: &Lru, counter: &str, n: u64) {
 /// One expected reader of a stream. While any `Consumer` of a key is
 /// alive, the stream stays resident (budget permitting); dropping the
 /// last one releases it at once instead of leaving it for the LRU.
-/// [`crate::experiment::run_manifest`] registers one per timed cell
+/// [`crate::RunCtx::run_manifest`] registers one per timed cell
 /// before the batch starts, so a stream lives exactly as long as the
 /// cells that read it.
 pub struct Consumer(String);
@@ -318,11 +287,12 @@ pub fn lookup(id: &str) -> Lookup {
 }
 
 impl Recording {
-    /// Store the freshly captured stream into the resident LRU. Dropping
-    /// `self` afterwards wakes the workers waiting for it.
-    pub fn store(self, rec: &Arc<Recorded>) {
+    /// Store the freshly captured stream into the resident LRU, within
+    /// `budget` bytes. Dropping `self` afterwards wakes the workers
+    /// waiting for it.
+    pub fn store(self, rec: &Arc<Recorded>, budget: usize) {
         let mut lru = lock();
-        let evicted = lru.insert(self.0.clone(), rec.clone(), budget_bytes());
+        let evicted = lru.insert(self.0.clone(), rec.clone(), budget);
         publish(&lru, EVICTIONS, evicted);
         drop(lru);
     }
@@ -404,7 +374,7 @@ mod tests {
         let s1 = WorkloadSize::tiny();
         let mut s2 = WorkloadSize::tiny();
         s2.seed += 1;
-        let k = |b: &str, s: &WorkloadSize, v: Variant| key_for(b, s, v).unwrap();
+        let k = key_for;
         assert_ne!(
             k("conv", &s1, Variant::VIS),
             k("conv", &s1, Variant::SCALAR)

@@ -3,9 +3,10 @@
 //! committed `results/` files stop being regenerable.
 
 use visim::bench::{Bench, WorkloadSize};
-use visim::experiment::{run_manifest, Fig1Bar, ManifestOutcome};
+use visim::experiment::{Fig1Bar, ManifestOutcome};
 use visim::manifest::{Grid, Manifest};
 use visim::report;
+use visim::RunCtx;
 
 /// Figure 1 at a miniature size, restricted to `benchmarks`.
 fn fig1(benchmarks: &[Bench]) -> Vec<Vec<Fig1Bar>> {
@@ -18,7 +19,7 @@ fn fig1(benchmarks: &[Bench]) -> Vec<Vec<Fig1Bar>> {
         panic!("fig1 manifest has a fig1 grid");
     };
     *b = benchmarks.to_vec();
-    let ManifestOutcome::Fig1(rows) = run_manifest(&m, &size) else {
+    let ManifestOutcome::Fig1(rows) = RunCtx::default().run_manifest(&m, &size) else {
         panic!("fig1 grid folds into Figure 1 bars");
     };
     rows.into_iter()

@@ -4,14 +4,16 @@
 //! a manifest (the serve daemon's `run_spec` path) stays cached for the
 //! next request.
 //!
-//! The trace cache, the metrics sink and `VISIM_JOBS` are process-wide,
-//! so this binary holds a single test that takes its steps in order.
+//! The trace cache and the metrics sink are process-wide, so this binary
+//! holds a single test that takes its steps in order. The worker count
+//! is each run context's own.
 
 use media_kernels::Variant;
 use visim::bench::{Bench, WorkloadSize};
 use visim::config::Arch;
-use visim::experiment::{drain_pool_metrics, run_manifest, run_spec, JOBS_ENV};
+use visim::experiment::drain_pool_metrics;
 use visim::manifest::{CellSpec, Grid, Manifest};
+use visim::RunCtx;
 use visim_mem::MemConfig;
 
 fn size() -> WorkloadSize {
@@ -51,13 +53,16 @@ fn drain() -> [u64; 5] {
 fn manifests_release_their_streams_and_record_each_once() {
     let (m, size) = (fig1(), size());
     drain();
-    for jobs in ["1", "2"] {
-        std::env::set_var(JOBS_ENV, jobs);
-        run_manifest(&m, &size);
+    for jobs in [1, 2] {
+        let ctx = RunCtx {
+            jobs,
+            ..RunCtx::default()
+        };
+        ctx.run_manifest(&m, &size);
         // Every stream missed once, hit by its other two readers, and
         // released after the third; two workers wait for each other's
         // recordings instead of missing twice.
-        assert_eq!(drain(), [8, 4, 4, 0, 0], "VISIM_JOBS={jobs}");
+        assert_eq!(drain(), [8, 4, 4, 0, 0], "{jobs} workers");
     }
     assert!(
         drain_pool_metrics().counter("trace_cache.peak_resident_bytes") > 0,
@@ -73,8 +78,9 @@ fn manifests_release_their_streams_and_record_each_once() {
         mem: MemConfig::default(),
         variant: Variant::SCALAR,
     };
-    run_spec(&cell, &size).expect("first run");
-    run_spec(&cell, &size).expect("second run");
+    let ctx = RunCtx::default();
+    ctx.run_spec(&cell, &size).expect("first run");
+    ctx.run_spec(&cell, &size).expect("second run");
     let [hits, misses, released, entries, _] = drain();
     assert_eq!([hits, misses, released, entries], [1, 1, 0, 1]);
 }

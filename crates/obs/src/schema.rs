@@ -39,7 +39,7 @@
 //! a consumer can distinguish *drifted* (ok cells outside a fidelity
 //! band) from *crashed* (failed cells).
 //!
-//! Cells produced by a sampled run (`--sample`/`VISIM_SAMPLE`)
+//! Cells produced by a sampled run (`--sample`)
 //! additionally carry, in their `metrics.counters`:
 //!
 //! * `cell.sampling.mode` — `1` sampled estimate, `2` exact fallback

@@ -3,7 +3,7 @@
 //!
 //! Threading model: one OS thread per connection (clients are few and
 //! long-lived), with each manifest request fanning its cells out over
-//! the experiment worker pool (`VISIM_JOBS` workers, scoped threads —
+//! the experiment worker pool (the run context's `jobs`, scoped threads —
 //! concurrent manifests each get their own pool scope and share the
 //! process-wide metrics sink). Cell deduplication happens *across*
 //! connections through the single-flight table, so two clients
@@ -28,9 +28,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use visim::bench::WorkloadSize;
+use visim::ctx::{self, RunCtx};
 use visim::experiment::{self, CellOutput};
 use visim::manifest::{CellSpec, Manifest};
-use visim::store;
 use visim_obs::live::{self, names};
 use visim_obs::log;
 use visim_obs::schema::ResultsDoc;
@@ -126,11 +126,11 @@ fn in_flight_count() -> u64 {
 }
 
 /// Run one cell through the experiment layer's cell executor
-/// ([`experiment::run_spec`]), which owns the store lookup, checksum
+/// ([`RunCtx::run_spec`]), which owns the store lookup, checksum
 /// validation, stale purge, fault injection and retry, and adapt its
 /// outcome onto the `cell` event's shape.
-fn serve_cell(spec: &CellSpec, size: &WorkloadSize) -> CellResult {
-    match experiment::run_spec(spec, size) {
+fn serve_cell(ctx: &RunCtx, spec: &CellSpec, size: &WorkloadSize) -> CellResult {
+    match ctx.run_spec(spec, size) {
         Ok((output, from_store)) => {
             let payload = match output {
                 CellOutput::Timed(s) => vec![("cycles".to_string(), Json::from(s.cycles()))],
@@ -191,7 +191,12 @@ struct Tally {
 /// inside `visim::experiment`), slow requests are logged, and — when
 /// `--trace-out` armed the collector — the whole lifecycle becomes one
 /// trace span.
-fn run_cells(specs: Vec<CellSpec>, size: &WorkloadSize, stream: &Mutex<TcpStream>) -> Tally {
+fn run_cells(
+    ctx: &RunCtx,
+    specs: Vec<CellSpec>,
+    size: &WorkloadSize,
+    stream: &Mutex<TcpStream>,
+) -> Tally {
     let total = specs.len();
     let tally = Tally::default();
     let live = live::global();
@@ -217,7 +222,7 @@ fn run_cells(specs: Vec<CellSpec>, size: &WorkloadSize, stream: &Mutex<TcpStream
                     begun.duration_since(enqueued).as_nanos() as u64,
                 );
                 let identity = spec.identity(size);
-                let (result, coalesced) = single_flight(identity, || serve_cell(&spec, size));
+                let (result, coalesced) = single_flight(identity, || serve_cell(ctx, &spec, size));
                 let served = Instant::now();
                 let (path, path_op) = if coalesced {
                     coalesced_n.fetch_add(1, Ordering::Relaxed);
@@ -287,7 +292,7 @@ fn run_cells(specs: Vec<CellSpec>, size: &WorkloadSize, stream: &Mutex<TcpStream
             }
         })
         .collect();
-    experiment::run_parallel(work);
+    ctx.run_parallel(work);
     tally
 }
 
@@ -308,6 +313,7 @@ fn resolve_manifest(source: &ManifestSource) -> Result<Manifest, String> {
 /// Handle a `manifest` or `cell` request end to end: resolve, run,
 /// stream, and send the terminal `done` event.
 fn handle_run(
+    ctx: &RunCtx,
     source: &ManifestSource,
     only_label: Option<&str>,
     size_name: &str,
@@ -334,7 +340,7 @@ fn handle_run(
             ("cells", Json::from(specs.len())),
         ]),
     );
-    let tally = run_cells(specs, &size, stream);
+    let tally = run_cells(ctx, specs, &size, stream);
     let (done, failed) = (tally.done.into_inner(), tally.failed.into_inner());
     send(
         stream,
@@ -407,7 +413,7 @@ fn latency_group_json(group: &[&str]) -> Json {
 /// The `stats` event body: the daemon-wide serve counters, per-phase
 /// and per-path latency percentiles from the live registry, and a
 /// (checksumming) store scan.
-fn stats_event() -> Json {
+fn stats_event(ctx: &RunCtx) -> Json {
     let mut members = vec![
         ("event", Json::from("stats")),
         ("schema", Json::from(SERVE_SCHEMA)),
@@ -419,7 +425,7 @@ fn stats_event() -> Json {
         ("phases", latency_group_json(&names::PHASES)),
         ("paths", latency_group_json(&names::PATHS)),
     ];
-    if let Some(stats) = store::stats() {
+    if let Some(stats) = ctx.store.as_ref().map(|s| s.stats()) {
         members.push((
             "store",
             Json::obj(vec![
@@ -451,8 +457,9 @@ fn pong_event() -> Json {
 /// One flight-recorder snapshot of the daemon's current state. Runs on
 /// the tick thread (and once at shutdown), so it only uses cheap
 /// probes: sink counter loads, histogram clones, and the
-/// metadata-only store scan ([`store::quick_scan`], no checksumming).
-fn snapshot_json() -> Json {
+/// metadata-only store scan ([`visim::store::Store::quick_scan`], no
+/// checksumming).
+fn snapshot_json(ctx: &RunCtx) -> Json {
     let mut members = vec![
         ("event", Json::from("snapshot")),
         ("t_ms", Json::from(telemetry::uptime_ms())),
@@ -462,7 +469,7 @@ fn snapshot_json() -> Json {
     if let Some(h) = live::global().histogram("pool.queue_depth") {
         members.push(("queue_depth_max", Json::from(h.max())));
     }
-    if let Some((entries, bytes)) = store::quick_scan() {
+    if let Some((entries, bytes)) = ctx.store.as_ref().map(|s| s.quick_scan()) {
         members.push(("store_entries", Json::from(entries)));
         members.push(("store_bytes", Json::from(bytes)));
     }
@@ -475,10 +482,10 @@ fn snapshot_json() -> Json {
 /// until `count` snapshots were delivered (`0` = until shutdown), the
 /// client hangs up, or the daemon shuts down. Ends with a `done` event
 /// carrying the delivered count.
-fn handle_watch(count: u64, stream: &Mutex<TcpStream>) {
+fn handle_watch(ctx: &RunCtx, count: u64, stream: &Mutex<TcpStream>) {
     let ring = telemetry::ring();
     let mut last = ring.last_seq();
-    if !send(stream, &snapshot_json()) {
+    if !send(stream, &snapshot_json(ctx)) {
         return;
     }
     let mut sent = 1u64;
@@ -504,7 +511,7 @@ fn handle_watch(count: u64, stream: &Mutex<TcpStream>) {
 }
 
 /// Serve one client connection until it closes or asks for shutdown.
-fn handle_conn(stream: TcpStream, daemon_addr: std::net::SocketAddr) {
+fn handle_conn(ctx: &RunCtx, stream: TcpStream, daemon_addr: std::net::SocketAddr) {
     let reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
@@ -527,11 +534,11 @@ fn handle_conn(stream: TcpStream, daemon_addr: std::net::SocketAddr) {
                 Ok(())
             }
             Ok(Request::Stats) => {
-                send(&stream, &stats_event());
+                send(&stream, &stats_event(ctx));
                 Ok(())
             }
             Ok(Request::Watch { count }) => {
-                handle_watch(count, &stream);
+                handle_watch(ctx, count, &stream);
                 Ok(())
             }
             Ok(Request::Shutdown) => {
@@ -542,12 +549,14 @@ fn handle_conn(stream: TcpStream, daemon_addr: std::net::SocketAddr) {
                 let _ = TcpStream::connect(daemon_addr);
                 return;
             }
-            Ok(Request::Manifest { source, size }) => handle_run(&source, None, &size, &stream),
+            Ok(Request::Manifest { source, size }) => {
+                handle_run(ctx, &source, None, &size, &stream)
+            }
             Ok(Request::Cell {
                 source,
                 label,
                 size,
-            }) => handle_run(&source, Some(&label), &size, &stream),
+            }) => handle_run(ctx, &source, Some(&label), &size, &stream),
             Err(e) => Err(e),
         };
         if let Err(e) = outcome {
@@ -562,7 +571,7 @@ fn handle_conn(stream: TcpStream, daemon_addr: std::net::SocketAddr) {
     }
 }
 
-/// Daemon configuration from the CLI.
+/// Daemon configuration from the CLI, beside its [`RunCtx`].
 pub struct DaemonConfig {
     /// TCP port to bind on 127.0.0.1 (0 = ephemeral).
     pub port: u16,
@@ -576,13 +585,20 @@ pub struct DaemonConfig {
     pub trace_out: Option<String>,
 }
 
-/// Run the daemon until a client sends `shutdown`. On exit, writes the
-/// run's results document (`results/json/serve.json`: one drain of the
-/// metrics sink — pool, store, trace-cache, fault, retry and `serve.*`
-/// counters plus the request-lifecycle histograms), the flight-recorder
-/// timeline (`results/json/serve_timeline.json`), and the request trace
-/// when `--trace-out` asked for one.
+/// Run the daemon under the process default (see [`visim::ctx`]; the
+/// benchmark harness's entry point).
 pub fn run(cfg: &DaemonConfig) -> Result<(), String> {
+    serve(cfg, ctx::process_default())
+}
+
+/// Run the daemon until a client sends `shutdown`, with resume always
+/// on in `ctx`'s store. On exit, writes the run's results document
+/// (`results/json/serve.json`: one drain of the metrics sink — pool,
+/// store, trace-cache, fault, retry and `serve.*` counters plus the
+/// request-lifecycle histograms), the flight-recorder timeline
+/// (`results/json/serve_timeline.json`), and the request trace when
+/// `--trace-out` asked for one.
+pub fn serve(cfg: &DaemonConfig, mut ctx: RunCtx) -> Result<(), String> {
     let started = Instant::now();
     // Latch the telemetry epoch.
     telemetry::started();
@@ -592,7 +608,9 @@ pub fn run(cfg: &DaemonConfig) -> Result<(), String> {
     }
     // The daemon is store-first by definition: every lookup path goes
     // through the store before any simulation is scheduled.
-    store::set_cli_resume();
+    if let Some(store) = &mut ctx.store {
+        store.resume = true;
+    }
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))
         .map_err(|e| format!("bind 127.0.0.1:{}: {e}", cfg.port))?;
     let addr = listener
@@ -621,13 +639,14 @@ pub fn run(cfg: &DaemonConfig) -> Result<(), String> {
     // it holds no locks across its sleep and the process outlives it
     // only briefly after the latch flips.
     let tick = telemetry::tick_interval();
+    let tick_ctx = ctx.clone();
     std::thread::spawn(move || {
         while !SHUTDOWN.load(Ordering::SeqCst) {
             std::thread::sleep(tick);
             if SHUTDOWN.load(Ordering::SeqCst) {
                 break;
             }
-            telemetry::ring().push(snapshot_json());
+            telemetry::ring().push(snapshot_json(&tick_ctx));
         }
     });
     let mut conns = Vec::new();
@@ -636,7 +655,8 @@ pub fn run(cfg: &DaemonConfig) -> Result<(), String> {
             break;
         }
         let Ok(stream) = conn else { continue };
-        conns.push(std::thread::spawn(move || handle_conn(stream, addr)));
+        let ctx = ctx.clone();
+        conns.push(std::thread::spawn(move || handle_conn(&ctx, stream, addr)));
     }
     // Drain in-flight connections so the doc sees their final counters.
     for handle in conns {
@@ -644,8 +664,8 @@ pub fn run(cfg: &DaemonConfig) -> Result<(), String> {
     }
     // Final flight-recorder sample, so even a daemon shut down inside
     // its first tick retains at least one snapshot.
-    telemetry::ring().push(snapshot_json());
-    let mut doc = ResultsDoc::new("serve", "daemon", experiment::jobs());
+    telemetry::ring().push(snapshot_json(&ctx));
+    let mut doc = ResultsDoc::new("serve", "daemon", ctx.jobs);
     doc.metrics = experiment::drain_pool_metrics();
     let mut text = doc.to_json(started.elapsed().as_secs_f64()).to_pretty();
     text.push('\n');

@@ -20,8 +20,8 @@
 //!   store hits and converges.
 //!
 //! Cells come from [`visim::manifest::Manifest::cells`] and run through
-//! [`visim::experiment::run_spec`] — the same grid expansion and the
-//! same executor the figure binaries use.
+//! [`visim::RunCtx::run_spec`] — the same grid expansion and the same
+//! executor the figure binaries use.
 //!
 //! - **Observable.** Every request is timed through its lifecycle
 //!   phases into the process-wide metrics sink
@@ -50,19 +50,17 @@ pub mod telemetry;
 /// percentile-bearing `stats` event).
 pub const SERVE_SCHEMA: &str = "visim-serve-v2";
 
-use visim::store;
+use visim::store::Store;
 
-/// Render a [`store::stats`] scan as the `--store-stats` report: the
+/// Render a [`Store::stats`] scan as the `--store-stats` report: the
 /// directory, the totals, and one line per (schema, revision) pairing.
-pub fn store_stats_text() -> String {
+pub fn store_stats_text(store: Option<&Store>) -> String {
     let mut out = String::new();
-    match store::stats() {
-        None => out.push_str("store: disabled (--no-store / VISIM_NO_STORE)\n"),
-        Some(stats) => {
-            out.push_str(&format!(
-                "store: {}\n",
-                store::dir().unwrap_or_else(|| "<none>".into())
-            ));
+    match store {
+        None => out.push_str("store: disabled (--no-store)\n"),
+        Some(store) => {
+            let stats = store.stats();
+            out.push_str(&format!("store: {}\n", store.dir));
             out.push_str(&format!(
                 "  entries: {}  bytes: {}  invalid: {}\n",
                 stats.entries, stats.bytes, stats.invalid
@@ -84,10 +82,9 @@ mod tests {
 
     #[test]
     fn store_stats_text_reports_disabled_store() {
-        // Unit tests never install a default store directory, so the
-        // store is disabled and the report says so instead of lying
-        // with zeros.
-        let text = store_stats_text();
+        // Without a store the report says so instead of lying with
+        // zeros.
+        let text = store_stats_text(None);
         assert!(text.starts_with("store: disabled"), "{text}");
     }
 }

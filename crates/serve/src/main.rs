@@ -1,6 +1,7 @@
 //! `visim-serve` CLI: daemon mode (default), client mode, and the
 //! `--store-stats` / `--check-timeline` reports.
 
+use visim::ctx;
 use visim_serve::proto::{ManifestSource, Request};
 use visim_serve::{client, daemon, telemetry};
 
@@ -9,6 +10,7 @@ fn usage() -> String {
      \n\
      Usage:\n\
      \x20 visim-serve [--port N] [--addr-file F] [--trace-out F] [--store-dir D] [--no-store]\n\
+     \x20             [--no-trace-cache] [--trace-cache-mb N] [--sample [W:P]]\n\
      \x20 visim-serve client <addr> <command>\n\
      \x20 visim-serve --store-stats [--store-dir D]\n\
      \x20 visim-serve --check-timeline <file>\n\
@@ -21,6 +23,8 @@ fn usage() -> String {
      \x20                 request to file F (load in Perfetto / chrome://tracing)\n\
      \x20 --store-dir D   result-store directory (default results/store)\n\
      \x20 --no-store      serve without persistence (every request simulates)\n\
+     \x20 --no-trace-cache, --trace-cache-mb N, --sample [W:P]\n\
+     \x20                 trace cache and sampling, as for the figure binaries\n\
      \n\
      Client commands (addr as printed by the daemon, e.g. 127.0.0.1:38141):\n\
      \x20 ping                          health check (schema, git rev, uptime,\n\
@@ -39,10 +43,9 @@ fn usage() -> String {
      --store-stats       print store size/entry counts per schema revision and exit\n\
      --check-timeline F  validate a serve_timeline.json flight-recorder artifact\n\
      \n\
-     Environment: VISIM_JOBS, VISIM_STORE_DIR, VISIM_NO_STORE, VISIM_FAULT and the\n\
-     other knobs documented by the figure binaries apply to the daemon unchanged;\n\
-     VISIM_TICK_MS sets the flight-recorder interval, VISIM_SLOW_MS the\n\
-     slow-request warning threshold, VISIM_LOG the stderr log level."
+     Environment: VISIM_JOBS, VISIM_FAULT, VISIM_QUIET and VISIM_LOG as for the\n\
+     figure binaries; VISIM_TICK_MS sets the flight-recorder interval,\n\
+     VISIM_SLOW_MS the slow-request warning threshold."
         .to_string()
 }
 
@@ -97,97 +100,85 @@ fn client_request(args: &[String]) -> Request {
 }
 
 fn main() {
-    visim::store::set_default_dir("results/store");
-    let mut args = std::env::args().skip(1);
     let mut cfg = daemon::DaemonConfig {
         port: 0,
         addr_file: None,
         trace_out: None,
     };
     let mut store_stats = false;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    let parsed = ctx::parse_args(std::env::args().skip(1), "results/store", |arg, args| {
+        match arg {
             "--help" | "-h" => {
                 println!("{}", usage());
-                return;
+                std::process::exit(0);
             }
             "--store-stats" => store_stats = true,
-            "--no-store" => visim::store::set_cli_disabled(),
-            "--store-dir" => match args.next() {
-                Some(d) if !d.is_empty() && !d.starts_with('-') => {
-                    visim::store::set_cli_dir(&d);
-                }
-                _ => bad("--store-dir expects a directory path"),
-            },
             "--port" => match args.next().and_then(|v| v.parse::<u16>().ok()) {
                 Some(p) => cfg.port = p,
-                None => bad("--port expects a TCP port number"),
+                None => return Err("--port expects a TCP port number".into()),
             },
-            "--addr-file" => match args.next() {
-                Some(f) if !f.is_empty() && !f.starts_with('-') => cfg.addr_file = Some(f),
-                _ => bad("--addr-file expects a file path"),
-            },
-            "--trace-out" => match args.next() {
-                Some(f) if !f.is_empty() && !f.starts_with('-') => cfg.trace_out = Some(f),
-                _ => bad("--trace-out expects a file path"),
-            },
-            "--check-timeline" => {
-                let path = match args.next() {
-                    Some(f) if !f.is_empty() && !f.starts_with('-') => f,
-                    _ => bad("--check-timeline expects a timeline file path"),
-                };
-                let text = match std::fs::read_to_string(&path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("visim-serve: read {path}: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                match telemetry::check_timeline_text(&text) {
-                    Ok(summary) => {
-                        println!("{summary}");
-                        return;
-                    }
-                    Err(e) => {
-                        eprintln!("visim-serve: {path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "client" => {
-                let mut rest: Vec<String> = args.collect();
-                let json = rest.iter().any(|a| a == "--json");
-                rest.retain(|a| a != "--json");
-                let (addr, cmd) = match rest.split_first() {
-                    Some((addr, cmd)) if !cmd.is_empty() => (addr.clone(), cmd.to_vec()),
-                    _ => bad("client: expected an address and a command"),
-                };
-                let request = client_request(&cmd);
-                // Telemetry views render for humans unless --json asked
-                // for the raw event lines; run streams stay raw either
-                // way (scripts parse their cell/done events).
-                let render = match request {
-                    _ if json => client::Render::Raw,
-                    Request::Stats | Request::Watch { .. } | Request::Ping => client::Render::Human,
-                    _ => client::Render::Raw,
-                };
-                match client::run_with(&addr, &request, render) {
-                    Ok(code) => std::process::exit(code),
-                    Err(e) => {
-                        eprintln!("visim-serve client: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            other => bad(&format!("unknown argument {other:?}")),
+            "--addr-file" => cfg.addr_file = Some(ctx::path_value(args, "--addr-file")?),
+            "--trace-out" => cfg.trace_out = Some(ctx::path_value(args, "--trace-out")?),
+            "--check-timeline" => check_timeline(&ctx::path_value(args, "--check-timeline")?),
+            "client" => client(args.collect()),
+            other => return Err(format!("unknown argument {other:?}")),
         }
-    }
+        Ok(())
+    });
+    let ctx = parsed.unwrap_or_else(|e| bad(&e));
     if store_stats {
-        print!("{}", visim_serve::store_stats_text());
+        print!("{}", visim_serve::store_stats_text(ctx.store.as_ref()));
         return;
     }
-    if let Err(e) = daemon::run(&cfg) {
+    if let Err(e) = daemon::serve(&cfg, ctx) {
         eprintln!("visim-serve: {e}");
         std::process::exit(1);
+    }
+}
+
+/// `--check-timeline F`: validate a flight-recorder artifact and exit.
+fn check_timeline(path: &str) -> ! {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("visim-serve: read {path}: {e}");
+            std::process::exit(1);
+        }
+    };
+    match telemetry::check_timeline_text(&text) {
+        Ok(summary) => {
+            println!("{summary}");
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("visim-serve: {path}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `client <addr> <command>`: send one request and exit with its status.
+fn client(mut rest: Vec<String>) -> ! {
+    let json = rest.iter().any(|a| a == "--json");
+    rest.retain(|a| a != "--json");
+    let (addr, cmd) = match rest.split_first() {
+        Some((addr, cmd)) if !cmd.is_empty() => (addr.clone(), cmd.to_vec()),
+        _ => bad("client: expected an address and a command"),
+    };
+    let request = client_request(&cmd);
+    // Telemetry views render for humans unless --json asked for the raw
+    // event lines; run streams stay raw either way (scripts parse their
+    // cell/done events).
+    let render = match request {
+        _ if json => client::Render::Raw,
+        Request::Stats | Request::Watch { .. } | Request::Ping => client::Render::Human,
+        _ => client::Render::Raw,
+    };
+    match client::run_with(&addr, &request, render) {
+        Ok(code) => std::process::exit(code),
+        Err(e) => {
+            eprintln!("visim-serve client: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -8,9 +8,8 @@
 
 use media_kernels::Variant;
 use visim::bench::{Bench, WorkloadSize};
-use visim::experiment::run_spec;
 use visim::manifest::CellSpec;
-use visim::Arch;
+use visim::{Arch, RunCtx};
 
 fn main() {
     let mut size = WorkloadSize::tiny();
@@ -23,6 +22,7 @@ fn main() {
         "{:<10} {:>10} {:>10} {:>8} {:>12} {:>12}",
         "kernel", "VIS", "VIS+PF", "speedup", "mem% before", "mem% after"
     );
+    let ctx = RunCtx::default();
     for bench in Bench::kernels() {
         let timed = |variant| {
             let spec = CellSpec::Timed {
@@ -32,7 +32,7 @@ fn main() {
                 mem: Default::default(),
                 variant,
             };
-            let (out, _from_store) = run_spec(&spec, &size).expect("kernel simulates");
+            let (out, _from_store) = ctx.run_spec(&spec, &size).expect("kernel simulates");
             out.into_summary()
         };
         let (vis, pf) = (timed(Variant::VIS), timed(Variant::VIS_PF));

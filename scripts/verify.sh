@@ -82,8 +82,8 @@ mkdir -p "$replay_dir/cached" "$replay_dir/direct"
 for bin in fig1 sweep_l1 ablation; do
   (cd "$replay_dir/cached" && "$OLDPWD/target/release/$bin" tiny \
     > "../$bin.cached.txt")
-  (cd "$replay_dir/direct" && VISIM_NO_TRACE_CACHE=1 \
-    "$OLDPWD/target/release/$bin" tiny > "../$bin.direct.txt")
+  (cd "$replay_dir/direct" && "$OLDPWD/target/release/$bin" tiny \
+    --no-trace-cache > "../$bin.direct.txt")
   diff "$replay_dir/$bin.cached.txt" "$replay_dir/$bin.direct.txt"
 done
 # Two workers: cells sharing a stream race for its recording (one

@@ -2,9 +2,8 @@
 
 use media_kernels::Variant;
 use visim::bench::{Bench, WorkloadSize};
-use visim::experiment::run_spec;
 use visim::manifest::{CellSpec, SweepCache};
-use visim::Arch;
+use visim::{Arch, RunCtx};
 use visim_cpu::Summary;
 use visim_mem::MemConfig;
 
@@ -25,7 +24,8 @@ fn timed(bench: Bench, mem: MemConfig, variant: Variant) -> Summary {
         mem,
         variant,
     };
-    run_spec(&spec, &size())
+    RunCtx::default()
+        .run_spec(&spec, &size())
         .expect("timed cell runs")
         .0
         .into_summary()

@@ -3,9 +3,9 @@
 
 use media_kernels::Variant;
 use visim::bench::{Bench, WorkloadSize};
-use visim::experiment::{run_manifest, run_spec, ManifestOutcome};
+use visim::experiment::ManifestOutcome;
 use visim::manifest::{CellSpec, Manifest};
-use visim::Arch;
+use visim::{Arch, RunCtx};
 use visim_cpu::Summary;
 use visim_mem::MemConfig;
 
@@ -26,7 +26,8 @@ fn timed(bench: Bench, arch: Arch, variant: Variant) -> Summary {
         mem: MemConfig::default(),
         variant,
     };
-    run_spec(&spec, &size())
+    RunCtx::default()
+        .run_spec(&spec, &size())
         .expect("timed cell runs")
         .0
         .into_summary()
@@ -113,8 +114,8 @@ fn claim_kernels_become_memory_bound_with_ilp_and_vis() {
 fn claim_prefetching_makes_everything_compute_bound() {
     // §4.2 + conclusion: with software prefetching all benchmarks
     // revert to being compute-bound.
-    let ManifestOutcome::Fig3(rows) = run_manifest(&Manifest::builtin("fig3").unwrap(), &size())
-    else {
+    let fig3 = Manifest::builtin("fig3").unwrap();
+    let ManifestOutcome::Fig3(rows) = RunCtx::default().run_manifest(&fig3, &size()) else {
         panic!("fig3 manifest folds into Figure 3 rows");
     };
     for (bench, row) in rows {
@@ -148,7 +149,10 @@ fn claim_vis_cuts_dynamic_instruction_counts() {
             bench,
             variant,
         };
-        let out = run_spec(&spec, &sz).expect("counted cell runs").0;
+        let out = RunCtx::default()
+            .run_spec(&spec, &sz)
+            .expect("counted cell runs")
+            .0;
         out.into_counts().retired as f64
     };
     let ratio = |b: Bench| retired(b, Variant::VIS) / retired(b, Variant::SCALAR);
