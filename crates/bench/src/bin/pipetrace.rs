@@ -68,7 +68,7 @@ fn usage() -> String {
          \x20 --cycles A..B   keep only events in the half-open cycle window [A, B)\n\
          \x20                 (attribution aggregates always cover the whole run)\n\
          \x20 --out PATH      trace file destination (single-run mode)\n\
-         \x20 --no-trace-cache, --trace-cache-mb N   as for the figure binaries\n\
+         \x20 --no-trace-cache emit every run directly; no record/replay\n\
          \n\
          Sizes default to tiny (traces are per-cycle; study/paper files get large).\n\
          Benchmarks: {}\n\
@@ -121,7 +121,9 @@ fn parse_cli() -> Cli {
         out: None,
         ctx: RunCtx::default(),
     };
-    let parsed = ctx::parse_args(std::env::args().skip(1), "results/store", |arg, args| {
+    // Traced runs are exact and never consult the store.
+    let flags = ["--no-trace-cache"];
+    let parsed = ctx::parse_args(std::env::args().skip(1), &flags, |arg, args| {
         match arg {
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -163,9 +165,6 @@ fn parse_cli() -> Cli {
         Ok(())
     });
     cli.ctx = parsed.unwrap_or_else(|e| die_usage(&e));
-    if cli.ctx.sample.is_some() {
-        die_usage("--sample does not apply: pipetrace traces exact runs");
-    }
     cli
 }
 

@@ -39,7 +39,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use visim::bench::WorkloadSize;
-use visim::ctx::{ProgressObserver, RunCtx};
+use visim::ctx::{self, ProgressObserver, RunCtx};
 use visim_obs::schema::{self, ResultsDoc};
 use visim_obs::Json;
 use visim_util::atomic::write_atomic;
@@ -106,13 +106,13 @@ pub struct Cli {
 pub fn parse_cli(bin: &str, about: &str) -> Cli {
     let mut picked: Option<(&'static str, WorkloadSize)> = None;
     let mut manifest = None;
-    let parsed = visim::ctx::parse_args(std::env::args().skip(1), "results/store", |arg, args| {
+    let parsed = ctx::parse_args(std::env::args().skip(1), ctx::ALL_FLAGS, |arg, args| {
         match arg {
             "--help" | "-h" => {
                 println!("{}", usage(bin, about));
                 std::process::exit(0);
             }
-            "--manifest" => manifest = Some(visim::ctx::path_value(args, "--manifest")?),
+            "--manifest" => manifest = Some(ctx::path_value(args, "--manifest")?),
             "tiny" | "study" | "paper" if picked.is_none() => {
                 picked = Some(match arg {
                     "tiny" => ("tiny", WorkloadSize::tiny()),

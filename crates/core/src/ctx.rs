@@ -39,6 +39,20 @@ const JOBS_ENV: &str = "VISIM_JOBS";
 /// The trace cache's default resident budget (`--trace-cache-mb`).
 const DEFAULT_TRACE_BUDGET_MB: u64 = 1024;
 
+/// Where the binaries keep the result store unless `--store-dir` moves it.
+pub const DEFAULT_STORE_DIR: &str = "results/store";
+
+/// Every run-context flag [`parse_args`] handles. A binary passes the
+/// ones that apply to it; the figure binaries take them all.
+pub const ALL_FLAGS: &[&str] = &[
+    "--resume",
+    "--no-store",
+    "--store-dir",
+    "--no-trace-cache",
+    "--trace-cache-mb",
+    "--sample",
+];
+
 /// A progress callback, called as `(done, total, run_ns)` after every
 /// completed [`RunCtx::run_parallel`] job. It only ever sees completion
 /// counts and job latencies, so it cannot influence results.
@@ -104,15 +118,16 @@ pub fn path_value(args: &mut impl Iterator<Item = String>, what: &str) -> Result
     }
 }
 
-/// Parse a command line into a [`RunCtx`]. The run-context flags are
-/// handled here: `--resume`, `--no-store`, `--store-dir D` (else
-/// `default_store_dir`), `--no-trace-cache`, `--trace-cache-mb N` and
-/// `--sample [W:P]`. Every other argument goes to `other`, with the
-/// remaining arguments for any value it takes. The first error, from
-/// either, is returned.
+/// Parse a command line into a [`RunCtx`]. The run-context flags named
+/// in `flags` (a subset of [`ALL_FLAGS`]) are handled here: `--resume`,
+/// `--no-store`, `--store-dir D` (else [`DEFAULT_STORE_DIR`]),
+/// `--no-trace-cache`, `--trace-cache-mb N` and `--sample [W:P]`. Every
+/// other argument, a run-context flag the binary does not take included,
+/// goes to `other`, with the remaining arguments for any value it takes.
+/// The first error, from either, is returned.
 pub fn parse_args<I: Iterator<Item = String>>(
     args: I,
-    default_store_dir: &str,
+    flags: &[&str],
     mut other: impl FnMut(&str, &mut Peekable<I>) -> Result<(), String>,
 ) -> Result<RunCtx, String> {
     let mut args = args.peekable();
@@ -122,6 +137,7 @@ pub fn parse_args<I: Iterator<Item = String>>(
     let mut sample = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
+            a if !flags.contains(&a) => other(a, &mut args)?,
             "--resume" => resume = true,
             "--no-store" => no_store = true,
             "--store-dir" => dir = Some(path_value(&mut args, "--store-dir")?),
@@ -144,7 +160,7 @@ pub fn parse_args<I: Iterator<Item = String>>(
     }
     Ok(RunCtx {
         store: (!no_store).then(|| Store {
-            dir: dir.unwrap_or_else(|| default_store_dir.to_string()),
+            dir: dir.unwrap_or_else(|| DEFAULT_STORE_DIR.to_string()),
             resume,
         }),
         trace_budget: (!no_trace_cache).then(|| mb_to_bytes(budget_mb)),
@@ -188,20 +204,24 @@ mod tests {
         }
     }
 
-    fn parse(args: &[&str]) -> Result<(RunCtx, Vec<String>), String> {
+    fn parse_only(flags: &[&str], args: &[&str]) -> Result<(RunCtx, Vec<String>), String> {
         let mut rest = Vec::new();
-        let ctx = parse_args(args.iter().map(|a| a.to_string()), "d", |a, _| {
+        let ctx = parse_args(args.iter().map(|a| a.to_string()), flags, |a, _| {
             rest.push(a.to_string());
             Ok(())
         })?;
         Ok((ctx, rest))
     }
 
+    fn parse(args: &[&str]) -> Result<(RunCtx, Vec<String>), String> {
+        parse_only(ALL_FLAGS, args)
+    }
+
     #[test]
     fn flags_build_the_context_and_pass_the_rest_on() {
         let (ctx, rest) = parse(&["tiny", "--resume", "--sample", "--x"]).unwrap();
         let store = ctx.store.map(|s| (s.dir, s.resume));
-        assert_eq!(store, Some(("d".to_string(), true)));
+        assert_eq!(store, Some((DEFAULT_STORE_DIR.to_string(), true)));
         assert_eq!(ctx.trace_budget, Some(1024 << 20));
         assert_eq!(ctx.sample, sampling::parse_spec("1").unwrap());
         assert_eq!(rest, ["tiny", "--x"]);
@@ -222,5 +242,13 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
         }
+
+        // A flag the binary does not take goes to its own handler, value
+        // and all, and leaves the context at its default.
+        let (ctx, rest) =
+            parse_only(&["--no-store"], &["--trace-cache-mb", "3", "--resume"]).unwrap();
+        assert_eq!(ctx.trace_budget, Some(1024 << 20));
+        assert!(!ctx.store.unwrap().resume);
+        assert_eq!(rest, ["--trace-cache-mb", "3", "--resume"]);
     }
 }

@@ -117,9 +117,8 @@ fn with_retry<T>(mut attempt_fn: impl FnMut(u32) -> Result<T, SimError>) -> Resu
 /// — including entries with `status: failed`, whose recorded
 /// deterministic error is re-raised so a resumed run renders the same
 /// error row without re-running a known failure. Otherwise the cell
-/// computes under the retry policy, with the `cell.transient` fault
-/// point armed per attempt and the `cell.panic` point and panic recovery
-/// around `compute` (`tag` names the benchmark or driver), and the
+/// computes under the retry policy (with the `cell.transient` fault
+/// point armed per attempt; `tag` names the benchmark or driver) and the
 /// outcome — success or deterministic failure, never a transient one —
 /// is persisted atomically. The flag is `true` when the result came from the store.
 /// The store lookup (on resume) and the computation are timed into the
@@ -153,11 +152,7 @@ fn run_cell<T: Clone>(
     let t1 = Instant::now();
     let result = with_retry(|attempt| {
         fault::trip_transient("cell.transient", &format!("{tag}:{attempt}"))?;
-        catch_workload(tag, || {
-            injected_panic(tag);
-            compute()
-        })
-        .and_then(|r| r)
+        compute()
     });
     sink.observe_latency_ns(live_names::PHASE_SIMULATE, t1.elapsed().as_nanos() as u64);
     if let Some(store) = &ctx.store {
@@ -177,6 +172,19 @@ fn injected_panic(tag: &str) {
     if fault::fires("cell.panic", tag) {
         panic!("fault injected: cell.panic at {tag}");
     }
+}
+
+/// Run a driver outside the [`Bench`] registry under the `cell.panic`
+/// fault point, converting its panics into `SimError::Workload`.
+pub(crate) fn catch_custom<T>(
+    tag: &str,
+    compute: impl FnOnce() -> Result<T, SimError>,
+) -> Result<T, SimError> {
+    catch_workload(tag, || {
+        injected_panic(tag);
+        compute()
+    })
+    .and_then(|r| r)
 }
 
 /// Run `f`, converting a workload panic into `SimError::Workload`
@@ -529,6 +537,7 @@ fn timed_cell(
 ) -> Result<(Summary, bool), SimError> {
     let key = CellKey::timed(bench.name(), cpu, mem, size, variant, ctx.sample);
     stored_timed(ctx, key, bench.name(), || {
+        catch_workload(bench.name(), || injected_panic(bench.name()))?;
         let t0 = Instant::now();
         let stream = obtain_stream(ctx, bench, size, variant)?;
         let emit = t0.elapsed();
@@ -550,7 +559,10 @@ fn counted_cell(
     let key = CellKey::counted(bench.name(), size, variant);
     stored_counted(ctx, key, bench.name(), || {
         let mut sink = CountingSink::new();
-        bench.run(&mut sink, size, variant);
+        catch_workload(bench.name(), || {
+            injected_panic(bench.name());
+            bench.run(&mut sink, size, variant)
+        })?;
         Ok(sink.finish())
     })
 }

@@ -139,14 +139,17 @@ pub(crate) fn kernel_cell(
     let (w, h) = (size.image_w, size.image_h);
     let tag = |vname: &str| format!("k14.{}.{vname}", k.name());
     let counted_run = |v: Variant, vname: &str| {
-        let key = CellKey::custom_counted(&tag(vname), size);
-        experiment::stored_counted(ctx, key, &tag(vname), || {
-            let mut sink = CountingSink::new();
-            {
-                let mut p = Program::new(&mut sink);
-                drive(&mut p, k, w, h, v);
-            }
-            Ok(sink.finish())
+        let tag = tag(vname);
+        let key = CellKey::custom_counted(&tag, size);
+        experiment::stored_counted(ctx, key, &tag, || {
+            experiment::catch_custom(&tag, || {
+                let mut sink = CountingSink::new();
+                {
+                    let mut p = Program::new(&mut sink);
+                    drive(&mut p, k, w, h, v);
+                }
+                Ok(sink.finish())
+            })
         })
     };
     let (base, base_hit) = counted_run(Variant::SCALAR, "base")?;
@@ -154,14 +157,17 @@ pub(crate) fn kernel_cell(
     let cpu = CpuConfig::ooo_4way();
     let mem = MemConfig::default();
     let timed_run = |v: Variant, vname: &str| {
-        let key = CellKey::custom_timed(&tag(vname), &cpu, &mem, size, ctx.sample);
-        experiment::stored_timed(ctx, key, &tag(vname), || {
-            let mut pipe = Pipeline::new(cpu.clone(), mem.clone());
-            {
-                let mut p = Program::new(&mut pipe);
-                drive(&mut p, k, w, h, v);
-            }
-            Ok(pipe.finish())
+        let tag = tag(vname);
+        let key = CellKey::custom_timed(&tag, &cpu, &mem, size, ctx.sample);
+        experiment::stored_timed(ctx, key, &tag, || {
+            experiment::catch_custom(&tag, || {
+                let mut pipe = Pipeline::new(cpu.clone(), mem.clone());
+                {
+                    let mut p = Program::new(&mut pipe);
+                    drive(&mut p, k, w, h, v);
+                }
+                Ok(pipe.finish())
+            })
         })
     };
     let (timed_base, timed_base_hit) = timed_run(Variant::SCALAR, "base")?;

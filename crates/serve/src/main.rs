@@ -10,7 +10,7 @@ fn usage() -> String {
      \n\
      Usage:\n\
      \x20 visim-serve [--port N] [--addr-file F] [--trace-out F] [--store-dir D] [--no-store]\n\
-     \x20             [--no-trace-cache] [--trace-cache-mb N] [--sample [W:P]]\n\
+     \x20             [--no-trace-cache] [--sample [W:P]]\n\
      \x20 visim-serve client <addr> <command>\n\
      \x20 visim-serve --store-stats [--store-dir D]\n\
      \x20 visim-serve --check-timeline <file>\n\
@@ -23,7 +23,7 @@ fn usage() -> String {
      \x20                 request to file F (load in Perfetto / chrome://tracing)\n\
      \x20 --store-dir D   result-store directory (default results/store)\n\
      \x20 --no-store      serve without persistence (every request simulates)\n\
-     \x20 --no-trace-cache, --trace-cache-mb N, --sample [W:P]\n\
+     \x20 --no-trace-cache, --sample [W:P]\n\
      \x20                 trace cache and sampling, as for the figure binaries\n\
      \n\
      Client commands (addr as printed by the daemon, e.g. 127.0.0.1:38141):\n\
@@ -106,7 +106,9 @@ fn main() {
         trace_out: None,
     };
     let mut store_stats = false;
-    let parsed = ctx::parse_args(std::env::args().skip(1), "results/store", |arg, args| {
+    // The daemon always resumes and keeps the default trace budget.
+    let flags = ["--store-dir", "--no-store", "--no-trace-cache", "--sample"];
+    let parsed = ctx::parse_args(std::env::args().skip(1), &flags, |arg, args| {
         match arg {
             "--help" | "-h" => {
                 println!("{}", usage());
