@@ -4,12 +4,11 @@
 //! family, including the VIS-inapplicable scatter/gather kernels.
 //!
 //! The kernel list lives in `results/manifests/kernels14.json`
-//! (embedded at compile time, `--manifest` overrides); the per-kernel
-//! driver is `visim::kernels14`. Each kernel is one worker-pool job of
-//! two counted and two timed runs, all through the store-aware
-//! custom-cell runners, so this appendix binary gets the same
-//! crash-safe resume, retry, and fault-injection coverage as the
-//! registry-driven figures.
+//! (embedded at compile time, `--manifest` overrides); the kernels'
+//! emitters are in `visim::kernels14`. Each kernel is four ordinary
+//! cells — counted base and VIS, timed base and VIS — run like every
+//! other figure's cells, with the same result store, resume, retry,
+//! fault injection, trace cache and `--sample` support.
 
 fn main() {
     visim_bench::render::manifest_main("kernels14");

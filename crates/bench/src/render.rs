@@ -348,7 +348,7 @@ fn render_kernels14(
     m: &Manifest,
     results: Vec<(
         media_kernels::KernelId,
-        Result<visim::kernels14::KernelCell, visim_util::SimError>,
+        Result<visim::experiment::KernelRow, visim_util::SimError>,
     )>,
 ) {
     use media_kernels::KernelId;

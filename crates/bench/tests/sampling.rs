@@ -25,7 +25,11 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 fn run_fig1(dir: &Path, args: &[&str], envs: &[(&str, &str)]) -> Output {
-    let mut cmd = hermetic_command(env!("CARGO_BIN_EXE_fig1"));
+    run_bin(env!("CARGO_BIN_EXE_fig1"), dir, args, envs)
+}
+
+fn run_bin(bin: &str, dir: &Path, args: &[&str], envs: &[(&str, &str)]) -> Output {
+    let mut cmd = hermetic_command(bin);
     cmd.arg("tiny")
         .args(args)
         .current_dir(dir)
@@ -33,11 +37,15 @@ fn run_fig1(dir: &Path, args: &[&str], envs: &[(&str, &str)]) -> Output {
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    cmd.output().expect("fig1 runs")
+    cmd.output().expect("figure binary runs")
 }
 
 fn doc(dir: &Path) -> Json {
-    let text = std::fs::read_to_string(dir.join("results/json/fig1.json")).unwrap();
+    doc_of(dir, "fig1")
+}
+
+fn doc_of(dir: &Path, name: &str) -> Json {
+    let text = std::fs::read_to_string(dir.join(format!("results/json/{name}.json"))).unwrap();
     Json::parse(&text).unwrap()
 }
 
@@ -50,21 +58,21 @@ fn doc_counter(dir: &Path, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("doc metrics counter {name} present"))
 }
 
-/// Per-cell `cell.sampling.mode` values across the document (absent
-/// counters count as 0 = exact).
+/// A cell's `cell.sampling.mode` (an absent counter counts as 0 =
+/// exact).
+fn sampling_mode(cell: &Json) -> u64 {
+    cell.get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("cell.sampling.mode"))
+        .and_then(Json::as_u64)
+        .unwrap_or(0)
+}
+
+/// Per-cell `cell.sampling.mode` values across the document.
 fn sampling_modes(dir: &Path) -> Vec<u64> {
     let d = doc(dir);
     let cells = d.get("cells").and_then(Json::elements).expect("cells");
-    cells
-        .iter()
-        .map(|cell| {
-            cell.get("metrics")
-                .and_then(|m| m.get("counters"))
-                .and_then(|c| c.get("cell.sampling.mode"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0)
-        })
-        .collect()
+    cells.iter().map(sampling_mode).collect()
 }
 
 /// The document scrubbed of run-varying members
@@ -188,4 +196,50 @@ fn sampled_and_exact_cells_never_cross_serve() {
         0,
         "a different sampling geometry must not share entries"
     );
+}
+
+/// The appendix kernels sample like every other figure: each timed
+/// kernel cell declares a sampling mode, and the counted cells (whose
+/// counts sampling never estimates) equal the exact run's.
+#[test]
+fn kernels14_timed_cells_sample_and_counted_cells_stay_exact() {
+    let kernels14 = env!("CARGO_BIN_EXE_kernels14");
+    let exact_dir = scratch_dir("k14-exact");
+    let sampled_dir = scratch_dir("k14-sampled");
+    for (dir, args) in [
+        (&exact_dir, &["--no-store"][..]),
+        (&sampled_dir, &["--sample", "2000:10000", "--no-store"][..]),
+    ] {
+        let out = run_bin(kernels14, dir, args, &[]);
+        assert!(
+            out.status.success(),
+            "kernels14 {args:?} fails: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let cells = |dir: &Path| {
+        let d = doc_of(dir, "kernels14");
+        d.get("cells")
+            .and_then(Json::elements)
+            .expect("cells")
+            .to_vec()
+    };
+    let (exact, sampled) = (cells(&exact_dir), cells(&sampled_dir));
+    assert_eq!(exact.len(), 56, "four cells per kernel");
+    assert_eq!(sampled.len(), exact.len());
+    let mut timed = 0;
+    for (e, s) in exact.iter().zip(&sampled) {
+        let is_timed = s.get("config").and_then(|c| c.get("timed")) == Some(&Json::Bool(true));
+        if is_timed {
+            timed += 1;
+            let mode = sampling_mode(s);
+            assert!(
+                mode == 1 || mode == 2,
+                "timed kernel cell has mode {mode}: {s:?}"
+            );
+        } else {
+            assert_eq!(e, s, "a counted kernel cell differs under --sample");
+        }
+    }
+    assert_eq!(timed, 28, "two timed cells per kernel");
 }

@@ -232,7 +232,7 @@ fn tracing_does_not_perturb_the_simulation() {
     let size = tiny();
     let spec = CellSpec::Timed {
         label: "conv/4-way/base".into(),
-        bench: Bench::Conv,
+        workload: Bench::Conv.into(),
         cpu: Arch::InOrder4.cpu(),
         mem: Default::default(),
         variant: Variant::SCALAR,

@@ -195,7 +195,7 @@ mod tests {
     fn fig1_cell_round_trips_with_full_payload() {
         let summary = run(CellSpec::Timed {
             label: "addition/4-way ooo/vis".into(),
-            bench: Bench::Addition,
+            workload: Bench::Addition.into(),
             cpu: Arch::Ooo4.cpu(),
             mem: Default::default(),
             variant: Variant::VIS,
@@ -249,7 +249,7 @@ mod tests {
         let counted = |variant| {
             run(CellSpec::Counted {
                 label: "thresh".into(),
-                bench: Bench::Thresh,
+                workload: Bench::Thresh.into(),
                 variant,
             })
             .into_counts()

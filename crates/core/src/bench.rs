@@ -1,11 +1,14 @@
-//! The 12-benchmark registry (paper Table 1) and workload drivers.
+//! The 12-benchmark registry (paper Table 1), the code that emits each
+//! benchmark, and [`Workload`]: what one simulation cell emits.
 
 use media_image::synth;
 use media_jpeg as jpeg;
-use media_kernels::{blend, conv, pointwise, reduce, thresh, SimImage, Variant};
+use media_kernels::{blend, conv, pointwise, reduce, thresh, KernelId, SimImage, Variant};
 use media_mpeg as mpeg;
 use visim_cpu::SimSink;
 use visim_trace::Program;
+
+use crate::kernels14;
 
 /// The sink of the untimed input preparation: the decode benchmarks
 /// read only the encoder's memory image afterwards, so its instructions
@@ -289,6 +292,47 @@ impl Bench {
 impl std::fmt::Display for Bench {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// The instruction-stream source of one cell: a Table 1 benchmark, or
+/// one of the appendix's 14 VSDK kernels ([`crate::kernels14`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Workload {
+    /// A Table 1 benchmark.
+    Bench(Bench),
+    /// An appendix kernel.
+    Kernel(KernelId),
+}
+
+impl Workload {
+    /// The name the trace cache and the result store key the stream
+    /// by: the benchmark's name, or `k14.<kernel>`, so a kernel never
+    /// shares a key with the benchmark of the same name.
+    pub fn name(self) -> String {
+        match self {
+            Workload::Bench(b) => b.name().to_string(),
+            Workload::Kernel(k) => format!("k14.{}", k.name()),
+        }
+    }
+
+    /// Drive this workload through `sink` at the given size/variant. A
+    /// kernel runs over fixed-seed `image_w`×`image_h` inputs
+    /// ([`kernels14::drive`]).
+    pub fn run<S: SimSink>(self, sink: &mut S, size: &WorkloadSize, variant: Variant) {
+        match self {
+            Workload::Bench(b) => b.run(sink, size, variant),
+            Workload::Kernel(k) => {
+                let mut p = Program::new(sink);
+                kernels14::drive(&mut p, k, size.image_w, size.image_h, variant);
+            }
+        }
+    }
+}
+
+impl From<Bench> for Workload {
+    fn from(b: Bench) -> Self {
+        Workload::Bench(b)
     }
 }
 

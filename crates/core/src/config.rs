@@ -1,7 +1,6 @@
 //! Architecture configurations for the study.
 
 use visim_cpu::CpuConfig;
-use visim_mem::MemConfig;
 
 /// The three architecture variations of Figure 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,11 +42,6 @@ impl std::fmt::Display for Arch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
-}
-
-/// The default memory system (Table 3).
-pub fn default_mem() -> MemConfig {
-    MemConfig::default()
 }
 
 #[cfg(test)]

@@ -45,10 +45,9 @@ use visim_util::{fault, pool, SimError};
 
 use media_kernels::KernelId;
 
-use crate::bench::{Bench, WorkloadSize};
+use crate::bench::{Bench, Workload, WorkloadSize};
 use crate::config::Arch;
 use crate::ctx::{self, RunCtx};
-use crate::kernels14::{self, KernelCell};
 use crate::manifest::{CellSpec, Grid, Manifest, SweepCache};
 use crate::sampling::{self, SampleConfig};
 use crate::store::{self, CellKey};
@@ -118,7 +117,7 @@ fn with_retry<T>(mut attempt_fn: impl FnMut(u32) -> Result<T, SimError>) -> Resu
 /// deterministic error is re-raised so a resumed run renders the same
 /// error row without re-running a known failure. Otherwise the cell
 /// computes under the retry policy (with the `cell.transient` fault
-/// point armed per attempt; `tag` names the benchmark or driver) and the
+/// point armed per attempt; `tag` names the workload) and the
 /// outcome — success or deterministic failure, never a transient one —
 /// is persisted atomically. The flag is `true` when the result came from the store.
 /// The store lookup (on resume) and the computation are timed into the
@@ -165,7 +164,7 @@ fn run_cell<T: Clone>(
     result.map(|v| (v, false))
 }
 
-/// Fire the `cell.panic` fault point (keyed by benchmark/driver tag)
+/// Fire the `cell.panic` fault point (keyed by the workload's name)
 /// inside the panic-catching boundary, so an injected panic takes the
 /// exact recovery path a real workload panic does.
 fn injected_panic(tag: &str) {
@@ -174,21 +173,8 @@ fn injected_panic(tag: &str) {
     }
 }
 
-/// Run a driver outside the [`Bench`] registry under the `cell.panic`
-/// fault point, converting its panics into `SimError::Workload`.
-pub(crate) fn catch_custom<T>(
-    tag: &str,
-    compute: impl FnOnce() -> Result<T, SimError>,
-) -> Result<T, SimError> {
-    catch_workload(tag, || {
-        injected_panic(tag);
-        compute()
-    })
-    .and_then(|r| r)
-}
-
 /// Run `f`, converting a workload panic into `SimError::Workload`
-/// (`tag` names the benchmark, or a driver outside the registry).
+/// (`tag` names the workload).
 fn catch_workload<R>(tag: &str, f: impl FnOnce() -> R) -> Result<R, SimError> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         let detail = if let Some(s) = payload.downcast_ref::<&str>() {
@@ -216,7 +202,7 @@ enum Stream {
 
 /// Obtain the cell's instruction stream, consulting and feeding the
 /// process-wide [`trace_cache`] within the run's trace budget. The
-/// stream depends only on (benchmark, size, variant) — never on the
+/// stream depends only on (workload, size, variant) — never on the
 /// machine configuration — which is what lets one capture serve every
 /// architecture and cache size. On a miss, the stream is captured
 /// through a pure [`Recorder`] (no timing model attached); emission
@@ -224,14 +210,15 @@ enum Stream {
 /// because emission is deterministic.
 fn obtain_stream(
     ctx: &RunCtx,
-    bench: Bench,
+    workload: Workload,
     size: &WorkloadSize,
     variant: Variant,
 ) -> Result<Stream, SimError> {
     let Some(budget) = ctx.trace_budget else {
         return Ok(Stream::Direct);
     };
-    let key = trace_cache::key_for(bench.name(), size, variant);
+    let name = workload.name();
+    let key = trace_cache::key_for(&name, size, variant);
     let recording = match trace_cache::lookup(&key) {
         trace_cache::Lookup::Hit(rec) => {
             return Ok(Stream::Replay {
@@ -242,7 +229,7 @@ fn obtain_stream(
         trace_cache::Lookup::Miss(recording) => recording,
     };
     let mut recorder = Recorder::new(budget);
-    catch_workload(bench.name(), || bench.run(&mut recorder, size, variant))?;
+    catch_workload(&name, || workload.run(&mut recorder, size, variant))?;
     match recorder.finish() {
         Some(rec) => {
             let rec = Arc::new(rec);
@@ -262,15 +249,16 @@ fn obtain_stream(
 /// directly), and stamp the per-cell observability counters into
 /// `metrics` afterwards via [`stamp_cell_metrics`].
 fn feed<S: SimSink>(
-    bench: Bench,
+    workload: Workload,
     size: &WorkloadSize,
     variant: Variant,
     stream: &Stream,
     sink: &mut S,
 ) -> Result<(), SimError> {
+    let name = workload.name();
     match stream {
-        Stream::Replay { rec, .. } => catch_workload(bench.name(), || rec.replay(sink)),
-        Stream::Direct => catch_workload(bench.name(), || bench.run(sink, size, variant)),
+        Stream::Replay { rec, .. } => catch_workload(&name, || rec.replay(sink)),
+        Stream::Direct => catch_workload(&name, || workload.run(sink, size, variant)),
     }
 }
 
@@ -301,7 +289,7 @@ fn stamp_cell_metrics(
 /// cell's stream, the sampling geometry, and the window index, so a
 /// frame can never be replayed against the wrong window.
 fn ckpt_key(
-    bench: Bench,
+    workload: Workload,
     size: &WorkloadSize,
     variant: Variant,
     scfg: SampleConfig,
@@ -309,7 +297,7 @@ fn ckpt_key(
 ) -> String {
     format!(
         "{}|{}{}|{size:?}|w{}p{}|win{ix}",
-        bench.name(),
+        workload.name(),
         if variant.vis { 'v' } else { 's' },
         if variant.prefetch { 'p' } else { '-' },
         scfg.window,
@@ -324,7 +312,7 @@ fn ckpt_key(
 /// sampling-suffixed store key, because it was produced by a sampled
 /// run.
 fn sampled_exact_fallback(
-    bench: Bench,
+    workload: Workload,
     cpu: &CpuConfig,
     mem: &MemConfig,
     size: &WorkloadSize,
@@ -332,7 +320,7 @@ fn sampled_exact_fallback(
     stream: &Stream,
 ) -> Result<Summary, SimError> {
     let mut pipe = Pipeline::new(cpu.clone(), mem.clone());
-    feed(bench, size, variant, stream, &mut pipe)?;
+    feed(workload, size, variant, stream, &mut pipe)?;
     let mut summary = pipe.try_finish()?;
     summary.metrics.set("cell.sampling.windows", 0);
     summary
@@ -363,7 +351,7 @@ fn sampled_exact_fallback(
 /// [`sampled_exact_fallback`] rather than failing the cell.
 fn simulate(
     ctx: &RunCtx,
-    bench: Bench,
+    workload: Workload,
     cpu: &CpuConfig,
     mem: &MemConfig,
     size: &WorkloadSize,
@@ -372,7 +360,7 @@ fn simulate(
 ) -> Result<Summary, SimError> {
     let Some(scfg) = ctx.sample else {
         let mut pipe = Pipeline::new(cpu.clone(), mem.clone());
-        feed(bench, size, variant, stream, &mut pipe)?;
+        feed(workload, size, variant, stream, &mut pipe)?;
         return pipe.try_finish();
     };
     // Windows address dynamic instruction indices, so sampling needs a
@@ -380,7 +368,7 @@ fn simulate(
     // falls back to exact.
     let rec = match stream {
         Stream::Replay { rec, .. } => Arc::clone(rec),
-        Stream::Direct => return sampled_exact_fallback(bench, cpu, mem, size, variant, stream),
+        Stream::Direct => return sampled_exact_fallback(workload, cpu, mem, size, variant, stream),
     };
     let n = rec.len() as u64;
     let starts: Vec<u64> = (0u64..)
@@ -388,7 +376,7 @@ fn simulate(
         .take_while(|s| s.saturating_add(scfg.window) <= n)
         .collect();
     if starts.len() < 2 {
-        return sampled_exact_fallback(bench, cpu, mem, size, variant, stream);
+        return sampled_exact_fallback(workload, cpu, mem, size, variant, stream);
     }
 
     // Warming pass: advance the functional model through the whole
@@ -409,7 +397,7 @@ fn simulate(
             cursor,
             state: warm.checkpoint(),
         };
-        frames.push(ck.encode(&ckpt_key(bench, size, variant, scfg, ix)));
+        frames.push(ck.encode(&ckpt_key(workload, size, variant, scfg, ix)));
     }
     rec.replay_span(cursor, u64::MAX, &mut warm);
     let total = warm.finish();
@@ -426,7 +414,7 @@ fn simulate(
             let rec = Arc::clone(&rec);
             let cpu = cpu.clone();
             let mem = mem.clone();
-            let key = ckpt_key(bench, size, variant, scfg, ix);
+            let key = ckpt_key(workload, size, variant, scfg, ix);
             let window = scfg.window;
             // How far this window's checkpoint sits before its
             // measured span (0 for the first window).
@@ -475,23 +463,40 @@ fn simulate(
                 .set("cell.sampling.mode", sampling::MODE_SAMPLED);
             Ok(summary)
         }
-        None => sampled_exact_fallback(bench, cpu, mem, size, variant, stream),
+        None => sampled_exact_fallback(workload, cpu, mem, size, variant, stream),
     }
 }
 
-/// A store-aware detailed-timing cell (see [`run_cell`]), stamped with
-/// whether it came from the store.
-pub(crate) fn stored_timed(
+/// One workload through the detailed timing model: the body of a
+/// [`CellSpec::Timed`] cell, store-aware (see [`run_cell`]) and
+/// stamped with whether it came from the store. Replays the shared
+/// recorded stream when the trace cache has it; the result is
+/// byte-identical to direct emission either way. Workload panics,
+/// invariant violations, and watchdog aborts surface as errors.
+fn timed_cell(
     ctx: &RunCtx,
     key: CellKey,
-    tag: &str,
-    compute: impl Fn() -> Result<Summary, SimError>,
+    workload: Workload,
+    cpu: &CpuConfig,
+    mem: &MemConfig,
+    size: &WorkloadSize,
+    variant: Variant,
 ) -> Result<(Summary, bool), SimError> {
+    let name = workload.name();
     let (mut summary, from_store) = run_cell(
         ctx,
         key,
-        tag,
-        compute,
+        &name,
+        || {
+            catch_workload(&name, || injected_panic(&name))?;
+            let t0 = Instant::now();
+            let stream = obtain_stream(ctx, workload, size, variant)?;
+            let emit = t0.elapsed();
+            let t1 = Instant::now();
+            let mut summary = simulate(ctx, workload, cpu, mem, size, variant, &stream)?;
+            stamp_cell_metrics(&mut summary.metrics, emit, t1.elapsed(), &stream);
+            Ok(summary)
+        },
         |s| store::Entry::Timed(Box::new(s.clone())),
         |entry| match entry {
             store::Entry::Timed(s) => Some(*s),
@@ -502,69 +507,34 @@ pub(crate) fn stored_timed(
     Ok((summary, from_store))
 }
 
-/// The counting counterpart of [`stored_timed`].
-pub(crate) fn stored_counted(
+/// One workload through the functional counter: the body of a
+/// [`CellSpec::Counted`] cell (fast; the instruction-mix experiments).
+fn counted_cell(
     ctx: &RunCtx,
     key: CellKey,
-    tag: &str,
-    compute: impl Fn() -> Result<CpuStats, SimError>,
+    workload: Workload,
+    size: &WorkloadSize,
+    variant: Variant,
 ) -> Result<(CpuStats, bool), SimError> {
+    let name = workload.name();
     run_cell(
         ctx,
         key,
-        tag,
-        compute,
+        &name,
+        || {
+            let mut sink = CountingSink::new();
+            catch_workload(&name, || {
+                injected_panic(&name);
+                workload.run(&mut sink, size, variant)
+            })?;
+            Ok(sink.finish())
+        },
         |c| store::Entry::Counted(c.clone()),
         |entry| match entry {
             store::Entry::Counted(c) => Some(c),
             _ => None,
         },
     )
-}
-
-/// One benchmark through the detailed timing model: the body of a
-/// [`CellSpec::Timed`] cell. Replays the shared recorded stream when
-/// the trace cache has it; the result is byte-identical to direct
-/// emission either way. Workload panics, invariant violations, and
-/// watchdog aborts surface as errors.
-fn timed_cell(
-    ctx: &RunCtx,
-    bench: Bench,
-    cpu: &CpuConfig,
-    mem: &MemConfig,
-    size: &WorkloadSize,
-    variant: Variant,
-) -> Result<(Summary, bool), SimError> {
-    let key = CellKey::timed(bench.name(), cpu, mem, size, variant, ctx.sample);
-    stored_timed(ctx, key, bench.name(), || {
-        catch_workload(bench.name(), || injected_panic(bench.name()))?;
-        let t0 = Instant::now();
-        let stream = obtain_stream(ctx, bench, size, variant)?;
-        let emit = t0.elapsed();
-        let t1 = Instant::now();
-        let mut summary = simulate(ctx, bench, cpu, mem, size, variant, &stream)?;
-        stamp_cell_metrics(&mut summary.metrics, emit, t1.elapsed(), &stream);
-        Ok(summary)
-    })
-}
-
-/// One benchmark through the functional counter: the body of a
-/// [`CellSpec::Counted`] cell (fast; the instruction-mix experiments).
-fn counted_cell(
-    ctx: &RunCtx,
-    bench: Bench,
-    size: &WorkloadSize,
-    variant: Variant,
-) -> Result<(CpuStats, bool), SimError> {
-    let key = CellKey::counted(bench.name(), size, variant);
-    stored_counted(ctx, key, bench.name(), || {
-        let mut sink = CountingSink::new();
-        catch_workload(bench.name(), || {
-            injected_panic(bench.name());
-            bench.run(&mut sink, size, variant)
-        })?;
-        Ok(sink.finish())
-    })
 }
 
 /// What one cell produced, by [`CellSpec`] kind. The large payloads are
@@ -575,8 +545,6 @@ pub enum CellOutput {
     Timed(Box<Summary>),
     /// A [`CellSpec::Counted`] cell's instruction counts.
     Counted(Box<CpuStats>),
-    /// A [`CellSpec::Kernel`] cell's four runs.
-    Kernel(Box<KernelCell>),
 }
 
 impl CellOutput {
@@ -598,14 +566,6 @@ impl CellOutput {
         match self {
             CellOutput::Counted(c) => *c,
             _ => panic!("not a counted cell"),
-        }
-    }
-
-    /// The runs of a kernel cell. Panics like [`Self::into_summary`].
-    pub fn into_kernel(self) -> KernelCell {
-        match self {
-            CellOutput::Kernel(k) => *k,
-            _ => panic!("not a kernel cell"),
         }
     }
 }
@@ -641,6 +601,19 @@ pub struct Fig3Row {
     pub vis: Summary,
     /// VIS + software prefetching.
     pub pf: Summary,
+}
+
+/// One row of the appendix kernel table: a kernel's four cells.
+#[derive(Debug, Clone)]
+pub struct KernelRow {
+    /// Scalar-variant instruction counts.
+    pub base: CpuStats,
+    /// VIS-variant instruction counts.
+    pub vis: CpuStats,
+    /// Scalar-variant detailed timing (4-way ooo).
+    pub timed_base: Summary,
+    /// VIS-variant detailed timing (4-way ooo).
+    pub timed_vis: Summary,
 }
 
 /// A cache-size sweep point.
@@ -679,8 +652,8 @@ pub enum ManifestOutcome {
         /// Histogram-section summaries.
         histogram: Vec<Summary>,
     },
-    /// Appendix kernel cells.
-    Kernels14(Vec<(KernelId, Result<KernelCell, SimError>)>),
+    /// Appendix kernel rows per kernel.
+    Kernels14(Vec<(KernelId, Result<KernelRow, SimError>)>),
 }
 
 /// Run `m` under the process default (see [`crate::ctx`]; the
@@ -726,19 +699,39 @@ impl RunCtx {
         spec: &CellSpec,
         size: &WorkloadSize,
     ) -> Result<(CellOutput, bool), SimError> {
+        let key = self.cell_key(spec, size);
         match spec {
             CellSpec::Timed {
-                bench,
+                workload,
                 cpu,
                 mem,
                 variant,
                 ..
-            } => timed_cell(self, *bench, cpu, mem, size, *variant)
+            } => timed_cell(self, key, *workload, cpu, mem, size, *variant)
                 .map(|(s, hit)| (CellOutput::Timed(Box::new(s)), hit)),
-            CellSpec::Counted { bench, variant, .. } => counted_cell(self, *bench, size, *variant)
+            CellSpec::Counted {
+                workload, variant, ..
+            } => counted_cell(self, key, *workload, size, *variant)
                 .map(|(c, hit)| (CellOutput::Counted(Box::new(c)), hit)),
-            CellSpec::Kernel { kernel, .. } => kernels14::kernel_cell(self, *kernel, size)
-                .map(|(k, hit)| (CellOutput::Kernel(Box::new(k)), hit)),
+        }
+    }
+
+    /// The cell's one identity under this context: its result-store
+    /// key, which folds in the sampling geometry of timed cells. The
+    /// store files the cell under it, and the serve daemon coalesces
+    /// concurrent requests on its text.
+    pub fn cell_key(&self, spec: &CellSpec, size: &WorkloadSize) -> CellKey {
+        match spec {
+            CellSpec::Timed {
+                workload,
+                cpu,
+                mem,
+                variant,
+                ..
+            } => CellKey::timed(&workload.name(), cpu, mem, size, *variant, self.sample),
+            CellSpec::Counted {
+                workload, variant, ..
+            } => CellKey::counted(&workload.name(), size, *variant),
         }
     }
 
@@ -765,9 +758,10 @@ impl RunCtx {
         variant: Variant,
         ring: TraceRing,
     ) -> Result<(Summary, Trace), SimError> {
+        let workload = Workload::Bench(bench);
         catch_workload(bench.name(), || injected_panic(bench.name()))?;
         let t0 = Instant::now();
-        let stream = obtain_stream(self, bench, size, variant)?;
+        let stream = obtain_stream(self, workload, size, variant)?;
         let emit = t0.elapsed();
         let t1 = Instant::now();
         let ring = Rc::new(RefCell::new(ring));
@@ -775,7 +769,7 @@ impl RunCtx {
             Pipeline::new(arch.cpu(), mem.unwrap_or_default()),
             ring.clone(),
         );
-        feed(bench, size, variant, &stream, &mut sink)?;
+        feed(workload, size, variant, &stream, &mut sink)?;
         let mut summary = sink.into_inner().try_finish()?;
         stamp_cell_metrics(&mut summary.metrics, emit, t1.elapsed(), &stream);
         // `try_finish` consumed the pipeline, dropping every clone the
@@ -801,9 +795,11 @@ fn run_cells(
     let consumers: Vec<_> = cells
         .iter()
         .map(|spec| match spec {
-            CellSpec::Timed { bench, variant, .. } if ctx.trace_budget.is_some() => Some(
-                trace_cache::Consumer::new(trace_cache::key_for(bench.name(), size, *variant)),
-            ),
+            CellSpec::Timed {
+                workload, variant, ..
+            } if ctx.trace_budget.is_some() => Some(trace_cache::Consumer::new(
+                trace_cache::key_for(&workload.name(), size, *variant),
+            )),
             _ => None,
         })
         .collect();
@@ -827,7 +823,8 @@ fn run_cells(
 /// whose cells include a failure reports the first failing cell in grid
 /// order as its error — the first failing bar of Figure 1 or point of a
 /// sweep, and for Figures 2 and 3 a failing base run masks its VIS
-/// partner. Ablations have no degraded rendering: any failure panics.
+/// partner; a kernel reports the first failure among its four cells.
+/// Ablations have no degraded rendering: any failure panics.
 fn fold(grid: &Grid, results: Vec<Result<CellOutput, SimError>>) -> ManifestOutcome {
     let mut results = results.into_iter();
     match grid {
@@ -910,24 +907,30 @@ fn fold(grid: &Grid, results: Vec<Result<CellOutput, SimError>>) -> ManifestOutc
                 histogram: summaries.collect(),
             }
         }
-        Grid::Kernels14 { kernels } => ManifestOutcome::Kernels14(
-            kernels
-                .iter()
-                .copied()
-                .zip(results.map(|r| r.map(CellOutput::into_kernel)))
-                .collect(),
-        ),
+        Grid::Kernels14 { kernels } => {
+            ManifestOutcome::Kernels14(per_bench(kernels, 4, &mut results, |_, outs| {
+                let [base, vis, timed_base, timed_vis]: [CellOutput; 4] =
+                    outs.try_into().expect("two counted and two timed cells");
+                KernelRow {
+                    base: base.into_counts(),
+                    vis: vis.into_counts(),
+                    timed_base: timed_base.into_summary(),
+                    timed_vis: timed_vis.into_summary(),
+                }
+            }))
+        }
     }
 }
 
-/// Give each benchmark its next `per` results: `row(bench, outputs)`
-/// when all of them succeeded, else the first failure's error.
-fn per_bench<T>(
-    benchmarks: &[Bench],
+/// Give each benchmark (or kernel) its next `per` results:
+/// `row(bench, outputs)` when all of them succeeded, else the first
+/// failure's error.
+fn per_bench<B: Copy, T>(
+    benchmarks: &[B],
     per: usize,
     results: &mut impl Iterator<Item = Result<CellOutput, SimError>>,
-    row: impl Fn(Bench, Vec<CellOutput>) -> T,
-) -> Vec<(Bench, Result<T, SimError>)> {
+    row: impl Fn(B, Vec<CellOutput>) -> T,
+) -> Vec<(B, Result<T, SimError>)> {
     benchmarks
         .iter()
         .map(|&bench| {
@@ -965,7 +968,7 @@ mod tests {
                 arch.label(),
                 variant_label(variant)
             ),
-            bench,
+            workload: bench.into(),
             cpu: arch.cpu(),
             mem: MemConfig::default(),
             variant,
@@ -1038,7 +1041,7 @@ mod tests {
         wedged.watchdog_cycles = 1;
         let cell = |label: &str, cpu| CellSpec::Timed {
             label: label.into(),
-            bench: Bench::Addition,
+            workload: Bench::Addition.into(),
             cpu,
             mem: MemConfig::default(),
             variant: Variant::SCALAR,
@@ -1168,6 +1171,31 @@ mod tests {
         let points = rows[0].1.as_ref().expect("addition keeps its curve");
         let bytes: Vec<u64> = points.iter().map(|p| p.bytes).collect();
         assert_eq!(bytes, [1, 2, 3]);
+        assert_eq!(error_detail(&rows[1].1), "injected #1");
+
+        let grid = Grid::Kernels14 {
+            kernels: vec![KernelId::Copy, KernelId::Lookup],
+        };
+        let results = vec![
+            ok_counted(90),
+            ok_counted(30),
+            ok_timed(80),
+            ok_timed(20),
+            ok_counted(70),
+            injected(Bench::Blend, 1),
+            ok_timed(60),
+            injected(Bench::Blend, 2),
+        ];
+        let ManifestOutcome::Kernels14(rows) = fold(&grid, results) else {
+            panic!("kernels14 grid folds into kernel rows");
+        };
+        let copy = rows[0].1.as_ref().expect("copy keeps its row");
+        assert_eq!((copy.base.retired, copy.vis.retired), (90, 30));
+        assert_eq!(
+            (copy.timed_base.cycles(), copy.timed_vis.cycles()),
+            (80, 20)
+        );
+        assert_eq!(rows[1].0, KernelId::Lookup);
         assert_eq!(error_detail(&rows[1].1), "injected #1");
     }
 

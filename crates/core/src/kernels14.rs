@@ -1,24 +1,19 @@
-//! The appendix 14-kernel VSDK sweep as a library: the kernel driver
-//! and the body of a [`CellSpec::Kernel`](crate::manifest::CellSpec)
-//! cell.
+//! The appendix 14-kernel VSDK sweep: the kernel emitters behind
+//! [`Workload::Kernel`](crate::bench::Workload).
 //!
 //! The paper studies all 14 VSDK kernels but reports six for space
 //! (§2.1.1); this module drives the whole family — including the
-//! VIS-inapplicable scatter/gather kernels. Both the `kernels14` figure
-//! binary and the `visim-serve` daemon run these cells through
-//! [`RunCtx::run_spec`].
+//! VIS-inapplicable scatter/gather kernels. The `kernels14` grid
+//! expands each kernel into four ordinary cells (counted base and VIS,
+//! then timed base and VIS on the 4-way out-of-order machine), and
+//! [`RunCtx::run_spec`](crate::RunCtx::run_spec) runs them like every
+//! other figure's cells: result store, trace cache and sampling
+//! included.
 
 use media_image::synth;
 use media_kernels::{blend, conv, pointwise, reduce, simimg::SimImage, thresh, KernelId, Variant};
-use visim_cpu::{CountingSink, CpuConfig, CpuStats, Pipeline, SimSink, Summary};
-use visim_mem::MemConfig;
+use visim_cpu::SimSink;
 use visim_trace::Program;
-use visim_util::SimError;
-
-use crate::bench::WorkloadSize;
-use crate::ctx::RunCtx;
-use crate::experiment;
-use crate::store::CellKey;
 
 /// Emit one kernel's instruction stream into `p` over synthetic
 /// `w`×`h` inputs.
@@ -113,93 +108,42 @@ pub fn drive<S: SimSink>(p: &mut Program<S>, k: KernelId, w: usize, h: usize, v:
     }
 }
 
-/// The four runs behind one `kernels14` table row.
-#[derive(Debug, Clone)]
-pub struct KernelCell {
-    /// Scalar-variant instruction counts.
-    pub base: CpuStats,
-    /// VIS-variant instruction counts.
-    pub vis: CpuStats,
-    /// Scalar-variant detailed timing (4-way ooo).
-    pub timed_base: Summary,
-    /// VIS-variant detailed timing (4-way ooo).
-    pub timed_vis: Summary,
-}
-
-/// Run one kernel's full cell — two counted and two timed runs —
-/// through the store-aware custom-cell runners, so the appendix gets
-/// the same crash-safe resume, retry, and fault-injection coverage as
-/// the registry-driven figures. The flag is `true` when all four runs
-/// were served from the result store.
-pub(crate) fn kernel_cell(
-    ctx: &RunCtx,
-    k: KernelId,
-    size: &WorkloadSize,
-) -> Result<(KernelCell, bool), SimError> {
-    let (w, h) = (size.image_w, size.image_h);
-    let tag = |vname: &str| format!("k14.{}.{vname}", k.name());
-    let counted_run = |v: Variant, vname: &str| {
-        let tag = tag(vname);
-        let key = CellKey::custom_counted(&tag, size);
-        experiment::stored_counted(ctx, key, &tag, || {
-            experiment::catch_custom(&tag, || {
-                let mut sink = CountingSink::new();
-                {
-                    let mut p = Program::new(&mut sink);
-                    drive(&mut p, k, w, h, v);
-                }
-                Ok(sink.finish())
-            })
-        })
-    };
-    let (base, base_hit) = counted_run(Variant::SCALAR, "base")?;
-    let (vis, vis_hit) = counted_run(Variant::VIS, "vis")?;
-    let cpu = CpuConfig::ooo_4way();
-    let mem = MemConfig::default();
-    let timed_run = |v: Variant, vname: &str| {
-        let tag = tag(vname);
-        let key = CellKey::custom_timed(&tag, &cpu, &mem, size, ctx.sample);
-        experiment::stored_timed(ctx, key, &tag, || {
-            experiment::catch_custom(&tag, || {
-                let mut pipe = Pipeline::new(cpu.clone(), mem.clone());
-                {
-                    let mut p = Program::new(&mut pipe);
-                    drive(&mut p, k, w, h, v);
-                }
-                Ok(pipe.finish())
-            })
-        })
-    };
-    let (timed_base, timed_base_hit) = timed_run(Variant::SCALAR, "base")?;
-    let (timed_vis, timed_vis_hit) = timed_run(Variant::VIS, "vis")?;
-    let cell = KernelCell {
-        base,
-        vis,
-        timed_base,
-        timed_vis,
-    };
-    Ok((cell, base_hit && vis_hit && timed_base_hit && timed_vis_hit))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::WorkloadSize;
+    use crate::experiment::ManifestOutcome;
+    use crate::manifest::{Grid, Manifest};
+    use crate::RunCtx;
 
     #[test]
     fn kernel_cell_runs_all_four_variants() {
         let mut size = WorkloadSize::tiny();
         size.image_w = 16;
         size.image_h = 16;
-        let (cell, from_store) =
-            kernel_cell(&RunCtx::default(), KernelId::Addition, &size).expect("cell runs");
-        assert!(cell.base.retired > 0);
+        let m = Manifest {
+            name: "k14-addition".into(),
+            about: String::new(),
+            title: None,
+            grid: Grid::Kernels14 {
+                kernels: vec![KernelId::Addition],
+            },
+        };
+        assert_eq!(m.cells().len(), 4, "two counted and two timed cells");
+        let ManifestOutcome::Kernels14(rows) = RunCtx::default().run_manifest(&m, &size) else {
+            panic!("kernels14 grid folds into kernel rows");
+        };
+        let (kernel, row) = &rows[0];
+        assert_eq!(*kernel, KernelId::Addition);
+        let row = row.as_ref().expect("cells run");
+        assert!(row.base.retired > 0);
         assert!(
-            cell.vis.retired < cell.base.retired,
+            row.vis.retired < row.base.retired,
             "VIS reduces instruction count on addition"
         );
-        assert!(cell.timed_base.cycles() > cell.timed_vis.cycles());
+        assert!(row.timed_base.cycles() > row.timed_vis.cycles());
         // The default context has no store, so
         // nothing can have been served from it.
-        assert!(!from_store);
+        assert_eq!(row.timed_base.metrics.counter("cell.store_hit"), 0);
     }
 }

@@ -6,9 +6,10 @@
 //! `visim-trace`) to the twelve workloads (`media-kernels`,
 //! `media-jpeg`, `media-mpeg`) and provides:
 //!
-//! * [`bench`](mod@bench) — the paper's 12-benchmark registry (Table 1)
-//!   and the code that drives each benchmark through a
-//!   [`visim_cpu::SimSink`];
+//! * [`bench`](mod@bench) — the paper's 12-benchmark registry (Table 1),
+//!   the code that drives each benchmark through a
+//!   [`visim_cpu::SimSink`], and [`Workload`], the stream source of one
+//!   cell (a benchmark or an appendix kernel);
 //! * [`config`] — the architecture variations of Figure 1 and the
 //!   Table 2/3 machine parameters;
 //! * [`ctx`] — the run context ([`RunCtx`]): store, trace budget,
@@ -34,7 +35,8 @@
 //!   descriptions (`results/manifests/*.json`): benchmarks, config
 //!   axes, variants and titles as data, expanded into cells by
 //!   [`manifest::Manifest::cells`];
-//! * [`kernels14`] — the appendix 14-kernel VSDK sweep driver;
+//! * [`kernels14`] — the appendix 14-kernel VSDK emitters behind
+//!   [`Workload::Kernel`];
 //! * [`artifact`] — `visim-results-v2` JSON cell builders pairing each
 //!   text row with a machine-readable record (see `visim-obs`).
 //!
@@ -48,7 +50,7 @@
 //!
 //! let spec = CellSpec::Timed {
 //!     label: "addition/4-way ooo/vis".into(),
-//!     bench: Bench::Addition,
+//!     workload: Bench::Addition.into(),
 //!     cpu: Arch::Ooo4.cpu(),
 //!     mem: Default::default(),
 //!     variant: media_kernels::Variant::VIS,
@@ -69,6 +71,6 @@ pub mod sampling;
 pub mod store;
 pub mod trace_cache;
 
-pub use bench::{Bench, WorkloadSize};
+pub use bench::{Bench, Workload, WorkloadSize};
 pub use config::Arch;
 pub use ctx::RunCtx;

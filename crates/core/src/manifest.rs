@@ -31,7 +31,7 @@ use visim_cpu::CpuConfig;
 use visim_mem::MemConfig;
 use visim_obs::Json;
 
-use crate::bench::{Bench, WorkloadSize};
+use crate::bench::{Bench, Workload};
 use crate::config::Arch;
 
 /// Schema tag every manifest file must carry.
@@ -440,7 +440,9 @@ impl Manifest {
 
     /// Enumerate the manifest's simulation cells as self-contained
     /// specs, in grid order: per benchmark, every cell of its figure
-    /// row (bars, sweep points, or base-then-VIS pairs) in bar order.
+    /// row (bars, sweep points, or base-then-VIS pairs) in bar order;
+    /// per appendix kernel, its counted base and VIS cells, then its
+    /// timed base and VIS cells.
     /// This is the only grid expansion — the serve daemon schedules
     /// these cells, and `RunCtx::run_manifest` runs them and folds
     /// the results back into rows relying on this order.
@@ -462,7 +464,7 @@ impl Manifest {
                                     arch.label(),
                                     variant_label(variant)
                                 ),
-                                bench,
+                                workload: bench.into(),
                                 cpu: arch.cpu(),
                                 mem: MemConfig::default(),
                                 variant,
@@ -476,7 +478,7 @@ impl Manifest {
                     for variant in [Variant::SCALAR, Variant::VIS] {
                         cells.push(CellSpec::Counted {
                             label: format!("{}/{}", bench.name(), variant_label(variant)),
-                            bench,
+                            workload: bench.into(),
                             variant,
                         });
                     }
@@ -487,7 +489,7 @@ impl Manifest {
                     for variant in [Variant::VIS, Variant::VIS_PF] {
                         cells.push(CellSpec::Timed {
                             label: format!("{}/{}", bench.name(), variant_label(variant)),
-                            bench,
+                            workload: bench.into(),
                             cpu: Arch::Ooo4.cpu(),
                             mem: MemConfig::default(),
                             variant,
@@ -504,7 +506,7 @@ impl Manifest {
                     for &b in bytes {
                         cells.push(CellSpec::Timed {
                             label: format!("{}/{}={}", bench.name(), cache.key(), b),
-                            bench,
+                            workload: bench.into(),
                             cpu: Arch::Ooo4.cpu(),
                             mem: cache.mem_config(b),
                             variant: Variant::VIS,
@@ -522,7 +524,7 @@ impl Manifest {
                     for &bench in benchmarks {
                         cells.push(CellSpec::Timed {
                             label: format!("{}/{}/base", bench.name(), section.key),
-                            bench,
+                            workload: bench.into(),
                             cpu: CpuConfig::ooo_4way(),
                             mem: MemConfig::default(),
                             variant: Variant::VIS,
@@ -533,7 +535,7 @@ impl Manifest {
                             let (cpu, mem) = section.param.config(value);
                             cells.push(CellSpec::Timed {
                                 label: format!("{}/{}/{}", bench.name(), section.key, header),
-                                bench,
+                                workload: bench.into(),
                                 cpu,
                                 mem,
                                 variant: Variant::VIS,
@@ -545,7 +547,7 @@ impl Manifest {
                     for (label, variant) in &histogram.variants {
                         cells.push(CellSpec::Timed {
                             label: format!("{}/mshr-occupancy/{}", bench.name(), label),
-                            bench,
+                            workload: bench.into(),
                             cpu: Arch::Ooo4.cpu(),
                             mem: MemConfig::default(),
                             variant: *variant,
@@ -555,10 +557,28 @@ impl Manifest {
             }
             Grid::Kernels14 { kernels } => {
                 for &kernel in kernels {
-                    cells.push(CellSpec::Kernel {
-                        label: format!("k14.{}", kernel.name()),
-                        kernel,
-                    });
+                    let workload = Workload::Kernel(kernel);
+                    let name = workload.name();
+                    for variant in [Variant::SCALAR, Variant::VIS] {
+                        cells.push(CellSpec::Counted {
+                            label: format!("{name}/{}", variant_label(variant)),
+                            workload,
+                            variant,
+                        });
+                    }
+                    for variant in [Variant::SCALAR, Variant::VIS] {
+                        cells.push(CellSpec::Timed {
+                            label: format!(
+                                "{name}/{}/{}",
+                                Arch::Ooo4.label(),
+                                variant_label(variant)
+                            ),
+                            workload,
+                            cpu: CpuConfig::ooo_4way(),
+                            mem: MemConfig::default(),
+                            variant,
+                        });
+                    }
                 }
             }
         }
@@ -576,15 +596,16 @@ pub fn variant_label(v: Variant) -> &'static str {
 }
 
 /// One self-contained simulation cell of a manifest, executed by
-/// `RunCtx::run_spec`.
+/// `RunCtx::run_spec`. Its identity is its result-store key
+/// (`RunCtx::cell_key`).
 #[derive(Debug, Clone)]
 pub enum CellSpec {
     /// A detailed-timing cell.
     Timed {
         /// Human-readable cell label (unique within the manifest).
         label: String,
-        /// The benchmark.
-        bench: Bench,
+        /// The instruction-stream source.
+        workload: Workload,
         /// Processor configuration.
         cpu: CpuConfig,
         /// Memory-system configuration.
@@ -596,17 +617,10 @@ pub enum CellSpec {
     Counted {
         /// Human-readable cell label.
         label: String,
-        /// The benchmark.
-        bench: Bench,
+        /// The instruction-stream source.
+        workload: Workload,
         /// Code variant.
         variant: Variant,
-    },
-    /// One appendix kernel (two counted + two timed runs).
-    Kernel {
-        /// Human-readable cell label.
-        label: String,
-        /// The kernel.
-        kernel: KernelId,
     },
 }
 
@@ -614,39 +628,7 @@ impl CellSpec {
     /// The cell's display label.
     pub fn label(&self) -> &str {
         match self {
-            CellSpec::Timed { label, .. }
-            | CellSpec::Counted { label, .. }
-            | CellSpec::Kernel { label, .. } => label,
-        }
-    }
-
-    /// The cell's full identity under workload `size`: every input the
-    /// result depends on, in one string. Used by the serve daemon as
-    /// its single-flight coalescing key — parallel requests for the
-    /// same identity share one simulation. (The result store keys cells
-    /// the same way; this string only ever gates deduplication, so it
-    /// does not need to match the store's byte-exact key text.)
-    pub fn identity(&self, size: &WorkloadSize) -> String {
-        match self {
-            CellSpec::Timed {
-                bench,
-                cpu,
-                mem,
-                variant,
-                ..
-            } => format!(
-                "timed|{}|{}|{size:?}|cpu={cpu:?}|mem={mem:?}",
-                bench.name(),
-                variant_label(*variant)
-            ),
-            CellSpec::Counted { bench, variant, .. } => {
-                format!(
-                    "counted|{}|{}|{size:?}",
-                    bench.name(),
-                    variant_label(*variant)
-                )
-            }
-            CellSpec::Kernel { kernel, .. } => format!("kernel|{}|{size:?}", kernel.name()),
+            CellSpec::Timed { label, .. } | CellSpec::Counted { label, .. } => label,
         }
     }
 }
@@ -654,6 +636,8 @@ impl CellSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::WorkloadSize;
+    use crate::RunCtx;
 
     #[test]
     fn all_builtin_manifests_parse_and_enumerate_their_grids() {
@@ -665,7 +649,7 @@ mod tests {
             ("sweep_l2", 60),
             ("tables", 0),
             ("ablation", 70),
-            ("kernels14", 14),
+            ("kernels14", 56),
         ];
         for (name, cells) in expect {
             let m = Manifest::builtin(name)
@@ -684,18 +668,51 @@ mod tests {
         assert!(Manifest::builtin("no-such-experiment").is_none());
     }
 
+    /// A cell's identity is its store key. Across every cell of every
+    /// built-in manifest, two cells share a key exactly when they are
+    /// the same simulation (figures do share cells: Figure 3's VIS bars
+    /// are Figure 1's 4-way ooo VIS bars), and the kernels' cells never
+    /// collide with a benchmark's.
     #[test]
     fn identities_distinguish_configurations() {
-        let m = Manifest::builtin("fig1").unwrap();
+        let ctx = RunCtx::default();
         let size = WorkloadSize::tiny();
-        let mut ids: Vec<_> = m.cells().iter().map(|c| c.identity(&size)).collect();
-        ids.sort();
-        ids.dedup();
-        assert_eq!(ids.len(), 72, "every fig1 cell has a distinct identity");
+        let unlabeled = |spec: &CellSpec| {
+            let mut spec = spec.clone();
+            match &mut spec {
+                CellSpec::Timed { label, .. } | CellSpec::Counted { label, .. } => label.clear(),
+            }
+            format!("{spec:?}")
+        };
+        let mut by_key = std::collections::BTreeMap::new();
+        for name in Manifest::builtin_names() {
+            let cells = Manifest::builtin(name).unwrap().cells();
+            let keys: std::collections::BTreeSet<_> = cells
+                .iter()
+                .map(|c| ctx.cell_key(c, &size).text().to_string())
+                .collect();
+            match name {
+                "fig1" => assert_eq!(keys.len(), 72, "every fig1 cell has its own key"),
+                "kernels14" => assert_eq!(keys.len(), 56, "every kernel cell has its own key"),
+                _ => {}
+            }
+            for c in &cells {
+                let key = ctx.cell_key(c, &size).text().to_string();
+                let cell = unlabeled(c);
+                let prior = by_key.entry(key).or_insert_with(|| cell.clone());
+                assert_eq!(*prior, cell, "{name}: two different cells share a key");
+            }
+        }
+        let mut cells: Vec<_> = by_key.values().collect();
+        cells.sort();
+        cells.dedup();
+        assert_eq!(cells.len(), by_key.len(), "one cell under two keys");
         // The same cell at a different size is a different identity.
-        let tiny = m.cells()[0].identity(&WorkloadSize::tiny());
-        let study = m.cells()[0].identity(&WorkloadSize::study());
-        assert_ne!(tiny, study);
+        let cell = &Manifest::builtin("fig1").unwrap().cells()[0];
+        assert_ne!(
+            ctx.cell_key(cell, &WorkloadSize::tiny()),
+            ctx.cell_key(cell, &WorkloadSize::study())
+        );
     }
 
     #[test]

@@ -10,11 +10,13 @@
 //! failure — never trust, never crash.
 //!
 //! * **Keying.** A cell's identity is the full text
-//!   `"<kind>|<bench>|<variant>|<workload Debug>|cpu=<CpuConfig Debug>|
-//!   mem=<MemConfig Debug>"` — everything the simulation result depends
-//!   on. The file name carries `fnv1a64` of that text; the entry echoes
-//!   the full text so a hash collision (or renamed file) is detected on
-//!   load and treated as corruption.
+//!   `"<kind>|<workload>|<variant>|<size Debug>|cpu=<CpuConfig Debug>|
+//!   mem=<MemConfig Debug>[|sample=…]"` — everything the simulation
+//!   result depends on ([`CellKey::text`]; counted cells stop after the
+//!   size). The serve daemon coalesces requests on the same text, so a
+//!   cell has one identity. The file name carries `fnv1a64` of that
+//!   text; the entry echoes the full text so a hash collision (or
+//!   renamed file) is detected on load and treated as corruption.
 //! * **Freshness.** Each entry records the store format version, the
 //!   `visim-results-v2` schema tag, and the writing binary's git
 //!   revision. A mismatch on load means the entry was produced by
@@ -190,65 +192,46 @@ fn variant_bits(variant: Variant) -> String {
 
 impl CellKey {
     /// The key for a detailed timing cell. Everything the result
-    /// depends on is folded in: benchmark, code variant, full workload
-    /// geometry (seed included), the complete machine configuration,
-    /// and the run's sampling geometry. The geometry is there even for
-    /// cells that fall back to exact simulation, so sampled estimates
-    /// and exact measurements never share a store entry in either
-    /// direction, and neither do runs of different geometries.
+    /// depends on is folded in: the workload's name (a benchmark, or
+    /// `k14.<kernel>`), code variant, full workload geometry (seed
+    /// included), the complete machine configuration, and the run's
+    /// sampling geometry. The geometry is there even for cells that
+    /// fall back to exact simulation, so sampled estimates and exact
+    /// measurements never share a store entry in either direction, and
+    /// neither do runs of different geometries.
     pub fn timed(
-        bench: &str,
+        workload: &str,
         cpu: &CpuConfig,
         mem: &MemConfig,
         size: &WorkloadSize,
         variant: Variant,
         sample: Option<SampleConfig>,
     ) -> CellKey {
-        let tag = format!("{bench}|{}", variant_bits(variant));
         CellKey {
-            label: bench.to_string(),
-            ..CellKey::custom_timed(&tag, cpu, mem, size, sample)
+            kind: Kind::Timed,
+            text: format!(
+                "timed|{workload}|{}|{size:?}|cpu={cpu:?}|mem={mem:?}{}",
+                variant_bits(variant),
+                sample.map(|cfg| cfg.key_suffix()).unwrap_or_default()
+            ),
+            label: workload.to_string(),
         }
     }
 
     /// The key for a functional counting cell (no machine configuration:
     /// the counts depend only on the emitted stream).
-    pub fn counted(bench: &str, size: &WorkloadSize, variant: Variant) -> CellKey {
-        let tag = format!("{bench}|{}", variant_bits(variant));
-        CellKey {
-            label: bench.to_string(),
-            ..CellKey::custom_counted(&tag, size)
-        }
-    }
-
-    /// A timed-cell key for a driver outside the [`crate::bench::Bench`]
-    /// registry (the appendix `kernels14` binary drives kernels
-    /// directly). `tag` must identify the workload and variant; machine
-    /// configuration, geometry and sampling are folded in here.
-    pub fn custom_timed(
-        tag: &str,
-        cpu: &CpuConfig,
-        mem: &MemConfig,
-        size: &WorkloadSize,
-        sample: Option<SampleConfig>,
-    ) -> CellKey {
-        CellKey {
-            kind: Kind::Timed,
-            text: format!(
-                "timed|{tag}|{size:?}|cpu={cpu:?}|mem={mem:?}{}",
-                sample.map(|cfg| cfg.key_suffix()).unwrap_or_default()
-            ),
-            label: tag.to_string(),
-        }
-    }
-
-    /// A counted-cell key for a driver outside the benchmark registry.
-    pub fn custom_counted(tag: &str, size: &WorkloadSize) -> CellKey {
+    pub fn counted(workload: &str, size: &WorkloadSize, variant: Variant) -> CellKey {
         CellKey {
             kind: Kind::Counted,
-            text: format!("counted|{tag}|{size:?}"),
-            label: tag.to_string(),
+            text: format!("counted|{workload}|{}|{size:?}", variant_bits(variant)),
+            label: workload.to_string(),
         }
+    }
+
+    /// The full identity text: the store files the cell under its hash,
+    /// and the serve daemon coalesces concurrent requests on it.
+    pub fn text(&self) -> &str {
+        &self.text
     }
 }
 
@@ -318,23 +301,32 @@ pub struct StoreStats {
     pub revs: Vec<RevStats>,
 }
 
-/// Read the (schema, revision) stamps of one encoded entry, validating
-/// the checksum and framing first. `None` means the file is not a
-/// well-formed store entry.
-fn entry_stamps(bytes: &[u8]) -> Option<(String, String)> {
+/// Open one encoded entry's frame: the length, the trailing checksum
+/// and the magic, in that order. Checksum first: no field of a torn or
+/// flipped entry is believed. Returns the format version and a reader
+/// over the rest of the body (schema, revision, key echo, payload).
+fn open_frame(bytes: &[u8]) -> Result<(u32, ByteReader<'_>), String> {
     if bytes.len() < MAGIC.len() + 8 {
-        return None;
+        return Err(format!("{} bytes is too short", bytes.len()));
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 8);
     let expect = u64::from_le_bytes(trailer.try_into().unwrap());
     if fnv1a64(body) != expect {
-        return None;
+        return Err("checksum mismatch".into());
     }
     let mut r = ByteReader::new(body);
-    if r.raw(4).ok()? != MAGIC {
-        return None;
+    if r.raw(4)? != MAGIC {
+        return Err("bad magic".into());
     }
-    let _version = r.u32().ok()?;
+    let version = r.u32()?;
+    Ok((version, r))
+}
+
+/// Read the (schema, revision) stamps of one encoded entry through
+/// [`open_frame`]. `None` means the file is not a well-formed store
+/// entry.
+fn entry_stamps(bytes: &[u8]) -> Option<(String, String)> {
+    let (_version, mut r) = open_frame(bytes).ok()?;
     let schema = r.str().ok()?;
     let rev = r.str().ok()?;
     Some((schema, rev))
@@ -371,23 +363,11 @@ fn encode_entry(key: &CellKey, entry: &Entry, schema: &str, rev: &str) -> Vec<u8
 }
 
 /// Validate and decode one entry against the key and freshness stamps
-/// the current binary expects. Checksum first: a torn or flipped entry
-/// must be rejected before any field is believed.
+/// the current binary expects, after [`open_frame`] has checked its
+/// frame.
 fn decode_entry(bytes: &[u8], key: &CellKey, schema: &str, rev: &str) -> Result<Entry, Reject> {
     let corrupt = |why: String| Reject::Corrupt(why);
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(corrupt(format!("{} bytes is too short", bytes.len())));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let expect = u64::from_le_bytes(trailer.try_into().unwrap());
-    if fnv1a64(body) != expect {
-        return Err(corrupt("checksum mismatch".into()));
-    }
-    let mut r = ByteReader::new(body);
-    if r.raw(4).map_err(corrupt)? != MAGIC {
-        return Err(corrupt("bad magic".into()));
-    }
-    let version = r.u32().map_err(corrupt)?;
+    let (version, mut r) = open_frame(bytes).map_err(corrupt)?;
     if version != STORE_FORMAT_VERSION {
         return Err(Reject::Stale(format!(
             "format v{version}, binary expects v{STORE_FORMAT_VERSION}"
@@ -642,8 +622,9 @@ mod tests {
     #[test]
     fn every_bit_flip_is_rejected_as_corrupt_or_stale() {
         // Property: flipping any single bit of an encoded entry must
-        // never be served (the trailing checksum guards the whole
-        // frame). Each case picks a random bit via the prop harness.
+        // never be served, nor counted as an entry by the stats scan
+        // (the trailing checksum guards the whole frame). Each case
+        // picks a random bit via the prop harness.
         let key = timed_test_key("prop");
         let bytes = encode_entry(
             &key,
@@ -651,6 +632,7 @@ mod tests {
             RESULTS_SCHEMA,
             "rev",
         );
+        assert!(entry_stamps(&bytes).is_some(), "the intact entry counts");
         let nbits = bytes.len() * 8;
         prop::check(
             Config::cases(128),
@@ -658,6 +640,9 @@ mod tests {
             |&bit| {
                 let mut mutated = bytes.clone();
                 mutated[bit / 8] ^= 1 << (bit % 8);
+                if entry_stamps(&mutated).is_some() {
+                    return Err(format!("bit {bit} flip counts as a valid entry"));
+                }
                 match decode_entry(&mutated, &key, RESULTS_SCHEMA, "rev") {
                     Err(_) => Ok(()),
                     Ok(_) => Err(format!("bit {bit} flip was accepted")),
@@ -679,6 +664,10 @@ mod tests {
             assert!(
                 decode_entry(&bytes[..cut], &key, RESULTS_SCHEMA, "rev").is_err(),
                 "accepted a {cut}-byte truncation"
+            );
+            assert!(
+                entry_stamps(&bytes[..cut]).is_none(),
+                "a {cut}-byte truncation counts as a valid entry"
             );
         }
     }

@@ -38,7 +38,7 @@ fn exact_and_sampled_contexts_run_side_by_side() {
     let (bench, cpu, variant) = (Bench::Addition, Arch::Ooo4.cpu(), Variant::SCALAR);
     let spec = CellSpec::Timed {
         label: "addition/4-way ooo/base".into(),
-        bench,
+        workload: bench.into(),
         cpu: cpu.clone(),
         mem: mem.clone(),
         variant,

@@ -73,7 +73,7 @@ fn manifests_release_their_streams_and_record_each_once() {
     // under the LRU, and a second run of the cell hits it.
     let cell = CellSpec::Timed {
         label: "addition/4-way ooo/base".into(),
-        bench: Bench::Addition,
+        workload: Bench::Addition.into(),
         cpu: Arch::Ooo4.cpu(),
         mem: MemConfig::default(),
         variant: Variant::SCALAR,

@@ -66,8 +66,8 @@ struct Flight {
     cv: Condvar,
 }
 
-/// The single-flight table, keyed on [`CellSpec::identity`]. BTreeMap
-/// because its `new` is `const` — the table predates any thread.
+/// The single-flight table, keyed on [`flight_key`]. BTreeMap because
+/// its `new` is `const` — the table predates any thread.
 static FLIGHTS: Mutex<BTreeMap<String, Arc<Flight>>> = Mutex::new(BTreeMap::new());
 
 /// The outcome of one cell, shared verbatim between the leader and any
@@ -81,6 +81,14 @@ struct CellResult {
     from_store: bool,
     /// Small headline payload members for the `cell` event.
     payload: Vec<(String, Json)>,
+}
+
+/// A cell's single-flight key: its result-store key text under the
+/// daemon's run context ([`RunCtx::cell_key`]), sampling geometry
+/// included. Two requests coalesce exactly when the store would file
+/// their results under one entry.
+fn flight_key(ctx: &RunCtx, spec: &CellSpec, size: &WorkloadSize) -> String {
+    ctx.cell_key(spec, size).text().to_string()
 }
 
 /// Execute `compute` under single-flight: the first requester of `key`
@@ -135,13 +143,6 @@ fn serve_cell(ctx: &RunCtx, spec: &CellSpec, size: &WorkloadSize) -> CellResult 
             let payload = match output {
                 CellOutput::Timed(s) => vec![("cycles".to_string(), Json::from(s.cycles()))],
                 CellOutput::Counted(c) => vec![("retired".to_string(), Json::from(c.retired))],
-                CellOutput::Kernel(k) => vec![
-                    (
-                        "scalar_cycles".to_string(),
-                        Json::from(k.timed_base.cycles()),
-                    ),
-                    ("vis_cycles".to_string(), Json::from(k.timed_vis.cycles())),
-                ],
             };
             CellResult {
                 error: None,
@@ -221,8 +222,8 @@ fn run_cells(
                     names::PHASE_QUEUE_WAIT,
                     begun.duration_since(enqueued).as_nanos() as u64,
                 );
-                let identity = spec.identity(size);
-                let (result, coalesced) = single_flight(identity, || serve_cell(ctx, &spec, size));
+                let key = flight_key(ctx, &spec, size);
+                let (result, coalesced) = single_flight(key, || serve_cell(ctx, &spec, size));
                 let served = Instant::now();
                 let (path, path_op) = if coalesced {
                     coalesced_n.fetch_add(1, Ordering::Relaxed);
@@ -725,6 +726,31 @@ mod tests {
         assert!(
             !FLIGHTS.lock().unwrap().contains_key("test|cell"),
             "flights retire"
+        );
+    }
+
+    /// A request's coalescing key is its cell's store key: a sampled
+    /// daemon never joins an exact flight of the same cell, or the
+    /// other way round.
+    #[test]
+    fn flight_key_is_the_store_key_and_carries_the_sampling_geometry() {
+        let spec = Manifest::builtin("fig1").unwrap().cells().remove(0);
+        let size = WorkloadSize::tiny();
+        let exact = RunCtx::default();
+        let sampled = RunCtx {
+            sample: Some(visim::sampling::SampleConfig {
+                window: 2_000,
+                period: 10_000,
+            }),
+            ..RunCtx::default()
+        };
+        assert_eq!(
+            flight_key(&exact, &spec, &size),
+            exact.cell_key(&spec, &size).text()
+        );
+        assert_ne!(
+            flight_key(&exact, &spec, &size),
+            flight_key(&sampled, &spec, &size)
         );
     }
 

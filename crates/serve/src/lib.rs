@@ -11,9 +11,10 @@
 //!   purged); only misses are simulated. Submitting the same manifest
 //!   twice therefore simulates nothing the second time.
 //! - **Single-flight.** Concurrent requests for the same cell identity
-//!   ([`visim::manifest::CellSpec::identity`]) coalesce onto one
-//!   in-flight simulation; followers wait for the leader's result
-//!   instead of duplicating work.
+//!   (its result-store key under the daemon's run context,
+//!   [`visim::RunCtx::cell_key`]) coalesce onto one in-flight
+//!   simulation; followers wait for the leader's result instead of
+//!   duplicating work.
 //! - **Crash-safe.** Completed cells persist in the store, so a daemon
 //!   killed mid-manifest loses at most the cells in flight; after a
 //!   restart the resubmitted manifest serves the finished cells as

@@ -238,13 +238,6 @@ impl<'s, S: SimSink> Program<'s, S> {
         self.compute(Op::IntAlu, pc, [a.reg, b.reg, Reg::NONE], a.v | b.v)
     }
 
-    /// `a | imm`.
-    #[track_caller]
-    pub fn ori(&mut self, a: &Val, imm: i64) -> Val {
-        let pc = caller_pc!();
-        self.compute(Op::IntAlu, pc, [a.reg, Reg::NONE, Reg::NONE], a.v | imm)
-    }
-
     /// `a ^ b`.
     #[track_caller]
     pub fn xor(&mut self, a: &Val, b: &Val) -> Val {
@@ -324,22 +317,6 @@ impl<'s, S: SimSink> Program<'s, S> {
         self.compute(Op::FpMove, pc, [Reg::NONE; 3], v.to_bits() as i64)
     }
 
-    /// Floating add.
-    #[track_caller]
-    pub fn fadd(&mut self, a: &Val, b: &Val) -> Val {
-        let pc = caller_pc!();
-        let v = (a.as_f64() + b.as_f64()).to_bits() as i64;
-        self.compute(Op::FpOp, pc, [a.reg, b.reg, Reg::NONE], v)
-    }
-
-    /// Floating subtract.
-    #[track_caller]
-    pub fn fsub(&mut self, a: &Val, b: &Val) -> Val {
-        let pc = caller_pc!();
-        let v = (a.as_f64() - b.as_f64()).to_bits() as i64;
-        self.compute(Op::FpOp, pc, [a.reg, b.reg, Reg::NONE], v)
-    }
-
     /// Floating multiply.
     #[track_caller]
     pub fn fmul(&mut self, a: &Val, b: &Val) -> Val {
@@ -406,24 +383,6 @@ impl<'s, S: SimSink> Program<'s, S> {
             Op::Branch,
             pc ^ 1,
             [cc.reg, Reg::NONE, Reg::NONE],
-            BranchInfo::cond(taken, backward),
-        ));
-        taken
-    }
-
-    /// Emit a raw conditional branch whose outcome the host has already
-    /// computed; `deps` are the registers the condition depends on.
-    #[track_caller]
-    pub fn branch_bool(&mut self, taken: bool, deps: &[Reg], backward: bool) -> bool {
-        let pc = caller_pc!();
-        let mut srcs = [Reg::NONE; 3];
-        for (i, r) in deps.iter().take(3).enumerate() {
-            srcs[i] = *r;
-        }
-        self.emit(Inst::control(
-            Op::Branch,
-            pc,
-            srcs,
             BranchInfo::cond(taken, backward),
         ));
         taken
@@ -829,32 +788,6 @@ impl<'s, S: SimSink> Program<'s, S> {
         VVal::new(dst, v)
     }
 
-    /// VIS short load: `size` (1 or 2) bytes into the low lanes.
-    #[track_caller]
-    pub fn loadv_short(&mut self, base: &Val, off: i64, size: u8) -> VVal {
-        debug_assert!(size == 1 || size == 2);
-        let pc = caller_pc!();
-        let addr = base.v.wrapping_add(off) as u64;
-        let v = if size == 1 {
-            self.mem.read_u8(addr) as u64
-        } else {
-            self.mem.read_u16(addr) as u64
-        };
-        let dst = self.fresh();
-        self.emit(Inst::memory(
-            Op::Load,
-            pc,
-            dst,
-            [base.reg, Reg::NONE, Reg::NONE],
-            MemRef {
-                addr,
-                size,
-                kind: MemKind::Load,
-            },
-        ));
-        VVal::new(dst, v)
-    }
-
     /// Store a packed VIS register at `base + off`.
     #[track_caller]
     pub fn storev(&mut self, base: &Val, off: i64, v: &VVal) {
@@ -935,72 +868,6 @@ impl<'s, S: SimSink> Program<'s, S> {
         ));
     }
 
-    /// VIS partial store at 16-bit granularity: `mask4`'s low four bits
-    /// select 16-bit lanes.
-    #[track_caller]
-    pub fn partial_store16(&mut self, base: &Val, off: i64, data: &VVal, mask4: &Val) {
-        let pc = caller_pc!();
-        let addr = base.v.wrapping_add(off) as u64;
-        let old = self.mem.read_u64(addr);
-        let bytemask = vis::mask16_to_bytes(mask4.v as u8);
-        let merged = vis::partial_store_merge(old, data.v, bytemask);
-        self.mem.write_u64(addr, merged);
-        self.emit(Inst::memory(
-            Op::Store,
-            pc,
-            Reg::NONE,
-            [base.reg, data.reg, mask4.reg],
-            MemRef {
-                addr,
-                size: 8,
-                kind: MemKind::PartialStore,
-            },
-        ));
-    }
-
-    /// VIS block load: 64 bytes, bypassing cache allocation. Returns the
-    /// value of the *first* 8 bytes (block transfers target bulk copies;
-    /// callers re-load lanes as needed).
-    #[track_caller]
-    pub fn block_load(&mut self, base: &Val, off: i64) -> VVal {
-        let pc = caller_pc!();
-        let addr = base.v.wrapping_add(off) as u64;
-        let v = self.mem.read_u64(addr);
-        let dst = self.fresh();
-        self.emit(Inst::memory(
-            Op::Load,
-            pc,
-            dst,
-            [base.reg, Reg::NONE, Reg::NONE],
-            MemRef {
-                addr,
-                size: 64,
-                kind: MemKind::BlockLoad,
-            },
-        ));
-        VVal::new(dst, v)
-    }
-
-    /// VIS block store: copy the 64 host bytes `data` to `base + off`,
-    /// bypassing cache allocation.
-    #[track_caller]
-    pub fn block_store(&mut self, base: &Val, off: i64, data: &[u8; 64], dep: &VVal) {
-        let pc = caller_pc!();
-        let addr = base.v.wrapping_add(off) as u64;
-        self.mem.write_bytes(addr, data);
-        self.emit(Inst::memory(
-            Op::Store,
-            pc,
-            Reg::NONE,
-            [base.reg, dep.reg, Reg::NONE],
-            MemRef {
-                addr,
-                size: 64,
-                kind: MemKind::BlockStore,
-            },
-        ));
-    }
-
     // -----------------------------------------------------------------
     // VIS computation.
     // -----------------------------------------------------------------
@@ -1048,44 +915,11 @@ impl<'s, S: SimSink> Program<'s, S> {
         )
     }
 
-    /// `fpsub32`.
-    #[track_caller]
-    pub fn vsub32(&mut self, a: &VVal, b: &VVal) -> VVal {
-        let pc = caller_pc!();
-        self.compute_v(
-            Op::VisAdd,
-            pc,
-            [a.reg, b.reg, Reg::NONE],
-            vis::fpsub32(a.v, b.v),
-        )
-    }
-
-    /// `fand`.
-    #[track_caller]
-    pub fn vand(&mut self, a: &VVal, b: &VVal) -> VVal {
-        let pc = caller_pc!();
-        self.compute_v(Op::VisLogic, pc, [a.reg, b.reg, Reg::NONE], a.v & b.v)
-    }
-
-    /// `for`.
-    #[track_caller]
-    pub fn vor(&mut self, a: &VVal, b: &VVal) -> VVal {
-        let pc = caller_pc!();
-        self.compute_v(Op::VisLogic, pc, [a.reg, b.reg, Reg::NONE], a.v | b.v)
-    }
-
     /// `fxor`.
     #[track_caller]
     pub fn vxor(&mut self, a: &VVal, b: &VVal) -> VVal {
         let pc = caller_pc!();
         self.compute_v(Op::VisLogic, pc, [a.reg, b.reg, Reg::NONE], a.v ^ b.v)
-    }
-
-    /// `fnot`.
-    #[track_caller]
-    pub fn vnot(&mut self, a: &VVal) -> VVal {
-        let pc = caller_pc!();
-        self.compute_v(Op::VisLogic, pc, [a.reg, Reg::NONE, Reg::NONE], !a.v)
     }
 
     /// `fmul8x16`: four low bytes of `a` times the 16-bit lanes of `b`.
@@ -1335,14 +1169,6 @@ impl<'s, S: SimSink> Program<'s, S> {
         let pc = caller_pc!();
         let v = vis::faligndata(self.gsr, lo.v, hi.v);
         self.compute_v(Op::VisAlign, pc, [lo.reg, hi.reg, self.gsr_reg], v)
-    }
-
-    /// `fcmpgt16`: 4-bit greater-than mask into an integer register.
-    #[track_caller]
-    pub fn vcmpgt16(&mut self, a: &VVal, b: &VVal) -> Val {
-        let pc = caller_pc!();
-        let m = vis::fcmpgt16(a.v, b.v) as i64;
-        self.compute(Op::VisCmp, pc, [a.reg, b.reg, Reg::NONE], m)
     }
 
     /// `fcmple16`: 4-bit less-or-equal mask.

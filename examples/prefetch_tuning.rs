@@ -27,7 +27,7 @@ fn main() {
         let timed = |variant| {
             let spec = CellSpec::Timed {
                 label: bench.name().into(),
-                bench,
+                workload: bench.into(),
                 cpu: Arch::Ooo4.cpu(),
                 mem: Default::default(),
                 variant,

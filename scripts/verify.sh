@@ -76,10 +76,11 @@ echo "== replay-equivalence gate (tiny) =="
 # The trace cache records each dynamic instruction stream once and
 # replays it per configuration; text output must be byte-identical to
 # direct emission. Run cached vs direct and diff the reports. ablation
-# sweeps the window size, so each of its machines has its own ring size.
+# sweeps the window size, so each of its machines has its own ring size;
+# kernels14's timed cells replay the appendix kernels' streams.
 replay_dir="$fidelity_dir/replay"
 mkdir -p "$replay_dir/cached" "$replay_dir/direct"
-for bin in fig1 sweep_l1 ablation; do
+for bin in fig1 sweep_l1 ablation kernels14; do
   (cd "$replay_dir/cached" && "$OLDPWD/target/release/$bin" tiny \
     > "../$bin.cached.txt")
   (cd "$replay_dir/direct" && "$OLDPWD/target/release/$bin" tiny \

@@ -19,7 +19,7 @@ fn size() -> WorkloadSize {
 fn timed(bench: Bench, mem: MemConfig, variant: Variant) -> Summary {
     let spec = CellSpec::Timed {
         label: bench.name().into(),
-        bench,
+        workload: bench.into(),
         cpu: Arch::Ooo4.cpu(),
         mem,
         variant,

@@ -21,7 +21,7 @@ fn size() -> WorkloadSize {
 fn timed(bench: Bench, arch: Arch, variant: Variant) -> Summary {
     let spec = CellSpec::Timed {
         label: bench.name().into(),
-        bench,
+        workload: bench.into(),
         cpu: arch.cpu(),
         mem: MemConfig::default(),
         variant,
@@ -146,7 +146,7 @@ fn claim_vis_cuts_dynamic_instruction_counts() {
     let retired = |bench: Bench, variant| {
         let spec = CellSpec::Counted {
             label: bench.name().into(),
-            bench,
+            workload: bench.into(),
             variant,
         };
         let out = RunCtx::default()
