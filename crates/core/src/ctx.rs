@@ -1,17 +1,19 @@
-//! The run context: every setting that decides how a cell runs, built
-//! once at the binary edge and passed explicitly down to the store and
-//! the trace cache.
+//! The run context: every setting that decides how a cell runs, and the
+//! trace cache its cells share, built once at the binary edge and passed
+//! explicitly down to the store and the trace cache.
 //!
 //! A figure bar is one (benchmark × machine × variant) cell. Whether
-//! finished cells persist and are served back, how much memory the
-//! trace cache may hold, whether the cell is sampled, how many workers
-//! share the batch and who watches progress is one [`RunCtx`]. The
-//! figure binaries, `pipetrace` and `visim-serve` build it from their
-//! command line with [`parse_args`]; library callers and tests build it
-//! in code, so two contexts can run side by side in one process.
+//! finished cells persist and are served back, the trace cache that
+//! holds the recorded streams, whether the cell is sampled, how many
+//! workers share the batch, which faults are injected and who watches
+//! progress is one [`RunCtx`]. The figure binaries, `pipetrace` and
+//! `visim-serve` build it from their command line with [`parse_args`];
+//! library callers and tests build it in code, so two contexts can run
+//! side by side in one process. Clones of a context share its trace
+//! cache; two contexts built apart each own one.
 //!
-//! `VISIM_JOBS` is the one environment variable a context reads, in
-//! the parser and in the process default below.
+//! `VISIM_JOBS` and `VISIM_FAULT` are the environment variables a
+//! context reads, in the parser and in the process default below.
 //!
 //! # The process default
 //!
@@ -20,16 +22,19 @@
 //! `store::{set_cli_dir, timed_key, load, save}`, `sampling::set_cli`,
 //! `trace_cache::budget_bytes` and `visim_serve::daemon::run`. Each is
 //! a one-line wrapper over [`process_default`], the only configuration
-//! static left: store off until `store::set_cli_dir`, the trace cache on
-//! at its default budget, exact unless `sampling::set_cli`, workers from
-//! `VISIM_JOBS`. The wrappers exist so that harness keeps building
-//! unchanged; nothing else calls them.
+//! static left: store off until `store::set_cli_dir`, one trace cache at
+//! the default budget, exact unless `sampling::set_cli`, workers from
+//! `VISIM_JOBS`, faults from `VISIM_FAULT`. The wrappers exist so that
+//! harness keeps building unchanged; nothing else calls them.
 
 use std::iter::Peekable;
 use std::sync::{Arc, Mutex};
 
+use visim_util::fault;
+
 use crate::sampling::{self, SampleConfig};
 use crate::store::Store;
+use crate::trace_cache::TraceCache;
 
 /// Environment variable selecting the worker count. `1` forces the
 /// serial reference path; `0`, unset or garbage means one worker per
@@ -58,38 +63,44 @@ pub const ALL_FLAGS: &[&str] = &[
 /// counts and job latencies, so it cannot influence results.
 pub type ProgressObserver = Arc<dyn Fn(usize, usize, u64) + Send + Sync>;
 
-/// How cells run: one value per setting, each with one source.
+/// How cells run: one value per setting, each with one source, and the
+/// trace cache the run's cells share.
 #[derive(Clone)]
 pub struct RunCtx {
     /// The result store, or `None` for a store-less run.
     pub store: Option<Store>,
-    /// The trace cache's resident budget in bytes (also the per-capture
-    /// limit), or `None` to emit every cell directly.
-    pub trace_budget: Option<usize>,
+    /// The trace cache, shared by this context's clones, or `None` to
+    /// emit every cell directly.
+    pub trace_cache: Option<Arc<TraceCache>>,
     /// The sampling geometry, or `None` for exact simulation.
     pub sample: Option<SampleConfig>,
     /// Worker-pool size; `1` is the serial reference path.
     pub jobs: usize,
+    /// The faults this run injects (`cell.panic`, `cell.transient`,
+    /// `store.write.torn`); empty by default.
+    pub faults: fault::Plan,
     /// Called after every completed batch job.
     pub progress: Option<ProgressObserver>,
 }
 
 impl Default for RunCtx {
-    /// Exact simulation without a store, the trace cache at its default
-    /// budget, one worker per core, nobody watching.
+    /// Exact simulation without a store, a fresh trace cache at the
+    /// default budget, one worker per core, no faults, nobody watching.
     fn default() -> Self {
         RunCtx {
             store: None,
-            trace_budget: Some(mb_to_bytes(DEFAULT_TRACE_BUDGET_MB)),
+            trace_cache: Some(trace_cache_mb(DEFAULT_TRACE_BUDGET_MB)),
             sample: None,
             jobs: per_core(),
+            faults: fault::Plan::default(),
             progress: None,
         }
     }
 }
 
-fn mb_to_bytes(mb: u64) -> usize {
-    usize::try_from(mb.saturating_mul(1 << 20)).unwrap_or(usize::MAX)
+fn trace_cache_mb(mb: u64) -> Arc<TraceCache> {
+    let bytes = usize::try_from(mb.saturating_mul(1 << 20)).unwrap_or(usize::MAX);
+    Arc::new(TraceCache::new(bytes))
 }
 
 /// Parse a `VISIM_JOBS` value: a positive integer, or else one worker
@@ -107,6 +118,11 @@ fn per_core() -> usize {
 
 fn env_jobs() -> usize {
     parse_jobs(&std::env::var(JOBS_ENV).unwrap_or_default())
+}
+
+/// The fault plan in `VISIM_FAULT`; empty when unset.
+fn env_faults() -> fault::Plan {
+    fault::Plan::parse(&std::env::var("VISIM_FAULT").unwrap_or_default())
 }
 
 /// The value of a flag that names a path: present, non-empty, and not
@@ -163,9 +179,10 @@ pub fn parse_args<I: Iterator<Item = String>>(
             dir: dir.unwrap_or_else(|| DEFAULT_STORE_DIR.to_string()),
             resume,
         }),
-        trace_budget: (!no_trace_cache).then(|| mb_to_bytes(budget_mb)),
+        trace_cache: (!no_trace_cache).then(|| trace_cache_mb(budget_mb)),
         sample,
         jobs: env_jobs(),
+        faults: env_faults(),
         progress: None,
     })
 }
@@ -177,6 +194,7 @@ pub(crate) fn with_default<R>(f: impl FnOnce(&mut RunCtx) -> R) -> R {
     let mut slot = PROCESS_DEFAULT.lock().expect("run context lock");
     f(slot.get_or_insert_with(|| RunCtx {
         jobs: env_jobs(),
+        faults: env_faults(),
         ..RunCtx::default()
     }))
 }
@@ -217,12 +235,16 @@ mod tests {
         parse_only(ALL_FLAGS, args)
     }
 
+    fn budget(ctx: &RunCtx) -> Option<usize> {
+        ctx.trace_cache.as_ref().map(|cache| cache.budget())
+    }
+
     #[test]
     fn flags_build_the_context_and_pass_the_rest_on() {
         let (ctx, rest) = parse(&["tiny", "--resume", "--sample", "--x"]).unwrap();
+        assert_eq!(budget(&ctx), Some(1024 << 20));
         let store = ctx.store.map(|s| (s.dir, s.resume));
         assert_eq!(store, Some((DEFAULT_STORE_DIR.to_string(), true)));
-        assert_eq!(ctx.trace_budget, Some(1024 << 20));
         assert_eq!(ctx.sample, sampling::parse_spec("1").unwrap());
         assert_eq!(rest, ["tiny", "--x"]);
 
@@ -231,9 +253,9 @@ mod tests {
         assert_eq!(ctx.store, None);
         assert_eq!(ctx.sample, sampling::parse_spec("2:10").unwrap());
         let (ctx, _) = parse(&["--store-dir", "e", "--trace-cache-mb", "3"]).unwrap();
+        assert_eq!(budget(&ctx), Some(3 << 20));
         assert_eq!(ctx.store.unwrap().dir, "e");
-        assert_eq!(ctx.trace_budget, Some(3 << 20));
-        assert_eq!(parse(&["--no-trace-cache"]).unwrap().0.trace_budget, None);
+        assert_eq!(budget(&parse(&["--no-trace-cache"]).unwrap().0), None);
 
         for bad in [
             &["--store-dir", "-x"][..],
@@ -247,7 +269,7 @@ mod tests {
         // and all, and leaves the context at its default.
         let (ctx, rest) =
             parse_only(&["--no-store"], &["--trace-cache-mb", "3", "--resume"]).unwrap();
-        assert_eq!(ctx.trace_budget, Some(1024 << 20));
+        assert_eq!(budget(&ctx), Some(1024 << 20));
         assert!(!ctx.store.unwrap().resume);
         assert_eq!(rest, ["--trace-cache-mb", "3", "--resume"]);
     }

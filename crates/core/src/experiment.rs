@@ -33,9 +33,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use media_kernels::Variant;
-use visim_cpu::{
-    CountingSink, CpuConfig, CpuStats, Pipeline, SimSink, Summary, Traced, WarmingSink,
-};
+use visim_cpu::{CountingSink, CpuConfig, CpuStats, Pipeline, SimSink, Summary, WarmingSink};
 use visim_mem::MemConfig;
 use visim_obs::live::{self, names as live_names};
 use visim_obs::trace::{Trace, TraceRing};
@@ -81,7 +79,7 @@ const RETRY_COUNTERS: [&str; 3] = [RETRY_ATTEMPTS, RETRY_RECOVERED, RETRY_EXHAUS
 
 /// Run one cell attempt function under the retry policy. The attempt
 /// number is passed in so the `cell.transient` fault point can be
-/// scoped to a specific attempt (`VISIM_FAULT=cell.transient:conv:0`
+/// scoped to a specific attempt (the plan `cell.transient:conv:0`
 /// fires on attempt 0 and heals on the retry — the recovery path the
 /// fault gate exercises).
 fn with_retry<T>(mut attempt_fn: impl FnMut(u32) -> Result<T, SimError>) -> Result<T, SimError> {
@@ -116,8 +114,8 @@ fn with_retry<T>(mut attempt_fn: impl FnMut(u32) -> Result<T, SimError>) -> Resu
 /// — including entries with `status: failed`, whose recorded
 /// deterministic error is re-raised so a resumed run renders the same
 /// error row without re-running a known failure. Otherwise the cell
-/// computes under the retry policy (with the `cell.transient` fault
-/// point armed per attempt; `tag` names the workload) and the
+/// computes under the retry policy (with the context's `cell.transient`
+/// fault point armed per attempt; `tag` names the workload) and the
 /// outcome — success or deterministic failure, never a transient one —
 /// is persisted atomically. The flag is `true` when the result came from the store.
 /// The store lookup (on resume) and the computation are timed into the
@@ -150,25 +148,28 @@ fn run_cell<T: Clone>(
     }
     let t1 = Instant::now();
     let result = with_retry(|attempt| {
-        fault::trip_transient("cell.transient", &format!("{tag}:{attempt}"))?;
+        ctx.faults
+            .trip_transient("cell.transient", &format!("{tag}:{attempt}"))?;
         compute()
     });
     sink.observe_latency_ns(live_names::PHASE_SIMULATE, t1.elapsed().as_nanos() as u64);
     if let Some(store) = &ctx.store {
         match &result {
-            Ok(v) => store.save(&key, &to_entry(v)),
-            Err(e) if !e.is_transient() => store.save(&key, &store::Entry::Failed(e.clone())),
+            Ok(v) => store.save(&key, &to_entry(v), &ctx.faults),
+            Err(e) if !e.is_transient() => {
+                store.save(&key, &store::Entry::Failed(e.clone()), &ctx.faults)
+            }
             Err(_) => {}
         }
     }
     result.map(|v| (v, false))
 }
 
-/// Fire the `cell.panic` fault point (keyed by the workload's name)
+/// Fire `faults`' `cell.panic` point (keyed by the workload's name)
 /// inside the panic-catching boundary, so an injected panic takes the
 /// exact recovery path a real workload panic does.
-fn injected_panic(tag: &str) {
-    if fault::fires("cell.panic", tag) {
+fn injected_panic(faults: &fault::Plan, tag: &str) {
+    if faults.fires("cell.panic", tag) {
         panic!("fault injected: cell.panic at {tag}");
     }
 }
@@ -201,7 +202,7 @@ enum Stream {
 }
 
 /// Obtain the cell's instruction stream, consulting and feeding the
-/// process-wide [`trace_cache`] within the run's trace budget. The
+/// run's [`trace_cache::TraceCache`] within its budget. The
 /// stream depends only on (workload, size, variant) — never on the
 /// machine configuration — which is what lets one capture serve every
 /// architecture and cache size. On a miss, the stream is captured
@@ -214,12 +215,12 @@ fn obtain_stream(
     size: &WorkloadSize,
     variant: Variant,
 ) -> Result<Stream, SimError> {
-    let Some(budget) = ctx.trace_budget else {
+    let Some(cache) = ctx.trace_cache.as_deref() else {
         return Ok(Stream::Direct);
     };
     let name = workload.name();
     let key = trace_cache::key_for(&name, size, variant);
-    let recording = match trace_cache::lookup(&key) {
+    let recording = match cache.lookup(&key) {
         trace_cache::Lookup::Hit(rec) => {
             return Ok(Stream::Replay {
                 rec,
@@ -228,12 +229,12 @@ fn obtain_stream(
         }
         trace_cache::Lookup::Miss(recording) => recording,
     };
-    let mut recorder = Recorder::new(budget);
+    let mut recorder = Recorder::new(cache.budget());
     catch_workload(&name, || workload.run(&mut recorder, size, variant))?;
     match recorder.finish() {
         Some(rec) => {
             let rec = Arc::new(rec);
-            recording.store(&rec, budget);
+            recording.store(&rec);
             Ok(Stream::Replay {
                 rec,
                 cache_hit: false,
@@ -488,7 +489,7 @@ fn timed_cell(
         key,
         &name,
         || {
-            catch_workload(&name, || injected_panic(&name))?;
+            catch_workload(&name, || injected_panic(&ctx.faults, &name))?;
             let t0 = Instant::now();
             let stream = obtain_stream(ctx, workload, size, variant)?;
             let emit = t0.elapsed();
@@ -524,7 +525,7 @@ fn counted_cell(
         || {
             let mut sink = CountingSink::new();
             catch_workload(&name, || {
-                injected_panic(&name);
+                injected_panic(&ctx.faults, &name);
                 workload.run(&mut sink, size, variant)
             })?;
             Ok(sink.finish())
@@ -759,18 +760,16 @@ impl RunCtx {
         ring: TraceRing,
     ) -> Result<(Summary, Trace), SimError> {
         let workload = Workload::Bench(bench);
-        catch_workload(bench.name(), || injected_panic(bench.name()))?;
+        catch_workload(bench.name(), || injected_panic(&self.faults, bench.name()))?;
         let t0 = Instant::now();
         let stream = obtain_stream(self, workload, size, variant)?;
         let emit = t0.elapsed();
         let t1 = Instant::now();
         let ring = Rc::new(RefCell::new(ring));
-        let mut sink = Traced::new(
-            Pipeline::new(arch.cpu(), mem.unwrap_or_default()),
-            ring.clone(),
-        );
-        feed(workload, size, variant, &stream, &mut sink)?;
-        let mut summary = sink.into_inner().try_finish()?;
+        let mut pipe = Pipeline::new(arch.cpu(), mem.unwrap_or_default());
+        pipe.attach_tracer(ring.clone());
+        feed(workload, size, variant, &stream, &mut pipe)?;
+        let mut summary = pipe.try_finish()?;
         stamp_cell_metrics(&mut summary.metrics, emit, t1.elapsed(), &stream);
         // `try_finish` consumed the pipeline, dropping every clone the
         // tracer hooks held; this handle is now the sole owner.
@@ -782,11 +781,11 @@ impl RunCtx {
 }
 
 /// Run `cells` as one worker-pool batch, results in input order. Each
-/// timed cell holds a [`trace_cache::Consumer`] of its stream, all
-/// registered before the batch starts and each dropped when its cell
-/// finishes — succeeded, failed or served from the store — so a
-/// recorded stream is released right after its last reader instead of
-/// lingering in the LRU.
+/// timed cell holds a [`trace_cache::Consumer`] of its stream in the
+/// context's cache, all registered before the batch starts and each
+/// dropped when its cell finishes — succeeded, failed or served from
+/// the store — so a recorded stream is released right after its last
+/// reader instead of lingering in the LRU.
 fn run_cells(
     ctx: &RunCtx,
     cells: &[CellSpec],
@@ -797,9 +796,9 @@ fn run_cells(
         .map(|spec| match spec {
             CellSpec::Timed {
                 workload, variant, ..
-            } if ctx.trace_budget.is_some() => Some(trace_cache::Consumer::new(
-                trace_cache::key_for(&workload.name(), size, *variant),
-            )),
+            } => ctx.trace_cache.as_ref().map(|cache| {
+                cache.consumer(trace_cache::key_for(&workload.name(), size, *variant))
+            }),
             _ => None,
         })
         .collect();
@@ -1011,9 +1010,9 @@ mod tests {
     /// replay) paths are checked against the direct reference.
     #[test]
     fn replay_matches_direct_emission_exactly() {
-        let size = tiny();
+        let (ctx, size) = (RunCtx::default(), tiny());
         for pass in ["cold", "warm"] {
-            let r = timed(Bench::Blend, Arch::Ooo4, Variant::VIS);
+            let r = timed_in(&ctx, Bench::Blend, Arch::Ooo4, Variant::VIS);
             let mut pipe = Pipeline::new(Arch::Ooo4.cpu(), MemConfig::default());
             Bench::Blend.run(&mut pipe, &size, Variant::VIS);
             let d = pipe.try_finish().unwrap();
@@ -1035,8 +1034,7 @@ mod tests {
     /// the stream has left the resident set.
     #[test]
     fn a_failing_cell_still_releases_its_stream() {
-        let mut size = tiny();
-        size.seed = 0x5eed_f00d; // a stream no other test records
+        let (ctx, size) = (RunCtx::default(), tiny());
         let mut wedged = Arch::Ooo4.cpu();
         wedged.watchdog_cycles = 1;
         let cell = |label: &str, cpu| CellSpec::Timed {
@@ -1047,14 +1045,29 @@ mod tests {
             variant: Variant::SCALAR,
         };
         let results = run_cells(
-            &RunCtx::default(),
+            &ctx,
             &[cell("ok", Arch::Ooo4.cpu()), cell("wedged", wedged)],
             &size,
         );
         assert!(results[0].is_ok());
         assert!(results[1].is_err(), "the wedged cell fails");
         let key = trace_cache::key_for("addition", &size, Variant::SCALAR);
-        assert!(!trace_cache::is_resident(&key), "stream released");
+        let cache = ctx.trace_cache.expect("the default context caches");
+        assert!(!cache.is_resident(&key), "stream released");
+    }
+
+    /// Two contexts built apart keep separate caches: a stream one of
+    /// them records is resident in its cache only, and a clone shares
+    /// the cache of the context it was cloned from.
+    #[test]
+    fn contexts_built_apart_keep_separate_trace_caches() {
+        let (a, b) = (RunCtx::default(), RunCtx::default());
+        timed_in(&a, Bench::Addition, Arch::Ooo4, Variant::SCALAR);
+        let key = trace_cache::key_for("addition", &tiny(), Variant::SCALAR);
+        let resident = |ctx: &RunCtx| ctx.trace_cache.as_ref().unwrap().is_resident(&key);
+        assert!(resident(&a), "the recording context keeps its stream");
+        assert!(!resident(&b), "another context's cache stays empty");
+        assert!(resident(&a.clone()), "clones share the cache");
     }
 
     /// The manifest engine folds exactly what the per-cell executor
@@ -1244,7 +1257,7 @@ mod tests {
         let ctx = RunCtx::default();
         RunCtx {
             sample: Some(scfg),
-            trace_budget: ctx.trace_budget.filter(|_| !direct),
+            trace_cache: ctx.trace_cache.filter(|_| !direct),
             ..ctx
         }
     }

@@ -100,11 +100,12 @@ pub fn load(key: &CellKey) -> Option<Entry> {
     ctx::process_default().store?.load(key)
 }
 
-/// [`Store::save`] on the process default's store (the benchmark
-/// harness's entry point).
+/// [`Store::save`] on the process default's store, under its fault
+/// plan (the benchmark harness's entry point).
 pub fn save(key: &CellKey, entry: &Entry) {
-    if let Some(store) = ctx::process_default().store {
-        store.save(key, entry);
+    let c = ctx::process_default();
+    if let Some(store) = c.store {
+        store.save(key, entry, &c.faults);
     }
 }
 
@@ -506,16 +507,17 @@ impl Store {
         }
     }
 
-    /// Persist a finished cell atomically. The `store.write.torn` fault
-    /// point deliberately bypasses the atomic path and truncates the entry
-    /// mid-payload — the checksum then rejects it on the next load, which
-    /// is exactly the property the fault gate proves. A failed write (full
-    /// disk, permissions) silently degrades to a store-less run — cell
+    /// Persist a finished cell atomically. When `faults` fires the
+    /// `store.write.torn` point for the key, the write deliberately
+    /// bypasses the atomic path and truncates the entry mid-payload — the
+    /// checksum then rejects it on the next load, which is exactly the
+    /// property the fault gate proves. A failed write (full disk,
+    /// permissions) silently degrades to a store-less run — cell
     /// durability is an optimization, never a correctness dependency.
-    pub fn save(&self, key: &CellKey, entry: &Entry) {
+    pub fn save(&self, key: &CellKey, entry: &Entry, faults: &fault::Plan) {
         let bytes = encode_entry(key, entry, RESULTS_SCHEMA, git_rev_cached());
         let path = key.path(&self.dir);
-        if fault::fires("store.write.torn", &key.text) {
+        if faults.fires("store.write.torn", &key.text) {
             // A torn write: some prefix of the entry, landed non-atomically
             // at the final path.
             let cut = bytes.len() / 2;

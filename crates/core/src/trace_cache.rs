@@ -1,11 +1,13 @@
-//! Process-wide cache of recorded instruction streams.
+//! A run's cache of recorded instruction streams.
 //!
 //! A dynamic instruction stream is a pure function of (benchmark,
 //! workload size, code variant) — the machine configuration only
 //! *consumes* it. The experiment runners therefore record each stream
 //! once (`visim_trace::Recorder`) and replay it into every pipeline
-//! configuration that needs it; this module is the shared, keyed store
-//! that makes the "once" hold across cells and figure sections. It is
+//! configuration that needs it; a [`TraceCache`] is the shared, keyed
+//! store that makes the "once" hold across cells and figure sections.
+//! The run context owns it ([`crate::RunCtx::trace_cache`]): clones of a
+//! context share its cache, two contexts built apart do not. It is
 //! memory-only: across processes, the result store's `--resume` reuses
 //! finished cells, so a warm second process records no stream at all.
 //!
@@ -29,21 +31,20 @@
 //!   worker that misses the same key meanwhile waits for that recording
 //!   ([`Recording`]) and then hits, so a stream is recorded once at any
 //!   worker count.
-//! * **Budget.** The resident set is LRU-bounded by the run's
-//!   [`crate::ctx::RunCtx::trace_budget`] (`--trace-cache-mb`, default
-//!   1024 MB). The same budget caps a single capture: a stream
-//!   that outgrows it poisons its recorder and the cell falls back to
-//!   direct emission. The study suite's 36 distinct streams (81.5 M
-//!   instructions) take 605 MB in the compact form
-//!   (`visim_trace::Recorded`, 7.8 B/inst), the largest (`mpeg-enc`
+//! * **Budget.** The resident set is LRU-bounded by the cache's budget
+//!   (`--trace-cache-mb`, default 1024 MB). The same budget caps a
+//!   single capture: a stream that outgrows it poisons its recorder and
+//!   the cell falls back to direct emission. The study suite's 36
+//!   distinct streams (81.5 M instructions) take 605 MB in the compact
+//!   form (`visim_trace::Recorded`, 7.8 B/inst), the largest (`mpeg-enc`
 //!   base) 164 MB; with consumer counting a figure run holds far less
 //!   than either. The default still does *not* aim to hold everything
 //!   a long-lived daemon ever sees: on virtualized hosts with on-demand
 //!   paging, first-touch page-fault cost grows with resident set size,
 //!   and a measured study run with a 4 GB budget was slower end to end
 //!   than with 1 GB.
-//! * **Opt-out.** A run without a budget (`--no-trace-cache`) does not
-//!   use the cache; every cell then emits directly, and output must be
+//! * **Opt-out.** A run without a cache (`--no-trace-cache`) does not
+//!   record streams; every cell then emits directly, and output must be
 //!   byte-identical either way.
 //!
 //! Results never depend on cache state: a replayed stream pushes
@@ -53,7 +54,7 @@
 //! the JSON artifacts) reflects which path ran. The `trace_cache.*`
 //! counters ([`COUNTERS`]) live in the process-wide metrics sink; the
 //! `resident_*` gauges and the `peak_resident_bytes` high-water mark
-//! are set wherever the resident set changes.
+//! are set from the cache whose resident set last changed.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -68,7 +69,9 @@ use crate::bench::WorkloadSize;
 /// The process default's trace budget in bytes, 0 without a cache (see
 /// [`crate::ctx`]; the benchmark harness's entry point).
 pub fn budget_bytes() -> usize {
-    crate::ctx::process_default().trace_budget.unwrap_or(0)
+    crate::ctx::process_default()
+        .trace_cache
+        .map_or(0, |cache| cache.budget())
 }
 
 /// The cache key for a cell. Everything the emitted stream depends on
@@ -181,23 +184,64 @@ impl Lru {
     }
 }
 
-/// The resident set, and the signal a finished recording gives the
-/// workers waiting for it.
-struct Cache {
+/// One run's trace cache: the resident set within its byte budget, and
+/// the signal a finished recording gives the workers waiting for it.
+pub struct TraceCache {
+    budget: usize,
     lru: Mutex<Lru>,
     recorded: Condvar,
 }
 
-fn cache() -> &'static Cache {
-    static CACHE: std::sync::OnceLock<Cache> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| Cache {
-        lru: Mutex::new(Lru::default()),
-        recorded: Condvar::new(),
-    })
-}
+impl TraceCache {
+    /// An empty cache holding at most `budget` bytes. The budget also
+    /// caps a single capture.
+    pub fn new(budget: usize) -> TraceCache {
+        TraceCache {
+            budget,
+            lru: Mutex::new(Lru::default()),
+            recorded: Condvar::new(),
+        }
+    }
 
-fn lock() -> MutexGuard<'static, Lru> {
-    cache().lru.lock().expect("trace cache lock")
+    /// The resident budget in bytes.
+    pub fn budget(&self) -> usize {
+        self.budget
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().expect("trace cache lock")
+    }
+
+    /// Register one more consumer of `id`.
+    pub fn consumer(&self, id: String) -> Consumer<'_> {
+        *self.lock().consumers.entry(id.clone()).or_default() += 1;
+        Consumer(self, id)
+    }
+
+    /// True when `id` is in the resident set (test probe).
+    #[cfg(test)]
+    pub(crate) fn is_resident(&self, id: &str) -> bool {
+        self.lock().map.contains_key(id)
+    }
+
+    /// Look up a resident stream. While another worker records the same
+    /// key, wait for it. Counts one hit or one miss.
+    pub fn lookup(&self, id: &str) -> Lookup<'_> {
+        let mut lru = self.lock();
+        loop {
+            if let Some(rec) = lru.lookup(id) {
+                live::global().add(HITS, 1);
+                return Lookup::Hit(rec);
+            }
+            if !lru.in_flight.contains(id) {
+                break;
+            }
+            lru = self.recorded.wait(lru).expect("trace cache lock");
+        }
+        lru.in_flight.insert(id.to_string());
+        live::global().add(MISSES, 1);
+        Lookup::Miss(Recording(self, id.to_string()))
+    }
 }
 
 /// Add `n` to `counter` and set the resident gauges. Callers hold the
@@ -210,89 +254,57 @@ fn publish(lru: &Lru, counter: &str, n: u64) {
     sink.set(PEAK_RESIDENT_BYTES, lru.peak as u64);
 }
 
-/// One expected reader of a stream. While any `Consumer` of a key is
-/// alive, the stream stays resident (budget permitting); dropping the
-/// last one releases it at once instead of leaving it for the LRU.
-/// [`crate::RunCtx::run_manifest`] registers one per timed cell
-/// before the batch starts, so a stream lives exactly as long as the
-/// cells that read it.
-pub struct Consumer(String);
+/// One expected reader of a stream in its cache. While any `Consumer`
+/// of a key is alive, the stream stays resident (budget permitting);
+/// dropping the last one releases it at once instead of leaving it for
+/// the LRU. [`crate::RunCtx::run_manifest`] registers one per timed
+/// cell before the batch starts, so a stream lives exactly as long as
+/// the cells that read it.
+pub struct Consumer<'a>(&'a TraceCache, String);
 
-impl Consumer {
-    /// Register one more consumer of `id`.
-    pub fn new(id: String) -> Consumer {
-        *lock().consumers.entry(id.clone()).or_default() += 1;
-        Consumer(id)
-    }
-}
-
-impl Drop for Consumer {
+impl Drop for Consumer<'_> {
     fn drop(&mut self) {
         // Never panic in drop: a poisoned lock only keeps the stream
         // resident.
-        if let Ok(mut lru) = cache().lru.lock() {
-            let released = lru.release(&self.0);
+        if let Ok(mut lru) = self.0.lru.lock() {
+            let released = lru.release(&self.1);
             publish(&lru, RELEASED, released);
         }
     }
 }
 
-/// True when `id` is in the resident set (test probe).
-#[cfg(test)]
-pub(crate) fn is_resident(id: &str) -> bool {
-    lock().map.contains_key(id)
-}
-
-/// The outcome of [`lookup`].
-pub enum Lookup {
+/// The outcome of [`TraceCache::lookup`].
+pub enum Lookup<'a> {
     /// The resident stream.
     Hit(Arc<Recorded>),
     /// Not cached: the caller records it and hands it to
     /// [`Recording::store`].
-    Miss(Recording),
+    Miss(Recording<'a>),
 }
 
-/// The right to record one stream. Workers that miss the same key in
-/// the meantime wait in [`lookup`] until it is dropped (stored or not),
-/// so concurrent cells never record one stream twice.
-pub struct Recording(String);
+/// The right to record one stream into its cache. Workers that miss
+/// the same key in the meantime wait in [`TraceCache::lookup`] until it
+/// is dropped (stored or not), so concurrent cells never record one
+/// stream twice.
+pub struct Recording<'a>(&'a TraceCache, String);
 
-impl Drop for Recording {
+impl Drop for Recording<'_> {
     fn drop(&mut self) {
         // Never panic in drop: waiters on a poisoned lock fail anyway.
-        if let Ok(mut lru) = cache().lru.lock() {
-            lru.in_flight.remove(&self.0);
+        if let Ok(mut lru) = self.0.lru.lock() {
+            lru.in_flight.remove(&self.1);
         }
-        cache().recorded.notify_all();
+        self.0.recorded.notify_all();
     }
 }
 
-/// Look up a resident stream. While another worker records the same
-/// key, wait for it. Counts one hit or one miss.
-pub fn lookup(id: &str) -> Lookup {
-    let mut lru = lock();
-    loop {
-        if let Some(rec) = lru.lookup(id) {
-            live::global().add(HITS, 1);
-            return Lookup::Hit(rec);
-        }
-        if !lru.in_flight.contains(id) {
-            break;
-        }
-        lru = cache().recorded.wait(lru).expect("trace cache lock");
-    }
-    lru.in_flight.insert(id.to_string());
-    live::global().add(MISSES, 1);
-    Lookup::Miss(Recording(id.to_string()))
-}
-
-impl Recording {
+impl Recording<'_> {
     /// Store the freshly captured stream into the resident LRU, within
-    /// `budget` bytes. Dropping `self` afterwards wakes the workers
+    /// the cache's budget. Dropping `self` afterwards wakes the workers
     /// waiting for it.
-    pub fn store(self, rec: &Arc<Recorded>, budget: usize) {
-        let mut lru = lock();
-        let evicted = lru.insert(self.0.clone(), rec.clone(), budget);
+    pub fn store(self, rec: &Arc<Recorded>) {
+        let mut lru = self.0.lock();
+        let evicted = lru.insert(self.1.clone(), rec.clone(), self.0.budget);
         publish(&lru, EVICTIONS, evicted);
         drop(lru);
     }

@@ -1,6 +1,6 @@
 //! Two run contexts in one process: an exact and a sampled run of the
 //! same Figure 1 cell proceed side by side, each with its own store, and
-//! neither sees the other's settings.
+//! neither sees the other's settings or faults.
 
 use media_kernels::Variant;
 use visim::bench::{Bench, WorkloadSize};
@@ -10,6 +10,7 @@ use visim::store::{CellKey, Store};
 use visim::{sampling, RunCtx};
 use visim_cpu::Summary;
 use visim_mem::MemConfig;
+use visim_util::{fault, SimError};
 
 /// A context with its own scratch store and two workers.
 fn ctx(tag: &str, sample: &str) -> RunCtx {
@@ -72,5 +73,35 @@ fn exact_and_sampled_contexts_run_side_by_side() {
             .collect();
         assert_eq!(files, [key(ctx).file_name()]);
         std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// A context's fault plan decides its faults, with no environment: a
+/// transient fault on the first attempt heals on the retry, and an
+/// injected panic fails the cell as a workload error.
+#[test]
+fn each_context_injects_its_own_faults() {
+    let size = WorkloadSize::tiny();
+    let spec = CellSpec::Timed {
+        label: "addition/4-way ooo/base".into(),
+        workload: Bench::Addition.into(),
+        cpu: Arch::Ooo4.cpu(),
+        mem: MemConfig::default(),
+        variant: Variant::SCALAR,
+    };
+    let with_plan = |plan: &str| RunCtx {
+        faults: fault::Plan::parse(plan),
+        ..RunCtx::default()
+    };
+    let run = |ctx: RunCtx| {
+        ctx.run_spec(&spec, &size)
+            .map(|(out, _)| out.into_summary())
+    };
+    let clean = run(with_plan("")).expect("no faults");
+    let healed = run(with_plan("cell.transient:addition:0")).expect("the retry heals");
+    assert_eq!(outcome(&healed), outcome(&clean));
+    match run(with_plan("cell.panic:addition")) {
+        Err(SimError::Workload { bench, .. }) => assert_eq!(bench, "addition"),
+        other => panic!("expected a workload error, got {other:?}"),
     }
 }

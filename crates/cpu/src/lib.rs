@@ -48,6 +48,6 @@ mod warming;
 pub use config::{CpuConfig, FuCounts, IssuePolicy};
 pub use pipeline::{Pipeline, Summary};
 pub use predictor::{AgreePredictor, ReturnAddressStack};
-pub use sink::{CountingSink, SimSink, TraceSink, Traced};
+pub use sink::{CountingSink, SimSink};
 pub use stats::{Breakdown, CpuStats, StallClass};
 pub use warming::{extrapolate, SamplingEstimate, WarmingSink};

@@ -26,7 +26,7 @@ use visim_util::SimError;
 use crate::config::{CpuConfig, IssuePolicy};
 use crate::fu::FuPool;
 use crate::predictor::{AgreePredictor, ReturnAddressStack};
-use crate::sink::{SimSink, TraceSink};
+use crate::sink::SimSink;
 use crate::stats::{CpuStats, StallClass};
 
 /// In-flight producer map: register number → producer sequence number.
@@ -1282,8 +1282,12 @@ impl SimSink for Pipeline {
     }
 }
 
-impl TraceSink for Pipeline {
-    fn attach_tracer(&mut self, ring: SharedTraceRing) {
+impl Pipeline {
+    /// Attach `ring`; subsequent simulation records lifecycle spans,
+    /// instant events, and per-cycle stall samples into it. Normal runs
+    /// never attach one, and every tracing hook hides behind one
+    /// `Option` check, so the untraced simulation is unchanged.
+    pub fn attach_tracer(&mut self, ring: SharedTraceRing) {
         ring.borrow_mut().set_width(self.cfg.issue_width);
         self.pred.attach_tracer(ring.clone());
         self.mem.attach_tracer(ring.clone());

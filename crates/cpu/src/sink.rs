@@ -2,7 +2,6 @@
 //! instructions.
 
 use visim_isa::{BranchKind, Inst};
-use visim_obs::trace::SharedTraceRing;
 
 use crate::predictor::{AgreePredictor, ReturnAddressStack};
 use crate::stats::CpuStats;
@@ -16,48 +15,6 @@ use crate::stats::CpuStats;
 pub trait SimSink {
     /// Feed one dynamic instruction, in program order.
     fn push(&mut self, inst: Inst);
-}
-
-/// A sink that can record cycle-level events into a shared trace ring.
-///
-/// Implemented by [`crate::Pipeline`]; normal runs never attach a ring,
-/// and every tracing hook hides behind one `Option` check, so the
-/// untraced simulation is unchanged.
-pub trait TraceSink: SimSink {
-    /// Attach `ring`; subsequent simulation records lifecycle spans,
-    /// instant events, and per-cycle stall samples into it.
-    fn attach_tracer(&mut self, ring: SharedTraceRing);
-}
-
-/// The tracing decorator: wrapping a [`TraceSink`] is what turns
-/// tracing *on* — code that never constructs a `Traced` sink pays
-/// nothing and produces byte-identical results.
-///
-/// The wrapper attaches the ring at construction and forwards
-/// instructions untouched; [`Traced::into_inner`] returns the sink for
-/// `try_finish` once the workload is done.
-#[derive(Debug)]
-pub struct Traced<S: TraceSink> {
-    inner: S,
-}
-
-impl<S: TraceSink> Traced<S> {
-    /// Wrap `inner` and attach `ring` to it.
-    pub fn new(mut inner: S, ring: SharedTraceRing) -> Self {
-        inner.attach_tracer(ring);
-        Traced { inner }
-    }
-
-    /// Unwrap the decorated sink (tracing hooks stay attached).
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: TraceSink> SimSink for Traced<S> {
-    fn push(&mut self, inst: Inst) {
-        self.inner.push(inst);
-    }
 }
 
 /// A sink that only counts: instruction mix, VIS overhead, and branch

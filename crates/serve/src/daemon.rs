@@ -19,11 +19,16 @@
 //! live; at shutdown one drain of it becomes `results/json/serve.json`,
 //! and the recorder persists as `results/json/serve_timeline.json`
 //! (plus, with `--trace-out`, a Chrome-trace request timeline).
+//!
+//! Everything else a daemon keeps is one `Daemon` value that [`serve`]
+//! builds and every handler takes by reference, so two daemons in one
+//! process share nothing but the metrics sink.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -38,7 +43,7 @@ use visim_obs::trace::InstSpan;
 use visim_obs::{Histogram, Json};
 
 use crate::proto::{size_from_name, ManifestSource, Request};
-use crate::telemetry;
+use crate::telemetry::{self, SnapshotRing};
 use crate::SERVE_SCHEMA;
 
 /// Requests received, counted per cell (a manifest of 24 cells is 24
@@ -56,8 +61,31 @@ const FAILURES: &str = "serve.failures";
 /// `serve.json` carries them even at zero.
 const COUNTERS: [&str; 5] = [REQUESTS, HITS, MISSES, COALESCED, FAILURES];
 
-/// Graceful-shutdown latch, set by the `shutdown` op.
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+/// One running daemon's state, built once by [`serve`].
+struct Daemon {
+    /// The run context every connection runs its requests under.
+    ctx: RunCtx,
+    /// The epoch of phase, span and snapshot timestamps.
+    started: Instant,
+    /// Graceful-shutdown latch, set by the `shutdown` op.
+    shutdown: AtomicBool,
+    /// The single-flight table.
+    flights: Flights,
+    /// The flight recorder's snapshot ring.
+    ring: SnapshotRing,
+    /// Request spans for `--trace-out`; `None` without the flag, so the
+    /// request path takes no lock.
+    spans: Option<Mutex<Vec<InstSpan>>>,
+    /// The flight-recorder tick interval (`VISIM_TICK_MS`).
+    tick: Duration,
+    /// The slow-request threshold (`VISIM_SLOW_MS`), `None` if disabled.
+    slow_ns: Option<u64>,
+}
+
+/// A millisecond count from the environment variable `name`.
+fn env_ms(name: &str) -> Option<u64> {
+    std::env::var(name).ok()?.trim().parse().ok()
+}
 
 /// One in-flight cell simulation: the leader fills `slot` and notifies;
 /// followers wait on `cv`.
@@ -66,9 +94,27 @@ struct Flight {
     cv: Condvar,
 }
 
-/// The single-flight table, keyed on [`flight_key`]. BTreeMap because
-/// its `new` is `const` — the table predates any thread.
-static FLIGHTS: Mutex<BTreeMap<String, Arc<Flight>>> = Mutex::new(BTreeMap::new());
+/// The single-flight table, keyed on [`flight_key`].
+type Flights = Mutex<HashMap<String, Arc<Flight>>>;
+
+/// Retires a leader's flight when dropped: fills the slot with a failed
+/// result unless the leader published one (its compute panicked), wakes
+/// the followers, and removes the key so later requests start afresh.
+struct Retire<'a>(&'a Flights, &'a str, &'a Flight);
+
+impl Drop for Retire<'_> {
+    fn drop(&mut self) {
+        let Retire(flights, key, flight) = self;
+        // Never panic in drop: this may run while a panic unwinds.
+        if let Ok(mut slot) = flight.slot.lock() {
+            slot.get_or_insert_with(|| CellResult::failed("the cell's simulation panicked".into()));
+        }
+        flight.cv.notify_all();
+        if let Ok(mut map) = flights.lock() {
+            map.remove(*key);
+        }
+    }
+}
 
 /// The outcome of one cell, shared verbatim between the leader and any
 /// coalesced followers.
@@ -83,6 +129,16 @@ struct CellResult {
     payload: Vec<(String, Json)>,
 }
 
+impl CellResult {
+    fn failed(error: String) -> CellResult {
+        CellResult {
+            error: Some(error),
+            from_store: false,
+            payload: Vec::new(),
+        }
+    }
+}
+
 /// A cell's single-flight key: its result-store key text under the
 /// daemon's run context ([`RunCtx::cell_key`]), sampling geometry
 /// included. Two requests coalesce exactly when the store would file
@@ -91,12 +147,18 @@ fn flight_key(ctx: &RunCtx, spec: &CellSpec, size: &WorkloadSize) -> String {
     ctx.cell_key(spec, size).text().to_string()
 }
 
-/// Execute `compute` under single-flight: the first requester of `key`
-/// runs it, everyone else arriving before completion waits and shares
-/// the result. Returns the result plus whether *this* caller coalesced.
-fn single_flight(key: String, compute: impl FnOnce() -> CellResult) -> (CellResult, bool) {
+/// Execute `compute` under single-flight in `flights`: the first
+/// requester of `key` runs it, everyone else arriving before completion
+/// waits and shares the result. Returns the result plus whether *this*
+/// caller coalesced. A leader whose compute panics still retires its
+/// flight (followers get a failed result) before the panic goes on.
+fn single_flight(
+    flights: &Flights,
+    key: String,
+    compute: impl FnOnce() -> CellResult,
+) -> (CellResult, bool) {
     let flight = {
-        let mut map = FLIGHTS.lock().expect("flight table lock");
+        let mut map = flights.lock().expect("flight table lock");
         if let Some(f) = map.get(&key) {
             Arc::clone(f)
         } else {
@@ -108,10 +170,9 @@ fn single_flight(key: String, compute: impl FnOnce() -> CellResult) -> (CellResu
             drop(map);
             // Leader: simulate outside the table lock, publish, then
             // retire the flight so later requests go to the store.
+            let _retire = Retire(flights, &key, &f);
             let result = compute();
             *f.slot.lock().expect("flight slot lock") = Some(result.clone());
-            f.cv.notify_all();
-            FLIGHTS.lock().expect("flight table lock").remove(&key);
             return (result, false);
         }
     };
@@ -129,8 +190,8 @@ fn single_flight(key: String, compute: impl FnOnce() -> CellResult) -> (CellResu
 
 /// Cells currently in flight (single-flight leaders that have not yet
 /// published their result).
-fn in_flight_count() -> u64 {
-    FLIGHTS.lock().expect("flight table lock").len() as u64
+fn in_flight_count(daemon: &Daemon) -> u64 {
+    daemon.flights.lock().expect("flight table lock").len() as u64
 }
 
 /// Run one cell through the experiment layer's cell executor
@@ -150,11 +211,7 @@ fn serve_cell(ctx: &RunCtx, spec: &CellSpec, size: &WorkloadSize) -> CellResult 
                 payload,
             }
         }
-        Err(e) => CellResult {
-            error: Some(e.to_string()),
-            from_store: false,
-            payload: Vec::new(),
-        },
+        Err(e) => CellResult::failed(e.to_string()),
     }
 }
 
@@ -193,11 +250,12 @@ struct Tally {
 /// `--trace-out` armed the collector — the whole lifecycle becomes one
 /// trace span.
 fn run_cells(
-    ctx: &RunCtx,
+    daemon: &Daemon,
     specs: Vec<CellSpec>,
     size: &WorkloadSize,
     stream: &Mutex<TcpStream>,
 ) -> Tally {
+    let ctx = &daemon.ctx;
     let total = specs.len();
     let tally = Tally::default();
     let live = live::global();
@@ -205,9 +263,6 @@ fn run_cells(
     // path is then one atomic add per counter, and the request counter's
     // `fetch_add` hands out the daemon-wide request id.
     let [requests, hits, misses, coalesced_n, failures] = COUNTERS.map(|n| live.handle(n));
-    let tracing = telemetry::trace_enabled();
-    let slow_ns = telemetry::slow_threshold_ns();
-    let epoch = telemetry::started();
     let work: Vec<_> = specs
         .into_iter()
         .map(|spec| {
@@ -223,7 +278,8 @@ fn run_cells(
                     begun.duration_since(enqueued).as_nanos() as u64,
                 );
                 let key = flight_key(ctx, &spec, size);
-                let (result, coalesced) = single_flight(key, || serve_cell(ctx, &spec, size));
+                let (result, coalesced) =
+                    single_flight(&daemon.flights, key, || serve_cell(ctx, &spec, size));
                 let served = Instant::now();
                 let (path, path_op) = if coalesced {
                     coalesced_n.fetch_add(1, Ordering::Relaxed);
@@ -267,7 +323,7 @@ fn run_cells(
                 );
                 let total_ns = finished.duration_since(enqueued).as_nanos() as u64;
                 live.observe_latency_ns(path, total_ns);
-                if slow_ns.is_some_and(|t| total_ns >= t) {
+                if daemon.slow_ns.is_some_and(|t| total_ns >= t) {
                     log::warn(
                         "serve",
                         &format!(
@@ -277,9 +333,9 @@ fn run_cells(
                         ),
                     );
                 }
-                if tracing {
-                    let us = |t: Instant| t.duration_since(epoch).as_micros() as u64;
-                    telemetry::record_span(InstSpan {
+                if let Some(spans) = &daemon.spans {
+                    let us = |t: Instant| t.duration_since(daemon.started).as_micros() as u64;
+                    spans.lock().expect("request spans lock").push(InstSpan {
                         seq: id,
                         pc: id,
                         op: if ok { path_op } else { "failed" },
@@ -314,7 +370,7 @@ fn resolve_manifest(source: &ManifestSource) -> Result<Manifest, String> {
 /// Handle a `manifest` or `cell` request end to end: resolve, run,
 /// stream, and send the terminal `done` event.
 fn handle_run(
-    ctx: &RunCtx,
+    daemon: &Daemon,
     source: &ManifestSource,
     only_label: Option<&str>,
     size_name: &str,
@@ -341,7 +397,7 @@ fn handle_run(
             ("cells", Json::from(specs.len())),
         ]),
     );
-    let tally = run_cells(ctx, specs, &size, stream);
+    let tally = run_cells(daemon, specs, &size, stream);
     let (done, failed) = (tally.done.into_inner(), tally.failed.into_inner());
     send(
         stream,
@@ -366,7 +422,7 @@ fn handle_run(
 /// in-flight count and the integer hit ratio in percent (hits × 100 /
 /// requests, 0 before the first request; integral so shell gates can
 /// grep it exactly). Shared by the `stats` and `snapshot` events.
-fn serve_members() -> Vec<(&'static str, Json)> {
+fn serve_members(daemon: &Daemon) -> Vec<(&'static str, Json)> {
     let sink = live::global();
     let [requests, hits, misses, coalesced, failures] = COUNTERS.map(|n| sink.counter(n));
     vec![
@@ -375,7 +431,7 @@ fn serve_members() -> Vec<(&'static str, Json)> {
         ("misses", Json::from(misses)),
         ("coalesced", Json::from(coalesced)),
         ("failures", Json::from(failures)),
-        ("in_flight", Json::from(in_flight_count())),
+        ("in_flight", Json::from(in_flight_count(daemon))),
         (
             "hit_ratio_pct",
             Json::from((hits * 100).checked_div(requests).unwrap_or(0)),
@@ -414,19 +470,19 @@ fn latency_group_json(group: &[&str]) -> Json {
 /// The `stats` event body: the daemon-wide serve counters, per-phase
 /// and per-path latency percentiles from the live registry, and a
 /// (checksumming) store scan.
-fn stats_event(ctx: &RunCtx) -> Json {
+fn stats_event(daemon: &Daemon) -> Json {
     let mut members = vec![
         ("event", Json::from("stats")),
         ("schema", Json::from(SERVE_SCHEMA)),
         (
             "uptime_seconds",
-            Json::from(telemetry::started().elapsed().as_secs_f64()),
+            Json::from(daemon.started.elapsed().as_secs_f64()),
         ),
-        ("serve", Json::obj(serve_members())),
+        ("serve", Json::obj(serve_members(daemon))),
         ("phases", latency_group_json(&names::PHASES)),
         ("paths", latency_group_json(&names::PATHS)),
     ];
-    if let Some(stats) = ctx.store.as_ref().map(|s| s.stats()) {
+    if let Some(stats) = daemon.ctx.store.as_ref().map(|s| s.stats()) {
         members.push((
             "store",
             Json::obj(vec![
@@ -442,16 +498,16 @@ fn stats_event(ctx: &RunCtx) -> Json {
 /// The health-check `pong`: schema plus enough to tell *which* daemon
 /// answered and whether it is busy. Uses the cached git rev — a probe
 /// must not fork a subprocess.
-fn pong_event() -> Json {
+fn pong_event(daemon: &Daemon) -> Json {
     Json::obj(vec![
         ("event", Json::from("pong")),
         ("schema", Json::from(SERVE_SCHEMA)),
         (
             "uptime_seconds",
-            Json::from(telemetry::started().elapsed().as_secs_f64()),
+            Json::from(daemon.started.elapsed().as_secs_f64()),
         ),
         ("git_rev", Json::from(visim_obs::schema::git_rev_cached())),
-        ("in_flight", Json::from(in_flight_count())),
+        ("in_flight", Json::from(in_flight_count(daemon))),
     ])
 }
 
@@ -460,17 +516,20 @@ fn pong_event() -> Json {
 /// probes: sink counter loads, histogram clones, and the
 /// metadata-only store scan ([`visim::store::Store::quick_scan`], no
 /// checksumming).
-fn snapshot_json(ctx: &RunCtx) -> Json {
+fn snapshot_json(daemon: &Daemon) -> Json {
     let mut members = vec![
         ("event", Json::from("snapshot")),
-        ("t_ms", Json::from(telemetry::uptime_ms())),
+        (
+            "t_ms",
+            Json::from(daemon.started.elapsed().as_millis() as u64),
+        ),
     ];
-    members.extend(serve_members());
+    members.extend(serve_members(daemon));
     members.push(("phases", latency_group_json(&names::PHASES)));
     if let Some(h) = live::global().histogram("pool.queue_depth") {
         members.push(("queue_depth_max", Json::from(h.max())));
     }
-    if let Some((entries, bytes)) = ctx.store.as_ref().map(|s| s.quick_scan()) {
+    if let Some((entries, bytes)) = daemon.ctx.store.as_ref().map(|s| s.quick_scan()) {
         members.push(("store_entries", Json::from(entries)));
         members.push(("store_bytes", Json::from(bytes)));
     }
@@ -483,14 +542,14 @@ fn snapshot_json(ctx: &RunCtx) -> Json {
 /// until `count` snapshots were delivered (`0` = until shutdown), the
 /// client hangs up, or the daemon shuts down. Ends with a `done` event
 /// carrying the delivered count.
-fn handle_watch(ctx: &RunCtx, count: u64, stream: &Mutex<TcpStream>) {
-    let ring = telemetry::ring();
+fn handle_watch(daemon: &Daemon, count: u64, stream: &Mutex<TcpStream>) {
+    let ring = &daemon.ring;
     let mut last = ring.last_seq();
-    if !send(stream, &snapshot_json(ctx)) {
+    if !send(stream, &snapshot_json(daemon)) {
         return;
     }
     let mut sent = 1u64;
-    'stream: while (count == 0 || sent < count) && !SHUTDOWN.load(Ordering::SeqCst) {
+    'stream: while (count == 0 || sent < count) && !daemon.shutdown.load(Ordering::SeqCst) {
         for (seq, snap) in ring.wait_newer(last, Duration::from_millis(250)) {
             last = seq;
             if !send(stream, &snap) {
@@ -512,7 +571,7 @@ fn handle_watch(ctx: &RunCtx, count: u64, stream: &Mutex<TcpStream>) {
 }
 
 /// Serve one client connection until it closes or asks for shutdown.
-fn handle_conn(ctx: &RunCtx, stream: TcpStream, daemon_addr: std::net::SocketAddr) {
+fn handle_conn(daemon: &Daemon, stream: TcpStream, daemon_addr: std::net::SocketAddr) {
     let reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
@@ -531,33 +590,33 @@ fn handle_conn(ctx: &RunCtx, stream: TcpStream, daemon_addr: std::net::SocketAdd
         );
         let outcome = match parsed {
             Ok(Request::Ping) => {
-                send(&stream, &pong_event());
+                send(&stream, &pong_event(daemon));
                 Ok(())
             }
             Ok(Request::Stats) => {
-                send(&stream, &stats_event(ctx));
+                send(&stream, &stats_event(daemon));
                 Ok(())
             }
             Ok(Request::Watch { count }) => {
-                handle_watch(ctx, count, &stream);
+                handle_watch(daemon, count, &stream);
                 Ok(())
             }
             Ok(Request::Shutdown) => {
                 log::info("serve", "shutdown requested");
                 send(&stream, &Json::obj(vec![("event", Json::from("bye"))]));
-                SHUTDOWN.store(true, Ordering::SeqCst);
+                daemon.shutdown.store(true, Ordering::SeqCst);
                 // Wake the accept loop so it observes the latch.
                 let _ = TcpStream::connect(daemon_addr);
                 return;
             }
             Ok(Request::Manifest { source, size }) => {
-                handle_run(ctx, &source, None, &size, &stream)
+                handle_run(daemon, &source, None, &size, &stream)
             }
             Ok(Request::Cell {
                 source,
                 label,
                 size,
-            }) => handle_run(ctx, &source, Some(&label), &size, &stream),
+            }) => handle_run(daemon, &source, Some(&label), &size, &stream),
             Err(e) => Err(e),
         };
         if let Err(e) = outcome {
@@ -600,18 +659,29 @@ pub fn run(cfg: &DaemonConfig) -> Result<(), String> {
 /// (`results/json/serve_timeline.json`), and the request trace when
 /// `--trace-out` asked for one.
 pub fn serve(cfg: &DaemonConfig, mut ctx: RunCtx) -> Result<(), String> {
-    let started = Instant::now();
-    // Latch the telemetry epoch.
-    telemetry::started();
-    live::global().declare(&COUNTERS);
-    if cfg.trace_out.is_some() {
-        telemetry::enable_trace();
-    }
     // The daemon is store-first by definition: every lookup path goes
     // through the store before any simulation is scheduled.
     if let Some(store) = &mut ctx.store {
         store.resume = true;
     }
+    // The thresholds are read once, here: the recorder tick defaults to
+    // 1000 ms (floored at 10), the slow-request warning to 1000 ms (0
+    // turns it off).
+    let tick_ms = env_ms("VISIM_TICK_MS")
+        .filter(|&ms| ms > 0)
+        .unwrap_or(1_000);
+    let slow_ms = env_ms("VISIM_SLOW_MS").unwrap_or(1_000);
+    let daemon = Daemon {
+        ctx,
+        started: Instant::now(),
+        shutdown: AtomicBool::new(false),
+        flights: Flights::default(),
+        ring: SnapshotRing::new(),
+        spans: cfg.trace_out.as_ref().map(|_| Mutex::new(Vec::new())),
+        tick: Duration::from_millis(tick_ms.max(10)),
+        slow_ns: (slow_ms > 0).then(|| slow_ms.saturating_mul(1_000_000)),
+    };
+    live::global().declare(&COUNTERS);
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))
         .map_err(|e| format!("bind 127.0.0.1:{}: {e}", cfg.port))?;
     let addr = listener
@@ -635,64 +705,64 @@ pub fn serve(cfg: &DaemonConfig, mut ctx: RunCtx) -> Result<(), String> {
         "serve",
         &format!("listening on {addr} (pid {})", std::process::id()),
     );
-    // The flight recorder's tick thread: sample the daemon state into
-    // the snapshot ring every VISIM_TICK_MS until shutdown. Detached —
-    // it holds no locks across its sleep and the process outlives it
-    // only briefly after the latch flips.
-    let tick = telemetry::tick_interval();
-    let tick_ctx = ctx.clone();
-    std::thread::spawn(move || {
-        while !SHUTDOWN.load(Ordering::SeqCst) {
-            std::thread::sleep(tick);
-            if SHUTDOWN.load(Ordering::SeqCst) {
+    std::thread::scope(|s| {
+        let daemon = &daemon;
+        // The flight recorder's tick thread: sample the daemon state
+        // into the snapshot ring every VISIM_TICK_MS until `stop` drops.
+        let (stop, stopped) = mpsc::channel::<()>();
+        let ticks = s.spawn(move || {
+            while stopped.recv_timeout(daemon.tick) == Err(RecvTimeoutError::Timeout) {
+                daemon.ring.push(snapshot_json(daemon));
+            }
+        });
+        let mut conns = Vec::new();
+        for conn in listener.incoming() {
+            if daemon.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            telemetry::ring().push(snapshot_json(&tick_ctx));
+            let Ok(stream) = conn else { continue };
+            conns.push(s.spawn(move || handle_conn(daemon, stream, addr)));
         }
+        drop(stop);
+        // Drain in-flight connections so the doc sees their final
+        // counters. A connection whose cell panicked has died alone;
+        // joining it here keeps its panic out of the scope.
+        for handle in conns {
+            let _ = handle.join();
+        }
+        let _ = ticks.join();
     });
-    let mut conns = Vec::new();
-    for conn in listener.incoming() {
-        if SHUTDOWN.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let ctx = ctx.clone();
-        conns.push(std::thread::spawn(move || handle_conn(&ctx, stream, addr)));
-    }
-    // Drain in-flight connections so the doc sees their final counters.
-    for handle in conns {
-        let _ = handle.join();
-    }
     // Final flight-recorder sample, so even a daemon shut down inside
     // its first tick retains at least one snapshot.
-    telemetry::ring().push(snapshot_json(&ctx));
-    let mut doc = ResultsDoc::new("serve", "daemon", ctx.jobs);
+    daemon.ring.push(snapshot_json(&daemon));
+    let mut doc = ResultsDoc::new("serve", "daemon", daemon.ctx.jobs);
     doc.metrics = experiment::drain_pool_metrics();
-    let mut text = doc.to_json(started.elapsed().as_secs_f64()).to_pretty();
+    let mut text = doc
+        .to_json(daemon.started.elapsed().as_secs_f64())
+        .to_pretty();
     text.push('\n');
     visim_util::atomic::write_atomic("results/json/serve.json", text.as_bytes())
         .map_err(|e| format!("write results/json/serve.json: {e}"))?;
-    let (snapshots, sampled) = telemetry::ring().drain_all();
+    let (snapshots, sampled) = daemon.ring.drain_all();
     let retained = snapshots.len();
-    let mut text = telemetry::timeline_doc(snapshots, sampled, tick).to_pretty();
+    let mut text = telemetry::timeline_doc(snapshots, sampled, daemon.tick).to_pretty();
     text.push('\n');
     visim_util::atomic::write_atomic("results/json/serve_timeline.json", text.as_bytes())
         .map_err(|e| format!("write results/json/serve_timeline.json: {e}"))?;
-    if let Some(path) = &cfg.trace_out {
-        if let Some(trace) = telemetry::trace_doc() {
-            let mut text = trace.to_pretty();
-            text.push('\n');
-            visim_util::atomic::write_atomic(path, text.as_bytes())
-                .map_err(|e| format!("write {path}: {e}"))?;
-            log::info("serve", &format!("request trace written to {path}"));
-        }
+    if let (Some(path), Some(spans)) = (&cfg.trace_out, daemon.spans) {
+        let spans = spans.into_inner().expect("request spans lock");
+        let mut text = telemetry::trace_doc(&spans).to_pretty();
+        text.push('\n');
+        visim_util::atomic::write_atomic(path, text.as_bytes())
+            .map_err(|e| format!("write {path}: {e}"))?;
+        log::info("serve", &format!("request trace written to {path}"));
     }
     log::info(
         "serve",
         &format!(
             "shutdown after {:.1}s: {} requests ({} hits, {} misses, {} coalesced, {} failed), \
              {retained} timeline snapshot(s) retained",
-            started.elapsed().as_secs_f64(),
+            daemon.started.elapsed().as_secs_f64(),
             doc.metrics.counter(REQUESTS),
             doc.metrics.counter(HITS),
             doc.metrics.counter(MISSES),
@@ -709,7 +779,7 @@ mod tests {
 
     #[test]
     fn single_flight_leader_runs_once_and_followers_share() {
-        let key = "test|cell".to_string();
+        let (flights, key) = (Flights::default(), "test|cell".to_string());
         let result = CellResult {
             error: None,
             from_store: false,
@@ -717,16 +787,44 @@ mod tests {
         };
         // Sequential callers never coalesce: the flight retires as the
         // leader returns.
-        let (r1, c1) = single_flight(key.clone(), || result.clone());
+        let (r1, c1) = single_flight(&flights, key.clone(), || result.clone());
         assert!(r1.error.is_none() && !c1);
-        let (_r2, c2) = single_flight(key, || result.clone());
+        let (_r2, c2) = single_flight(&flights, key, || result.clone());
         assert!(!c2, "no in-flight leader to join");
-        // Only this test's own key: the flight table is process-wide and
-        // the concurrent test below holds its flight open meanwhile.
-        assert!(
-            !FLIGHTS.lock().unwrap().contains_key("test|cell"),
-            "flights retire"
-        );
+        assert_eq!(flights.lock().unwrap().len(), 0, "flights retire");
+    }
+
+    /// A leader whose compute panics retires its flight on the way out:
+    /// the next request for the cell leads a flight of its own instead
+    /// of waiting forever on the dead one.
+    #[test]
+    fn a_panicking_leader_retires_its_flight() {
+        let flights = Arc::new(Flights::default());
+        let key = "panic|cell".to_string();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            single_flight(&flights, key.clone(), || panic!("simulator panic"))
+        }));
+        assert!(panicked.is_err(), "the leader's panic propagates");
+        // Not a scoped thread: a wedged request must fail the test, not
+        // hang it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let next = {
+            let flights = Arc::clone(&flights);
+            std::thread::spawn(move || {
+                let ok = CellResult {
+                    error: None,
+                    from_store: false,
+                    payload: Vec::new(),
+                };
+                tx.send(single_flight(&flights, key, || ok)).unwrap();
+            })
+        };
+        let (r, coalesced) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the next request runs instead of waiting on the dead flight");
+        assert!(r.error.is_none() && !coalesced);
+        next.join().unwrap();
+        assert_eq!(flights.lock().unwrap().len(), 0, "both flights retired");
     }
 
     /// A request's coalescing key is its cell's store key: a sampled
@@ -760,11 +858,12 @@ mod tests {
         let computed = AtomicUsize::new(0);
         let barrier = std::sync::Barrier::new(4);
         let coalesced_total = AtomicUsize::new(0);
+        let flights = Flights::default();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     barrier.wait();
-                    let (r, coalesced) = single_flight("race|cell".to_string(), || {
+                    let (r, coalesced) = single_flight(&flights, "race|cell".to_string(), || {
                         computed.fetch_add(1, Ordering::SeqCst);
                         // Hold the flight open long enough for the
                         // other threads to arrive and become followers.

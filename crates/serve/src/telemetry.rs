@@ -1,6 +1,6 @@
-//! Live telemetry for the daemon: the flight-recorder snapshot ring,
-//! the request-trace collector behind `--trace-out`, and the
-//! slow-request threshold.
+//! Live telemetry for the daemon: the flight-recorder snapshot ring and
+//! the documents it and the `--trace-out` request spans persist as. The
+//! daemon owns one ring and one span list (`crate::daemon`).
 //!
 //! The metrics themselves live in the process-wide sink
 //! ([`visim_obs::live::global`]), which the daemon shares with the
@@ -15,20 +15,12 @@
 //! [`SERVE_TIMELINE_SCHEMA`](visim_obs::schema::SERVE_TIMELINE_SCHEMA).
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
 use visim_obs::schema::SERVE_TIMELINE_SCHEMA;
 use visim_obs::trace::InstSpan;
 use visim_obs::Json;
-
-/// Environment variable: slow-request warning threshold in
-/// milliseconds (default 1000; `0` disables the slow-request log).
-pub const SLOW_MS_ENV: &str = "VISIM_SLOW_MS";
-
-/// Environment variable: flight-recorder sampling interval in
-/// milliseconds (default 1000, floored at 10).
-pub const TICK_MS_ENV: &str = "VISIM_TICK_MS";
 
 /// Snapshots retained by the flight recorder: at the default one-
 /// second tick this is 12 minutes of history; older snapshots fall
@@ -36,49 +28,11 @@ pub const TICK_MS_ENV: &str = "VISIM_TICK_MS";
 /// store carries the durable record).
 pub const RING_CAPACITY: usize = 720;
 
-/// The instant the daemon started serving; phases and snapshots are
-/// timestamped against it. Latched by the first caller.
-pub fn started() -> Instant {
-    static STARTED: OnceLock<Instant> = OnceLock::new();
-    *STARTED.get_or_init(Instant::now)
-}
-
-/// Uptime in whole milliseconds.
-pub fn uptime_ms() -> u64 {
-    started().elapsed().as_millis() as u64
-}
-
-/// The slow-request threshold in nanoseconds (`None` = disabled).
-pub fn slow_threshold_ns() -> Option<u64> {
-    static SLOW: OnceLock<Option<u64>> = OnceLock::new();
-    *SLOW.get_or_init(|| {
-        let ms = std::env::var(SLOW_MS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(1_000);
-        (ms > 0).then(|| ms.saturating_mul(1_000_000))
-    })
-}
-
-/// The flight-recorder tick interval.
-pub fn tick_interval() -> Duration {
-    static TICK: OnceLock<u64> = OnceLock::new();
-    let ms = *TICK.get_or_init(|| {
-        std::env::var(TICK_MS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .unwrap_or(1_000)
-            .max(10)
-    });
-    Duration::from_millis(ms)
-}
-
 /// A bounded ring of telemetry snapshots with sequence numbers, shared
 /// between the tick thread (producer), `watch` connections (blocking
 /// consumers), and the shutdown path (drains everything into the
 /// timeline artifact).
-pub struct SnapshotRing {
+pub(crate) struct SnapshotRing {
     inner: Mutex<RingState>,
     cv: Condvar,
 }
@@ -156,18 +110,6 @@ impl SnapshotRing {
     }
 }
 
-impl Default for SnapshotRing {
-    fn default() -> Self {
-        SnapshotRing::new()
-    }
-}
-
-/// The daemon's flight-recorder ring.
-pub fn ring() -> &'static SnapshotRing {
-    static RING: OnceLock<SnapshotRing> = OnceLock::new();
-    RING.get_or_init(SnapshotRing::new)
-}
-
 /// Build the `visim-serve-timeline-v1` document from the recorder
 /// state. `snapshots` is the retained ring (oldest first), `sampled`
 /// the total ever pushed.
@@ -224,47 +166,19 @@ pub fn check_timeline_text(text: &str) -> Result<String, String> {
     ))
 }
 
-/// Request spans collected for `--trace-out`. `None` until the flag
-/// arms it; the daemon then records one [`InstSpan`] per finished cell
-/// request (timestamps in microseconds since daemon start, one span
-/// lane per concurrently in-flight request in the exported trace).
-static SPANS: Mutex<Option<Vec<InstSpan>>> = Mutex::new(None);
-
-/// Arm request-trace collection (the `--trace-out` flag).
-pub fn enable_trace() {
-    let mut guard = SPANS.lock().expect("trace spans lock");
-    if guard.is_none() {
-        *guard = Some(Vec::new());
-    }
-}
-
-/// Whether `--trace-out` armed the collector (hot paths skip the
-/// timestamp bookkeeping entirely when it did not).
-pub fn trace_enabled() -> bool {
-    SPANS.lock().expect("trace spans lock").is_some()
-}
-
-/// Record one request's lifecycle span, if collection is armed.
-pub fn record_span(span: InstSpan) {
-    if let Some(spans) = SPANS.lock().expect("trace spans lock").as_mut() {
-        spans.push(span);
-    }
-}
-
-/// Export the collected request spans as a Chrome trace-event /
-/// Perfetto JSON document (1 µs of request time = 1 trace µs). `None`
-/// when collection was never armed.
-pub fn trace_doc() -> Option<Json> {
-    let spans = SPANS.lock().expect("trace spans lock").take()?;
+/// Export request spans as a Chrome trace-event / Perfetto JSON
+/// document (1 µs of request time = 1 trace µs; one span lane per
+/// concurrently in-flight request).
+pub fn trace_doc(spans: &[InstSpan]) -> Json {
     let mut trace_ring = visim_obs::trace::TraceRing::new(spans.len().max(1));
-    for span in &spans {
+    for span in spans {
         trace_ring.span(*span);
     }
-    Some(trace_ring.into_trace().chrome_trace(vec![
+    trace_ring.into_trace().chrome_trace(vec![
         ("tool", Json::from("visim-serve")),
         ("clock_note", Json::from("1us = 1us of request wall time")),
         ("spans", Json::from(spans.len() as u64)),
-    ]))
+    ])
 }
 
 #[cfg(test)]
@@ -319,15 +233,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_collection_is_off_until_armed() {
-        // Not armed in this process yet: record is a no-op, doc absent.
-        if !trace_enabled() {
-            record_span(sample_span(1));
-            assert!(trace_doc().is_none());
-        }
-        enable_trace();
-        record_span(sample_span(2));
-        let doc = trace_doc().expect("armed collector exports");
+    fn trace_doc_exports_request_spans() {
+        let doc = trace_doc(&[sample_span(2)]);
         let events = doc
             .get("traceEvents")
             .and_then(Json::elements)

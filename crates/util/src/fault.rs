@@ -1,12 +1,16 @@
-//! Deterministic seeded fault injection (`VISIM_FAULT`).
+//! Deterministic seeded fault injection.
 //!
 //! The durability layer — result store, per-cell retry — is only
-//! trustworthy if its failure paths are exercised, so this module lets
-//! a run inject faults at named points:
+//! trustworthy if its failure paths are exercised, so a run can carry a
+//! fault [`Plan`] that injects faults at named points. A plan is text:
 //!
 //! ```text
-//! VISIM_FAULT=<point>:<spec>[,<point>:<spec>...]
+//! <point>:<spec>[,<point>:<spec>...]
 //! ```
+//!
+//! The binaries read it from `VISIM_FAULT` at their edge
+//! (`visim::ctx`); a library caller or a test builds one with
+//! [`Plan::parse`]. Nothing here reads the environment.
 //!
 //! * `store.write.torn:1/8`   — a hash-rate spec `m/n`: the point fires
 //!   for a key when `fnv1a64("<point>|<key>|<seed>") % n < m`.
@@ -17,7 +21,7 @@
 //!   `conv` panics).
 //!
 //! Firing decisions are pure functions of `(point, key, spec)` — no
-//! global counters, no wall clock — so they are identical at any
+//! counters, no wall clock — so they are identical at any
 //! `VISIM_JOBS`, across reruns, and across processes. That is what
 //! makes fault runs reproducible and lets the kill-resume equivalence
 //! gates diff outputs byte-for-byte.
@@ -27,13 +31,8 @@
 //! ([`visim_obs::live::global`]), which every binary drains into its
 //! metrics block, so a fault run is self-describing.
 
-use std::sync::OnceLock;
-
 use crate::error::SimError;
 use crate::hash::fnv1a64;
-
-/// Environment variable holding the fault plan (see module docs).
-pub const FAULT_ENV: &str = "VISIM_FAULT";
 
 /// How one rule decides whether it fires for a key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,59 +92,54 @@ fn parse_spec(spec: &str) -> Spec {
     Spec::Contains(spec.to_string())
 }
 
-fn parse_plan(plan: &str) -> Vec<Rule> {
-    plan.split(',').filter_map(parse_rule).collect()
-}
-
-/// The active rules, parsed once per process from [`FAULT_ENV`].
-fn rules() -> &'static [Rule] {
-    static RULES: OnceLock<Vec<Rule>> = OnceLock::new();
-    RULES.get_or_init(|| {
-        std::env::var(FAULT_ENV)
-            .map(|plan| parse_plan(&plan))
-            .unwrap_or_default()
-    })
-}
-
 /// Total injections across every point; declared in every run's
 /// metrics block, so a zero is evidence that no fault fired.
 pub const INJECTED_TOTAL: &str = "fault.injected";
 
-/// True when any active rule makes `point` fire for `key`; counts the
-/// injection. Deterministic in `(point, key)` for a fixed fault plan.
-pub fn fires(point: &str, key: &str) -> bool {
-    fires_under(rules(), point, key)
-}
+/// A run's fault plan: the rules that decide which points fire. The
+/// default plan is empty and fires nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Plan(Vec<Rule>);
 
-/// [`fires`] against an explicit rule set.
-fn fires_under(rules: &[Rule], point: &str, key: &str) -> bool {
-    let fired = rules.iter().any(|r| {
-        r.point == point
-            && match &r.spec {
-                Spec::Rate { m, n, seed } => {
-                    fnv1a64(format!("{point}|{key}|{seed}").as_bytes()) % n < *m
-                }
-                Spec::Contains(pat) => key.contains(pat.as_str()),
-            }
-    });
-    if fired {
-        let sink = visim_obs::live::global();
-        sink.add(&format!("fault.{point}"), 1);
-        sink.add(INJECTED_TOTAL, 1);
+impl Plan {
+    /// Parse a plan's text (see the module docs). Malformed clauses
+    /// degrade to substring matches; parsing never fails.
+    pub fn parse(plan: &str) -> Plan {
+        Plan(plan.split(',').filter_map(parse_rule).collect())
     }
-    fired
-}
 
-/// [`fires`] as a `Result`: `Err(SimError::Transient)` when the point
-/// fires, for threading through `?` in the experiment runners.
-pub fn trip_transient(point: &str, key: &str) -> Result<(), SimError> {
-    if fires(point, key) {
-        Err(SimError::Transient {
-            point: point.to_string(),
-            detail: format!("injected at {key}"),
-        })
-    } else {
-        Ok(())
+    /// True when any rule makes `point` fire for `key`; counts the
+    /// injection. Deterministic in `(point, key)` for a fixed plan.
+    pub fn fires(&self, point: &str, key: &str) -> bool {
+        let fired = self.0.iter().any(|r| {
+            r.point == point
+                && match &r.spec {
+                    Spec::Rate { m, n, seed } => {
+                        fnv1a64(format!("{point}|{key}|{seed}").as_bytes()) % n < *m
+                    }
+                    Spec::Contains(pat) => key.contains(pat.as_str()),
+                }
+        });
+        if fired {
+            let sink = visim_obs::live::global();
+            sink.add(&format!("fault.{point}"), 1);
+            sink.add(INJECTED_TOTAL, 1);
+        }
+        fired
+    }
+
+    /// [`Self::fires`] as a `Result`: `Err(SimError::Transient)` when
+    /// the point fires, for threading through `?` in the experiment
+    /// runners.
+    pub fn trip_transient(&self, point: &str, key: &str) -> Result<(), SimError> {
+        if self.fires(point, key) {
+            Err(SimError::Transient {
+                point: point.to_string(),
+                detail: format!("injected at {key}"),
+            })
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -192,8 +186,8 @@ mod tests {
                 seed: 0
             },
         );
-        let plan = parse_plan("a:1/2, b:xyz ,,c");
-        assert_eq!(plan.len(), 3);
+        let plan = Plan::parse("a:1/2, b:xyz ,,c");
+        assert_eq!(plan.0.len(), 3);
         // Malformed rates degrade to substring matches, never panic.
         assert_eq!(parse_spec("3/0"), Spec::Contains("3/0".into()));
         assert_eq!(parse_spec("seedx"), Spec::Contains("seedx".into()));
@@ -224,19 +218,32 @@ mod tests {
             sink.counter("fault.test.counted"),
             sink.counter(INJECTED_TOTAL),
         );
-        let plan = parse_plan("test.counted:hit");
-        assert!(fires_under(&plan, "test.counted", "a-hit"));
-        assert!(fires_under(&plan, "test.counted", "hit-again"));
-        assert!(!fires_under(&plan, "test.counted", "spared"));
-        assert!(!fires_under(&plan, "other.point", "hit"));
+        let plan = Plan::parse("test.counted:hit");
+        assert!(plan.fires("test.counted", "a-hit"));
+        assert!(!plan.fires("test.counted", "spared"));
+        assert!(!plan.fires("other.point", "hit"));
+        // A fired `trip_transient` counts too, and its error is retryable.
+        let e = plan
+            .trip_transient("test.counted", "hit-again")
+            .unwrap_err();
+        assert_eq!(
+            e,
+            SimError::Transient {
+                point: "test.counted".into(),
+                detail: "injected at hit-again".into(),
+            }
+        );
+        assert!(e.is_transient());
         assert_eq!(sink.counter("fault.test.counted") - before.0, 2);
         assert_eq!(sink.counter(INJECTED_TOTAL) - before.1, 2);
     }
 
     #[test]
     fn trip_transient_builds_a_retryable_error() {
-        // No env in unit tests: nothing fires.
-        assert!(trip_transient("cell.transient", "conv:0").is_ok());
+        // The empty plan fires nothing, whatever the environment says.
+        assert!(Plan::default()
+            .trip_transient("cell.transient", "conv:0")
+            .is_ok());
         let e = SimError::Transient {
             point: "cell.transient".into(),
             detail: "injected at conv:0".into(),

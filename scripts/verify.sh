@@ -36,6 +36,31 @@ if [ -n "$bare" ]; then
   exit 1
 fi
 
+echo "== statics gate: run state has one owner =="
+# State a run owns travels with the run (its RunCtx, or the daemon's
+# Daemon value), so two runs in one process never share it. A `static`
+# item in crate code is process-wide; only these may exist, each with
+# the reason its state belongs to the whole process.
+allowed=$(cut -d' ' -f1 <<'EOF' | sort
+crates/util/src/atomic.rs:TEMP_SEQ makes temp-file names unique; names files, holds no run state
+crates/util/src/heap.rs:ONCE tunes the allocator once; there is one allocator per process
+crates/util/src/error.rs:LEAKED interns leaked model names so each name leaks once
+crates/obs/src/log.rs:THRESHOLD the log level, read once from VISIM_LOG/VISIM_QUIET
+crates/obs/src/log.rs:EPOCH the log clock's origin, the process start
+crates/obs/src/schema.rs:REV the binary's git revision, fixed per build
+crates/obs/src/live.rs:GLOBAL the one metrics sink every layer counts into
+crates/core/src/ctx.rs:PROCESS_DEFAULT the run context behind the frozen benchmark harness's entry points
+EOF
+)
+statics=$(grep -rnE '^\s*(pub(\([a-z]+\))? +)?static +(mut +)?[A-Za-z_]' crates/*/src \
+  | sed -E 's/^([^:]+):[0-9]+:\s*(pub(\([a-z]+\))? +)?static +(mut +)?([A-Za-z_][A-Za-z0-9_]*).*/\1:\5/' \
+  | sort)
+if [ "$statics" != "$allowed" ]; then
+  echo "process-wide statics differ from the allowed list (< allowed, > found):"
+  diff <(echo "$allowed") <(echo "$statics") || true
+  exit 1
+fi
+
 echo "== paper-fidelity gate (tiny) =="
 fidelity_dir=$(mktemp -d)
 trap 'rm -rf "$fidelity_dir"' EXIT
