@@ -122,7 +122,7 @@ fn with_retry<T>(mut attempt_fn: impl FnMut(u32) -> Result<T, SimError>) -> Resu
 /// sink's `serve.phase.store_lookup_ns` and `serve.phase.simulate_ns`.
 fn run_cell<T: Clone>(
     ctx: &RunCtx,
-    key: CellKey,
+    key: &CellKey,
     tag: &str,
     compute: impl Fn() -> Result<T, SimError>,
     to_entry: impl Fn(&T) -> store::Entry,
@@ -131,7 +131,7 @@ fn run_cell<T: Clone>(
     let sink = live::global();
     if let Some(store) = ctx.store.as_ref().filter(|s| s.resume) {
         let t0 = Instant::now();
-        let loaded = store.load(&key);
+        let loaded = store.load(key);
         sink.observe_latency_ns(
             live_names::PHASE_STORE_LOOKUP,
             t0.elapsed().as_nanos() as u64,
@@ -155,9 +155,9 @@ fn run_cell<T: Clone>(
     sink.observe_latency_ns(live_names::PHASE_SIMULATE, t1.elapsed().as_nanos() as u64);
     if let Some(store) = &ctx.store {
         match &result {
-            Ok(v) => store.save(&key, &to_entry(v), &ctx.faults),
+            Ok(v) => store.save(key, &to_entry(v), &ctx.faults),
             Err(e) if !e.is_transient() => {
-                store.save(&key, &store::Entry::Failed(e.clone()), &ctx.faults)
+                store.save(key, &store::Entry::Failed(e.clone()), &ctx.faults)
             }
             Err(_) => {}
         }
@@ -476,7 +476,7 @@ fn simulate(
 /// invariant violations, and watchdog aborts surface as errors.
 fn timed_cell(
     ctx: &RunCtx,
-    key: CellKey,
+    key: &CellKey,
     workload: Workload,
     cpu: &CpuConfig,
     mem: &MemConfig,
@@ -512,7 +512,7 @@ fn timed_cell(
 /// [`CellSpec::Counted`] cell (fast; the instruction-mix experiments).
 fn counted_cell(
     ctx: &RunCtx,
-    key: CellKey,
+    key: &CellKey,
     workload: Workload,
     size: &WorkloadSize,
     variant: Variant,
@@ -700,7 +700,19 @@ impl RunCtx {
         spec: &CellSpec,
         size: &WorkloadSize,
     ) -> Result<(CellOutput, bool), SimError> {
-        let key = self.cell_key(spec, size);
+        self.run_keyed(spec, &self.cell_key(spec, size), size)
+    }
+
+    /// [`Self::run_spec`] for a caller that keeps the cell's key: `key`
+    /// must be [`Self::cell_key`] of `spec` and `size` under this
+    /// context. The serve daemon formats each cell's key once and runs
+    /// every request for the cell through here.
+    pub fn run_keyed(
+        &self,
+        spec: &CellSpec,
+        key: &CellKey,
+        size: &WorkloadSize,
+    ) -> Result<(CellOutput, bool), SimError> {
         match spec {
             CellSpec::Timed {
                 workload,

@@ -37,6 +37,10 @@ pub fn run(addr: &str, request: &Request) -> Result<i32, String> {
 /// [`run`], with an explicit rendering mode.
 pub fn run_with(addr: &str, request: &Request, render: Render) -> Result<i32, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    // The daemon's socket options: each line leaves when it is written.
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("set TCP_NODELAY: {e}"))?;
     let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
     let mut line = request.to_line();
     line.push('\n');

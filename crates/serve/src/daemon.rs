@@ -1,13 +1,13 @@
 //! The daemon: TCP accept loop, per-connection protocol handling, and
 //! the single-flight cell executor over the result store.
 //!
-//! Threading model: one OS thread per connection (clients are few and
-//! long-lived), with each manifest request fanning its cells out over
-//! the experiment worker pool (the run context's `jobs`, scoped threads —
-//! concurrent manifests each get their own pool scope and share the
-//! process-wide metrics sink). Cell deduplication happens *across*
-//! connections through the single-flight table, so two clients
-//! submitting overlapping manifests never simulate a cell twice.
+//! Threading model: one OS thread per connection, joined by the accept
+//! loop once it has ended, with each manifest request fanning its cells
+//! out over the experiment worker pool (the run context's `jobs`,
+//! scoped threads — concurrent manifests each get their own pool scope
+//! and share the process-wide metrics sink). Cell deduplication
+//! happens *across* connections through the single-flight table, so two
+//! clients submitting overlapping manifests never simulate a cell twice.
 //!
 //! Telemetry: every cell request is counted (`serve.*`) and timed
 //! through its lifecycle phases (read/parse → store lookup → coalesce
@@ -23,19 +23,26 @@
 //! Everything else a daemon keeps is one `Daemon` value that [`serve`]
 //! builds and every handler takes by reference, so two daemons in one
 //! process share nothing but the metrics sink.
+//!
+//! A store hit costs what a store lookup costs: every accepted socket
+//! sets `TCP_NODELAY`, so each event line leaves when it is written; a
+//! builtin manifest is resolved once per daemon and size, on first use,
+//! with each cell's store key formatted once beside it; and the accept
+//! loop joins the connection threads that have ended.
 
 use std::collections::HashMap;
-use std::io::{BufRead as _, BufReader, Write as _};
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use visim::bench::WorkloadSize;
 use visim::ctx::{self, RunCtx};
 use visim::experiment::{self, CellOutput};
 use visim::manifest::{CellSpec, Manifest};
+use visim::store::CellKey;
 use visim_obs::live::{self, names};
 use visim_obs::log;
 use visim_obs::schema::ResultsDoc;
@@ -60,6 +67,10 @@ const FAILURES: &str = "serve.failures";
 /// The daemon's counters, declared in the sink at startup so
 /// `serve.json` carries them even at zero.
 const COUNTERS: [&str; 5] = [REQUESTS, HITS, MISSES, COALESCED, FAILURES];
+/// The longest request line the daemon reads, newline excluded. A
+/// longer one gets an `error` event and the connection is closed, so a
+/// stream without newlines cannot grow the daemon's buffer unbounded.
+const MAX_LINE: usize = 1 << 20;
 
 /// One running daemon's state, built once by [`serve`].
 struct Daemon {
@@ -71,6 +82,8 @@ struct Daemon {
     shutdown: AtomicBool,
     /// The single-flight table.
     flights: Flights,
+    /// The builtin manifests requested so far, resolved.
+    manifests: Manifests,
     /// The flight recorder's snapshot ring.
     ring: SnapshotRing,
     /// Request spans for `--trace-out`; `None` without the flag, so the
@@ -94,7 +107,7 @@ struct Flight {
     cv: Condvar,
 }
 
-/// The single-flight table, keyed on [`flight_key`].
+/// The single-flight table, keyed on the text of a cell's store key.
 type Flights = Mutex<HashMap<String, Arc<Flight>>>;
 
 /// Retires a leader's flight when dropped: fills the slot with a failed
@@ -139,12 +152,116 @@ impl CellResult {
     }
 }
 
-/// A cell's single-flight key: its result-store key text under the
-/// daemon's run context ([`RunCtx::cell_key`]), sampling geometry
-/// included. Two requests coalesce exactly when the store would file
-/// their results under one entry.
-fn flight_key(ctx: &RunCtx, spec: &CellSpec, size: &WorkloadSize) -> String {
-    ctx.cell_key(spec, size).text().to_string()
+/// One cell of a resolved manifest and its store key, formatted on
+/// first use.
+struct Cell {
+    spec: CellSpec,
+    key: OnceLock<CellKey>,
+}
+
+impl Cell {
+    /// The cell's result-store key under `ctx` ([`RunCtx::cell_key`],
+    /// sampling geometry included), formatted once. Its text is also
+    /// the cell's single-flight key: two requests coalesce exactly when
+    /// the store would file their results under one entry.
+    fn key(&self, ctx: &RunCtx, size: &WorkloadSize) -> &CellKey {
+        self.key.get_or_init(|| ctx.cell_key(&self.spec, size))
+    }
+}
+
+/// A manifest resolved at one workload size: its cells in grid order
+/// and where each label sits among them.
+struct Resolved {
+    /// The manifest's name, for the `start` and `done` events.
+    name: String,
+    size: WorkloadSize,
+    cells: Vec<Cell>,
+    by_label: HashMap<String, Vec<usize>>,
+}
+
+impl Resolved {
+    fn new(manifest: &Manifest, size: WorkloadSize) -> Resolved {
+        let cells: Vec<Cell> = manifest
+            .cells()
+            .into_iter()
+            .map(|spec| Cell {
+                spec,
+                key: OnceLock::new(),
+            })
+            .collect();
+        let mut by_label: HashMap<String, Vec<usize>> = HashMap::new();
+        for (ix, cell) in cells.iter().enumerate() {
+            by_label
+                .entry(cell.spec.label().to_string())
+                .or_default()
+                .push(ix);
+        }
+        Resolved {
+            name: manifest.name.clone(),
+            size,
+            cells,
+            by_label,
+        }
+    }
+
+    /// Every cell, or only those labeled `label`, in grid order.
+    fn select(&self, label: Option<&str>) -> Result<Vec<&Cell>, String> {
+        let Some(label) = label else {
+            return Ok(self.cells.iter().collect());
+        };
+        let ixs = self
+            .by_label
+            .get(label)
+            .ok_or_else(|| format!("manifest {} has no cell labeled {label:?}", self.name))?;
+        Ok(ixs.iter().map(|&ix| &self.cells[ix]).collect())
+    }
+}
+
+/// The builtin manifests a daemon has served, by name and then size
+/// name, each resolved by the first request that names it.
+#[derive(Default)]
+struct Manifests(Mutex<HashMap<String, HashMap<String, Arc<Resolved>>>>);
+
+impl Manifests {
+    /// Resolve a request's manifest source at `size_name`. A builtin
+    /// comes from the memo after its first request; a path is read from
+    /// the daemon's filesystem on every request, so an edited file is
+    /// served from its new text.
+    fn resolve(&self, source: &ManifestSource, size_name: &str) -> Result<Arc<Resolved>, String> {
+        let name = match source {
+            ManifestSource::Builtin(name) => name,
+            ManifestSource::Path(path) => {
+                let manifest = Manifest::load_file(path)?;
+                return Ok(Arc::new(Resolved::new(
+                    &manifest,
+                    size_from_name(size_name)?,
+                )));
+            }
+        };
+        let memo = self.0.lock().expect("manifest memo lock");
+        if let Some(hit) = memo
+            .get(name.as_str())
+            .and_then(|by_size| by_size.get(size_name))
+        {
+            return Ok(Arc::clone(hit));
+        }
+        drop(memo);
+        let manifest = Manifest::builtin(name).ok_or_else(|| {
+            format!(
+                "unknown builtin manifest {name:?}; have: {}",
+                Manifest::builtin_names().join(", ")
+            )
+        })?;
+        let resolved = Arc::new(Resolved::new(&manifest, size_from_name(size_name)?));
+        // Two first requests may race here; the first to insert wins.
+        let mut map = self.0.lock().expect("manifest memo lock");
+        Ok(Arc::clone(
+            map.entry(name.clone())
+                .or_default()
+                .entry(size_name.to_string())
+                .or_insert(resolved),
+        ))
+    }
 }
 
 /// Execute `compute` under single-flight in `flights`: the first
@@ -154,23 +271,23 @@ fn flight_key(ctx: &RunCtx, spec: &CellSpec, size: &WorkloadSize) -> String {
 /// flight (followers get a failed result) before the panic goes on.
 fn single_flight(
     flights: &Flights,
-    key: String,
+    key: &str,
     compute: impl FnOnce() -> CellResult,
 ) -> (CellResult, bool) {
     let flight = {
         let mut map = flights.lock().expect("flight table lock");
-        if let Some(f) = map.get(&key) {
+        if let Some(f) = map.get(key) {
             Arc::clone(f)
         } else {
             let f = Arc::new(Flight {
                 slot: Mutex::new(None),
                 cv: Condvar::new(),
             });
-            map.insert(key.clone(), Arc::clone(&f));
+            map.insert(key.to_string(), Arc::clone(&f));
             drop(map);
             // Leader: simulate outside the table lock, publish, then
             // retire the flight so later requests go to the store.
-            let _retire = Retire(flights, &key, &f);
+            let _retire = Retire(flights, key, &f);
             let result = compute();
             *f.slot.lock().expect("flight slot lock") = Some(result.clone());
             return (result, false);
@@ -195,11 +312,11 @@ fn in_flight_count(daemon: &Daemon) -> u64 {
 }
 
 /// Run one cell through the experiment layer's cell executor
-/// ([`RunCtx::run_spec`]), which owns the store lookup, checksum
+/// ([`RunCtx::run_keyed`]), which owns the store lookup, checksum
 /// validation, stale purge, fault injection and retry, and adapt its
 /// outcome onto the `cell` event's shape.
-fn serve_cell(ctx: &RunCtx, spec: &CellSpec, size: &WorkloadSize) -> CellResult {
-    match ctx.run_spec(spec, size) {
+fn serve_cell(ctx: &RunCtx, spec: &CellSpec, key: &CellKey, size: &WorkloadSize) -> CellResult {
+    match ctx.run_keyed(spec, key, size) {
         Ok((output, from_store)) => {
             let payload = match output {
                 CellOutput::Timed(s) => vec![("cycles".to_string(), Json::from(s.cycles()))],
@@ -239,7 +356,7 @@ struct Tally {
     done: AtomicU64,
 }
 
-/// Run `specs` over the worker pool, streaming a `cell` event per
+/// Run `cells` over the worker pool, streaming a `cell` event per
 /// completion, and return the tally for the `done` event.
 ///
 /// This is where the request lifecycle is stitched together: each cell
@@ -251,21 +368,21 @@ struct Tally {
 /// trace span.
 fn run_cells(
     daemon: &Daemon,
-    specs: Vec<CellSpec>,
+    cells: Vec<&Cell>,
     size: &WorkloadSize,
     stream: &Mutex<TcpStream>,
 ) -> Tally {
     let ctx = &daemon.ctx;
-    let total = specs.len();
+    let total = cells.len();
     let tally = Tally::default();
     let live = live::global();
     // Counter handles, looked up once per request batch: the per-cell
     // path is then one atomic add per counter, and the request counter's
     // `fetch_add` hands out the daemon-wide request id.
     let [requests, hits, misses, coalesced_n, failures] = COUNTERS.map(|n| live.handle(n));
-    let work: Vec<_> = specs
+    let work: Vec<_> = cells
         .into_iter()
-        .map(|spec| {
+        .map(|cell| {
             let tally = &tally;
             let (requests, hits, misses, coalesced_n, failures) =
                 (&requests, &hits, &misses, &coalesced_n, &failures);
@@ -277,9 +394,10 @@ fn run_cells(
                     names::PHASE_QUEUE_WAIT,
                     begun.duration_since(enqueued).as_nanos() as u64,
                 );
-                let key = flight_key(ctx, &spec, size);
-                let (result, coalesced) =
-                    single_flight(&daemon.flights, key, || serve_cell(ctx, &spec, size));
+                let (spec, key) = (&cell.spec, cell.key(ctx, size));
+                let (result, coalesced) = single_flight(&daemon.flights, key.text(), || {
+                    serve_cell(ctx, spec, key, size)
+                });
                 let served = Instant::now();
                 let (path, path_op) = if coalesced {
                     coalesced_n.fetch_add(1, Ordering::Relaxed);
@@ -353,20 +471,6 @@ fn run_cells(
     tally
 }
 
-/// Resolve a request's manifest source against the embedded set or the
-/// daemon's filesystem.
-fn resolve_manifest(source: &ManifestSource) -> Result<Manifest, String> {
-    match source {
-        ManifestSource::Builtin(name) => Manifest::builtin(name).ok_or_else(|| {
-            format!(
-                "unknown builtin manifest {name:?}; have: {}",
-                Manifest::builtin_names().join(", ")
-            )
-        }),
-        ManifestSource::Path(path) => Manifest::load_file(path),
-    }
-}
-
 /// Handle a `manifest` or `cell` request end to end: resolve, run,
 /// stream, and send the terminal `done` event.
 fn handle_run(
@@ -376,28 +480,18 @@ fn handle_run(
     size_name: &str,
     stream: &Mutex<TcpStream>,
 ) -> Result<(), String> {
-    let manifest = resolve_manifest(source)?;
-    let size = size_from_name(size_name)?;
-    let mut specs = manifest.cells();
-    if let Some(label) = only_label {
-        specs.retain(|s| s.label() == label);
-        if specs.is_empty() {
-            return Err(format!(
-                "manifest {} has no cell labeled {label:?}",
-                manifest.name
-            ));
-        }
-    }
+    let manifest = daemon.manifests.resolve(source, size_name)?;
+    let cells = manifest.select(only_label)?;
     send(
         stream,
         &Json::obj(vec![
             ("event", Json::from("start")),
             ("manifest", Json::from(manifest.name.as_str())),
             ("size", Json::from(size_name)),
-            ("cells", Json::from(specs.len())),
+            ("cells", Json::from(cells.len())),
         ]),
     );
-    let tally = run_cells(daemon, specs, &size, stream);
+    let tally = run_cells(daemon, cells, &manifest.size, stream);
     let (done, failed) = (tally.done.into_inner(), tally.failed.into_inner());
     send(
         stream,
@@ -570,20 +664,56 @@ fn handle_watch(daemon: &Daemon, count: u64, stream: &Mutex<TcpStream>) {
     );
 }
 
-/// Serve one client connection until it closes or asks for shutdown.
+/// Send an `error` event carrying `error`.
+fn send_error(stream: &Mutex<TcpStream>, error: &str) {
+    send(
+        stream,
+        &Json::obj(vec![
+            ("event", Json::from("error")),
+            ("error", Json::from(error)),
+        ]),
+    );
+}
+
+/// Serve one client connection until it closes, sends a line longer
+/// than [`MAX_LINE`], or asks for shutdown.
 fn handle_conn(daemon: &Daemon, stream: TcpStream, daemon_addr: std::net::SocketAddr) {
-    let reader = match stream.try_clone() {
+    // Every event is one small write; without this, Nagle's algorithm
+    // holds each one after the first until the client's delayed ACK.
+    if let Err(e) = stream.set_nodelay(true) {
+        log::warn("serve", &format!("cannot set TCP_NODELAY: {e}"));
+    }
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
     let stream = Mutex::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_LINE as u64 + 1;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_LINE {
+            send_error(
+                &stream,
+                &format!("request line longer than {MAX_LINE} bytes"),
+            );
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
+        let line = line.strip_suffix('\r').unwrap_or(line);
         if line.trim().is_empty() {
             continue;
         }
         let accepted = Instant::now();
-        let parsed = Request::parse(&line);
+        let parsed = Request::parse(line);
         live::global().observe_latency_ns(
             names::PHASE_READ_PARSE,
             accepted.elapsed().as_nanos() as u64,
@@ -620,13 +750,7 @@ fn handle_conn(daemon: &Daemon, stream: TcpStream, daemon_addr: std::net::Socket
             Err(e) => Err(e),
         };
         if let Err(e) = outcome {
-            send(
-                &stream,
-                &Json::obj(vec![
-                    ("event", Json::from("error")),
-                    ("error", Json::from(e.as_str())),
-                ]),
-            );
+            send_error(&stream, &e);
         }
     }
 }
@@ -676,6 +800,7 @@ pub fn serve(cfg: &DaemonConfig, mut ctx: RunCtx) -> Result<(), String> {
         started: Instant::now(),
         shutdown: AtomicBool::new(false),
         flights: Flights::default(),
+        manifests: Manifests::default(),
         ring: SnapshotRing::new(),
         spans: cfg.trace_out.as_ref().map(|_| Mutex::new(Vec::new())),
         tick: Duration::from_millis(tick_ms.max(10)),
@@ -722,11 +847,18 @@ pub fn serve(cfg: &DaemonConfig, mut ctx: RunCtx) -> Result<(), String> {
             }
             let Ok(stream) = conn else { continue };
             conns.push(s.spawn(move || handle_conn(daemon, stream, addr)));
+            // Join the connections that have ended, once the new one is
+            // on its way: a client that reconnects per request opens
+            // thousands, and an unjoined thread keeps its stack. A
+            // connection whose cell panicked has died alone; joining it
+            // keeps its panic out of the scope.
+            for ended in conns.extract_if(.., |h| h.is_finished()) {
+                let _ = ended.join();
+            }
         }
         drop(stop);
         // Drain in-flight connections so the doc sees their final
-        // counters. A connection whose cell panicked has died alone;
-        // joining it here keeps its panic out of the scope.
+        // counters.
         for handle in conns {
             let _ = handle.join();
         }
@@ -779,7 +911,7 @@ mod tests {
 
     #[test]
     fn single_flight_leader_runs_once_and_followers_share() {
-        let (flights, key) = (Flights::default(), "test|cell".to_string());
+        let (flights, key) = (Flights::default(), "test|cell");
         let result = CellResult {
             error: None,
             from_store: false,
@@ -787,7 +919,7 @@ mod tests {
         };
         // Sequential callers never coalesce: the flight retires as the
         // leader returns.
-        let (r1, c1) = single_flight(&flights, key.clone(), || result.clone());
+        let (r1, c1) = single_flight(&flights, key, || result.clone());
         assert!(r1.error.is_none() && !c1);
         let (_r2, c2) = single_flight(&flights, key, || result.clone());
         assert!(!c2, "no in-flight leader to join");
@@ -802,7 +934,7 @@ mod tests {
         let flights = Arc::new(Flights::default());
         let key = "panic|cell".to_string();
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            single_flight(&flights, key.clone(), || panic!("simulator panic"))
+            single_flight(&flights, &key, || panic!("simulator panic"))
         }));
         assert!(panicked.is_err(), "the leader's panic propagates");
         // Not a scoped thread: a wedged request must fail the test, not
@@ -816,7 +948,7 @@ mod tests {
                     from_store: false,
                     payload: Vec::new(),
                 };
-                tx.send(single_flight(&flights, key, || ok)).unwrap();
+                tx.send(single_flight(&flights, &key, || ok)).unwrap();
             })
         };
         let (r, coalesced) = rx
@@ -832,7 +964,7 @@ mod tests {
     /// other way round.
     #[test]
     fn flight_key_is_the_store_key_and_carries_the_sampling_geometry() {
-        let spec = Manifest::builtin("fig1").unwrap().cells().remove(0);
+        let source = ManifestSource::Builtin("fig1".into());
         let size = WorkloadSize::tiny();
         let exact = RunCtx::default();
         let sampled = RunCtx {
@@ -842,14 +974,87 @@ mod tests {
             }),
             ..RunCtx::default()
         };
-        assert_eq!(
-            flight_key(&exact, &spec, &size),
-            exact.cell_key(&spec, &size).text()
+        // Each daemon formats its cells' keys under its own context.
+        let key = |ctx: &RunCtx| {
+            let fig1 = Manifests::default().resolve(&source, "tiny").unwrap();
+            fig1.cells[0].key(ctx, &size).text().to_string()
+        };
+        let spec = Manifest::builtin("fig1").unwrap().cells().remove(0);
+        assert_eq!(key(&exact), exact.cell_key(&spec, &size).text());
+        assert_ne!(key(&exact), key(&sampled));
+    }
+
+    /// The memo serves every builtin manifest's cells exactly as
+    /// `Manifest::cells` expands them, a label selects what a filter
+    /// over that expansion selects, and each key is formatted once.
+    #[test]
+    fn the_manifest_memo_matches_a_fresh_expansion() {
+        let manifests = Manifests::default();
+        let ctx = RunCtx::default();
+        for name in Manifest::builtin_names() {
+            let source = ManifestSource::Builtin(name.to_string());
+            let expanded = Manifest::builtin(name).unwrap().cells();
+            let resolved = manifests.resolve(&source, "tiny").unwrap();
+            let memo: Vec<String> = resolved
+                .cells
+                .iter()
+                .map(|c| format!("{:?}", c.spec))
+                .collect();
+            let fresh: Vec<String> = expanded.iter().map(|c| format!("{c:?}")).collect();
+            assert_eq!(memo, fresh, "{name}");
+            for spec in &expanded {
+                let label = spec.label();
+                let selected: Vec<String> = resolved
+                    .select(Some(label))
+                    .unwrap()
+                    .iter()
+                    .map(|c| format!("{:?}", c.spec))
+                    .collect();
+                let filtered: Vec<String> = expanded
+                    .iter()
+                    .filter(|c| c.label() == label)
+                    .map(|c| format!("{c:?}"))
+                    .collect();
+                assert_eq!(selected, filtered, "{name} {label}");
+            }
+            let again = manifests.resolve(&source, "tiny").unwrap();
+            assert!(Arc::ptr_eq(&resolved, &again), "{name} resolved once");
+            if let Some(cell) = resolved.cells.first() {
+                let size = WorkloadSize::tiny();
+                assert!(std::ptr::eq(
+                    cell.key(&ctx, &size),
+                    again.cells[0].key(&ctx, &size)
+                ));
+            }
+        }
+        // Sizes are memoized apart, and a bad size fails as before.
+        let fig2 = ManifestSource::Builtin("fig2".into());
+        let (tiny, study) = (
+            manifests.resolve(&fig2, "tiny").unwrap(),
+            manifests.resolve(&fig2, "study").unwrap(),
         );
-        assert_ne!(
-            flight_key(&exact, &spec, &size),
-            flight_key(&sampled, &spec, &size)
-        );
+        assert!(!Arc::ptr_eq(&tiny, &study));
+        assert_eq!(study.size, WorkloadSize::study());
+        assert!(manifests.resolve(&fig2, "huge").is_err());
+    }
+
+    /// A manifest named by path is read on every request: an edit
+    /// between two requests is served from the new text.
+    #[test]
+    fn a_path_manifest_is_reread_on_every_request() {
+        let dir = std::env::temp_dir().join(format!("visim-memo-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.json");
+        let fig2 = Manifest::builtin_text("fig2").unwrap();
+        let manifests = Manifests::default();
+        let source = ManifestSource::Path(path.to_string_lossy().into_owned());
+        std::fs::write(&path, fig2).unwrap();
+        let before = manifests.resolve(&source, "tiny").unwrap();
+        std::fs::write(&path, fig2.replacen("\"fig2\"", "\"fig2-edited\"", 1)).unwrap();
+        let after = manifests.resolve(&source, "tiny").unwrap();
+        assert_eq!(before.name, "fig2");
+        assert_eq!(after.name, "fig2-edited");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -863,7 +1068,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     barrier.wait();
-                    let (r, coalesced) = single_flight(&flights, "race|cell".to_string(), || {
+                    let (r, coalesced) = single_flight(&flights, "race|cell", || {
                         computed.fetch_add(1, Ordering::SeqCst);
                         // Hold the flight open long enough for the
                         // other threads to arrive and become followers.

@@ -21,8 +21,8 @@
 //!   store hits and converges.
 //!
 //! Cells come from [`visim::manifest::Manifest::cells`] and run through
-//! [`visim::RunCtx::run_spec`] — the same grid expansion and the same
-//! executor the figure binaries use.
+//! [`visim::RunCtx::run_keyed`], the body of `run_spec` — the same grid
+//! expansion and the same executor the figure binaries use.
 //!
 //! - **Observable.** Every request is timed through its lifecycle
 //!   phases into the process-wide metrics sink

@@ -380,3 +380,108 @@ fn bad_requests_get_error_events_not_disconnects() {
     shutdown(&addr, child);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A persistent connection streams store hits without the delayed-ACK
+/// stall. Each reply is three small writes (`start`, `cell`, `done`);
+/// without `TCP_NODELAY` on the daemon's socket, Nagle's algorithm
+/// holds the second until the client's delayed ACK of the first, about
+/// 40 ms a request, so 50 requests could not finish in 2 s. Without the
+/// stall they take milliseconds. The client keeps default socket
+/// options, as the benchmark's load generator does.
+#[test]
+fn a_persistent_connection_streams_hits_without_a_stall() {
+    let dir = scratch_dir("burst");
+    let (child, addr) = spawn_daemon(&dir, &[]);
+    let req = "{\"op\":\"cell\",\"name\":\"fig2\",\"label\":\"conv/base\",\"size\":\"tiny\"}";
+    let warm = request(&addr, req, is_done);
+    assert_eq!(counter(warm.last().unwrap(), "ok"), 1, "{warm:?}");
+    let mut stream = TcpStream::connect(&addr).expect("connect to daemon");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let line = format!("{req}\n");
+    let begun = Instant::now();
+    for i in 0..50 {
+        stream.write_all(line.as_bytes()).unwrap();
+        let mut cells = 0;
+        loop {
+            let mut text = String::new();
+            assert!(
+                reader.read_line(&mut text).unwrap() > 0,
+                "request {i}: closed"
+            );
+            let event = Json::parse(text.trim_end()).expect("event parses");
+            match event.get("event").and_then(Json::as_str) {
+                Some("cell") => {
+                    cells += 1;
+                    assert_eq!(
+                        event.get("from_store"),
+                        Some(&Json::Bool(true)),
+                        "request {i}: {event:?}"
+                    );
+                }
+                Some("done") => break,
+                Some("start") => {}
+                other => panic!("request {i}: unexpected event {other:?}: {event:?}"),
+            }
+        }
+        assert_eq!(cells, 1, "request {i}");
+    }
+    let took = begun.elapsed();
+    drop((stream, reader));
+    shutdown(&addr, child);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        took < Duration::from_secs(1),
+        "50 store hits over one connection took {took:?}"
+    );
+}
+
+#[test]
+fn an_overlong_request_line_is_refused_and_the_daemon_stays_healthy() {
+    const MAX_LINE: usize = 1 << 20;
+    let dir = scratch_dir("longline");
+    let (child, addr) = spawn_daemon(&dir, &[]);
+    let mut stream = TcpStream::connect(&addr).expect("connect to daemon");
+    // One byte over the cap and no newline: the daemon reads exactly
+    // this much, answers, and closes.
+    stream.write_all(&vec![b'x'; MAX_LINE + 1]).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut text = String::new();
+    reader.read_line(&mut text).expect("error event");
+    let event = Json::parse(text.trim_end()).expect("event parses");
+    assert_eq!(
+        event.get("event").and_then(Json::as_str),
+        Some("error"),
+        "{event:?}"
+    );
+    let error = event.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("longer than 1048576 bytes"), "{error}");
+    text.clear();
+    assert_eq!(
+        reader.read_line(&mut text).unwrap_or(0),
+        0,
+        "the connection is closed: {text:?}"
+    );
+    // A line exactly at the cap is still a request, and a fresh short
+    // one is answered too.
+    let padded = format!("{{\"op\":\"ping\"}}{}", " ".repeat(MAX_LINE - 13));
+    let events = request(&addr, &padded, |e| {
+        matches!(
+            e.get("event").and_then(Json::as_str),
+            Some("pong" | "error")
+        )
+    });
+    assert_eq!(
+        events
+            .last()
+            .and_then(|e| e.get("event"))
+            .and_then(Json::as_str),
+        Some("pong"),
+        "{events:?}"
+    );
+    let events = request(&addr, "{\"op\":\"ping\"}", |e| {
+        e.get("event").and_then(Json::as_str) == Some("pong")
+    });
+    assert_eq!(events.len(), 1);
+    shutdown(&addr, child);
+    std::fs::remove_dir_all(&dir).ok();
+}
